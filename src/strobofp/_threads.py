@@ -1,4 +1,4 @@
-"""Worker-pool helper; STROBOFP_THREADS caps sweep parallelism."""
+"""Worker-pool helper; STROBOFP_THREADS caps sweep and trial parallelism."""
 
 from __future__ import annotations
 
@@ -6,13 +6,12 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 
-def worker_count(n_items: int) -> int:
-    env = os.environ.get("STROBOFP_THREADS")
-    if env:
-        cap = max(1, int(env))
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_items))
+def worker_count(n_items: int, requested: int | None = None) -> int:
+    """Workers for `n_items` jobs: `requested`, else STROBOFP_THREADS, else
+    one per CPU; never more than there are items."""
+    if requested is None:
+        requested = os.environ.get("STROBOFP_THREADS") or os.cpu_count() or 1
+    return max(1, min(int(requested), n_items))
 
 
 def parallel_map(fn, items):

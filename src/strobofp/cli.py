@@ -22,7 +22,7 @@ from . import asymptotics
 from ._threads import parallel_map
 from .errors import ConvergenceError, FitError, InsufficientDataError, ResolutionError, SolverError
 from .fitting import REFERENCE_FITS, fit_boundary, fit_bulk, fit_gap
-from .montecarlo import simulate_tau, self_averaging_check, write_histogram_csv
+from .montecarlo import simulate_tau, self_averaging_check, write_histogram_csv, z_test
 from .operator_core import (
     DEFAULT_CUTOFF_ETA,
     FrameDistribution,
@@ -122,6 +122,20 @@ def _operator(cfg: RunConfig, rho: float, mu: FrameDistribution):
     return build_averaged_operator(spec, mu, cfg.quadrature_order)
 
 
+def _sweep(cfg: RunConfig, rhos, mu: FrameDistribution, per_op):
+    """Rows (rho, *per_op(operator)) in the order of `rhos`, one operator each."""
+    return parallel_map(lambda rho: (rho, *per_op(_operator(cfg, rho, mu))), rhos)
+
+
+def _nan_to_none(obj):
+    """Copy of a JSON payload of dicts and floats with every NaN made None."""
+    if isinstance(obj, dict):
+        return {key: _nan_to_none(value) for key, value in obj.items()}
+    if isinstance(obj, float) and math.isnan(obj):
+        return None
+    return obj
+
+
 def _format(x) -> str:
     if isinstance(x, (float, np.floating)):
         return repr(float(x))  # shortest representation that round-trips exactly
@@ -165,11 +179,11 @@ def cmd_meantau(cfg: RunConfig) -> int:
     mu = _distribution(cfg)
     rhos = _resolve_rhos(cfg)
 
-    def solve(rho: float):
-        stats = exit_stats(_operator(cfg, rho, mu), cfg.y0, tol=cfg.tol)
-        return (rho, cfg.y0, stats.M, stats.mean_tau, stats.lambda0, stats.gap)
+    def stats_row(op):
+        stats = exit_stats(op, cfg.y0, tol=cfg.tol)
+        return (cfg.y0, stats.M, stats.mean_tau, stats.lambda0, stats.gap)
 
-    rows = sorted(parallel_map(solve, rhos), key=lambda r: r[0])
+    rows = _sweep(cfg, rhos, mu, stats_row)
     if cfg.fmt == "json":
         names = ("rho", "y0", "M", "mean_tau", "lambda0", "gap")
         payload = [dict(zip(names, row)) for row in rows]
@@ -213,11 +227,11 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     mu = _distribution(cfg)
     rhos = _resolve_rhos(cfg)
 
-    def solve(rho: float):
-        lam, _, a0 = spectral_pair(_operator(cfg, rho, mu), tol=cfg.tol, y0=cfg.y0)
-        return (rho, lam, 1.0 - lam, a0)
+    def spectrum_row(op):
+        lam, _, a0 = spectral_pair(op, tol=cfg.tol, y0=cfg.y0)
+        return (lam, 1.0 - lam, a0)
 
-    rows = sorted(parallel_map(solve, rhos), key=lambda r: r[0])
+    rows = _sweep(cfg, rhos, mu, spectrum_row)
     _write_text(
         cfg.out,
         _csv_text("spectrum", ("rho", "lambda0", "gap", "a0_est"), rows,
@@ -227,11 +241,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def _sweep_mean_frames(cfg: RunConfig, rhos: np.ndarray, y0: float, mu: FrameDistribution):
-    def solve(rho: float):
-        op = _operator(cfg, rho, mu)
-        return (rho, mean_frames(op, y0).M)
-
-    return sorted(parallel_map(solve, rhos), key=lambda r: r[0])
+    return _sweep(cfg, rhos, mu, lambda op: (mean_frames(op, y0).M,))
 
 
 def cmd_fit(cfg: RunConfig) -> int:
@@ -246,11 +256,9 @@ def cmd_fit(cfg: RunConfig) -> int:
     elif which == "bulk":
         result = fit_bulk(_sweep_mean_frames(cfg, rhos, 0.5, mu))
     elif which == "gap":
-        def gap_of(rho: float):
-            lam, _, _ = spectral_pair(_operator(cfg, rho, mu), tol=cfg.tol)
-            return (rho, 1.0 - lam)
-
-        result = fit_gap(sorted(parallel_map(gap_of, rhos), key=lambda r: r[0]))
+        result = fit_gap(
+            _sweep(cfg, rhos, mu, lambda op: (1.0 - spectral_pair(op, tol=cfg.tol)[0],))
+        )
     else:
         raise UsageError(f"unknown fit kind {which!r}")
 
@@ -280,7 +288,7 @@ def cmd_mc(cfg: RunConfig) -> int:
     if mu.kind == "deterministic":
         mc = simulate_tau(rho, cfg.y0, cfg.trials, cfg.seed, mu=mu)
         reference = mean_frames(_operator(cfg, rho, mu), cfg.y0).mean_tau
-        z = (mc.mean_tau - reference) / mc.std_error
+        z, passed = z_test(mc.mean_tau, mc.std_error, reference)
         payload = {
             "mode": "deterministic",
             "rho": rho,
@@ -288,7 +296,7 @@ def cmd_mc(cfg: RunConfig) -> int:
             "mc": mc.summary_dict(),
             "resolvent_mean_tau": reference,
             "z_score": z,
-            "passed": bool(abs(z) < 3.0),
+            "passed": passed,
         }
     else:
         report = self_averaging_check(
@@ -305,7 +313,8 @@ def cmd_mc(cfg: RunConfig) -> int:
             "z_score": report.z_score,
             "passed": report.passed,
         }
-    _write_text(cfg.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_nan_to_none(payload), indent=2, sort_keys=True, allow_nan=False)
+    _write_text(cfg.out, text + "\n")
     if cfg.hist_out:
         write_histogram_csv(mc, cfg.hist_out)
     return 0

@@ -2,23 +2,30 @@
 
 Each trial walks x <- x + sqrt(v) * xi / rho with xi standard normal and v
 drawn from the frame-interval law (v = 1 for deterministic frames), and
-records the first frame index at which x leaves (0, 1).  Trial i consumes
-the counter-based stream Generator(Philox(key=[seed, i])), so results are
-bit-identical for any worker count or scheduling order.
+records the first frame index at which x leaves (0, 1).  Trials run in
+chunks of CHUNK: chunk c holds trials [c*CHUNK, (c+1)*CHUNK) and draws from
+the counter-based stream Generator(Philox(key=[seed, c])).  On each frame
+the chunk draws standard_normal(n_alive), then, for random frame intervals,
+mu.sample_intervals(gen, n_alive); a trial leaves the arrays on the frame
+it exits.  Results are bit-identical for any worker count or scheduling
+order, but a k-trial run is not a prefix of a longer one.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._threads import worker_count
 from .operator_core import FrameDistribution, ProblemSpec, build_averaged_operator
 from .resolvent import mean_frames
 
 _UINT64_MASK = 0xFFFFFFFFFFFFFFFF
+# Trials per random stream; part of the stream layout, so changing it
+# changes every seeded result.
+CHUNK = 65_536
 
 
 def _hard_cap(rho: float) -> int:
@@ -59,75 +66,6 @@ class MCResult:
         }
 
 
-class _TrialEngine:
-    """Reusable Philox engine: trial i replays Generator(Philox(key=[seed, i])).
-
-    Resetting the bit-generator state is bit-identical to fresh construction
-    and several times cheaper, which matters at 1e5+ trials.
-    """
-
-    def __init__(self, seed: int):
-        self._key_hi = seed & _UINT64_MASK
-        self._bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-        self.generator = np.random.Generator(self._bitgen)
-        self._state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": np.zeros(4, dtype=np.uint64),
-                "key": np.zeros(2, dtype=np.uint64),
-            },
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-
-    def reset(self, trial_index: int) -> np.random.Generator:
-        self._state["state"]["key"] = np.array(
-            [self._key_hi, trial_index], dtype=np.uint64
-        )
-        self._bitgen.state = self._state
-        return self.generator
-
-
-def _run_trial(
-    gen: np.random.Generator,
-    rho: float,
-    y0: float,
-    mu: FrameDistribution,
-    n_cap: int,
-    block0: int,
-) -> int:
-    """First frame with x outside (0, 1), or 0 when the trial hits the cap."""
-    deterministic = mu.kind == "deterministic"
-    x = y0
-    n = 0
-    block = block0
-    while n < n_cap:
-        size = min(block, n_cap - n)
-        steps = gen.standard_normal(size)
-        if not deterministic:
-            steps *= np.sqrt(mu.sample_intervals(gen, size))
-        path = x + np.cumsum(steps) / rho
-        outside = (path <= 0.0) | (path >= 1.0)
-        first = int(np.argmax(outside))
-        if outside[first]:
-            return n + first + 1
-        x = float(path[-1])
-        n += size
-        block = min(2 * block, 8192)
-    return 0
-
-
-def _resolve_workers(n_workers: int | None) -> int:
-    if n_workers is not None:
-        return max(1, int(n_workers))
-    env = os.environ.get("STROBOFP_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1
-
-
 def simulate_tau(
     rho: float,
     y0: float,
@@ -136,11 +74,11 @@ def simulate_tau(
     mu: FrameDistribution | None = None,
     n_workers: int | None = None,
 ) -> MCResult:
-    """Estimate E[tau] by independent trials with per-trial random streams.
+    """Estimate E[tau] by independent trials with chunk-keyed random streams.
 
-    The per-trial stream depends only on (seed, trial index), so the result
+    Each chunk's stream depends only on (seed, chunk index), so the result
     is reproducible bit for bit regardless of `n_workers` (which defaults to
-    the STROBOFP_THREADS environment variable, else 1).
+    the STROBOFP_THREADS environment variable, else one per CPU).
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -151,22 +89,33 @@ def simulate_tau(
     if mu is None:
         mu = FrameDistribution.deterministic()
     n_cap = _hard_cap(rho)
-    # First block covers the bulk of the tau distribution in one draw.
-    block0 = int(min(max(64, 0.5 * rho * rho), 4096, n_cap))
-    taus = np.empty(n_trials, dtype=np.int64)
+    n_chunks = -(-n_trials // CHUNK)
+    deterministic = mu.kind == "deterministic"
 
-    def run_range(lo: int, hi: int) -> None:
-        engine = _TrialEngine(seed)
-        for i in range(lo, hi):
-            taus[i] = _run_trial(engine.reset(i), rho, y0, mu, n_cap, block0)
+    def run_chunk(c: int) -> np.ndarray:
+        """Taus of chunk c, its trials moved together a frame at a time;
+        trials still inside after n_cap frames keep tau = 0."""
+        key = np.array([seed & _UINT64_MASK, c], dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        n = min(CHUNK, n_trials - c * CHUNK)
+        taus = np.zeros(n, dtype=np.int64)
+        alive = np.arange(n)
+        x = np.full(n, float(y0))
+        for frame in range(1, n_cap + 1):
+            steps = gen.standard_normal(alive.size)
+            if not deterministic:
+                steps *= np.sqrt(mu.sample_intervals(gen, alive.size))
+            x += steps / rho
+            inside = (x > 0.0) & (x < 1.0)
+            if not inside.all():
+                taus[alive[~inside]] = frame
+                alive, x = alive[inside], x[inside]
+                if not alive.size:
+                    break
+        return taus
 
-    workers = min(_resolve_workers(n_workers), n_trials)
-    if workers <= 1:
-        run_range(0, n_trials)
-    else:
-        bounds = np.linspace(0, n_trials, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_range, bounds[:-1], bounds[1:]))
+    with ThreadPoolExecutor(max_workers=worker_count(n_chunks, n_workers)) as pool:
+        taus = np.concatenate(list(pool.map(run_chunk, range(n_chunks))))
 
     overflow = int(np.count_nonzero(taus == 0))
     completed = taus[taus > 0]
@@ -193,6 +142,18 @@ def simulate_tau(
     )
 
 
+def z_test(mean_tau: float, std_error: float, reference: float) -> tuple[float | None, bool]:
+    """(z-score, passed) of a Monte Carlo mean against a reference at 3 sigma.
+
+    With a zero or NaN standard error there is nothing to scale by: the
+    z-score is None and the test fails.
+    """
+    if not std_error > 0.0:
+        return None, False
+    z = float((mean_tau - reference) / std_error)
+    return z, abs(z) < 3.0
+
+
 def histogram_rows(result: MCResult):
     """(tau, count) pairs with zero-count bins omitted."""
     for k, count in enumerate(result.histogram, start=1):
@@ -216,7 +177,7 @@ class SelfAveragingReport:
     distribution: str
     mc: MCResult
     resolvent_mean_tau: float
-    z_score: float
+    z_score: float | None
     passed: bool
 
 
@@ -238,13 +199,13 @@ def self_averaging_check(
     mc = simulate_tau(rho, y0, n_trials, seed, mu=mu, n_workers=n_workers)
     op = build_averaged_operator(ProblemSpec(rho=rho, y0=y0), mu, u_quadrature_order)
     reference = mean_frames(op, y0).mean_tau
-    z = (mc.mean_tau - reference) / mc.std_error
+    z, passed = z_test(mc.mean_tau, mc.std_error, reference)
     return SelfAveragingReport(
         rho=rho,
         y0=y0,
         distribution=mu.describe(),
         mc=mc,
         resolvent_mean_tau=reference,
-        z_score=float(z),
-        passed=bool(abs(z) < 3.0),
+        z_score=z,
+        passed=passed,
     )

@@ -125,6 +125,12 @@ class FrameDistribution:
     kind: str
     params: tuple = ()
 
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(
+                f"unknown frame-interval kind {self.kind!r}, expected one of {_KINDS}"
+            )
+
     # -- factories ---------------------------------------------------------
 
     @classmethod

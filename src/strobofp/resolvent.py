@@ -159,15 +159,7 @@ def spectral_pair(op: StroboOperator, tol: float = 1e-12, y0: float = 0.5):
 
 def neumann_partial_sum(op: StroboOperator, y0: float, terms: int) -> float:
     """Partial series sum_{n=1}^{terms} S_n; increases monotonically to M."""
-    if terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
-    vec = initial_vector(op, y0)
-    total = 0.0
-    for n in range(1, terms + 1):
-        total += float(op.weights @ vec)
-        if n < terms:
-            vec = op.matvec(vec)
-    return total
+    return float(survival_sequence(op, y0, terms).values[1:].sum())
 
 
 def exit_stats(op: StroboOperator, y0: float, tol: float = 1e-12) -> ExitStats:

@@ -169,6 +169,24 @@ class TestMC:
         assert payload["mode"] == "self-averaging"
         assert payload["distribution"] == "exponential"
 
+    @pytest.mark.parametrize("argv", [
+        ["--rho", "0.01", "--trials", "20"],
+        ["--rho", "0.01", "--trials", "20", "--dist", "jitter:0.2"],
+        ["--rho", "5", "--trials", "1"],
+    ])
+    def test_zero_or_undefined_variance_gives_strict_json(self, tmp_path, argv):
+        # every trial exits on frame 1 (std error 0), or a single trial
+        # leaves the std error undefined: no z-score, no pass, no NaN token
+        out = tmp_path / "mc.json"
+        assert main(["mc", *argv, "--out", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        assert payload["z_score"] is None
+        assert payload["passed"] is False
+
     def test_seeded_reruns_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["mc", "--rho", "4", "--trials", "2000", "--seed", "11"]

@@ -21,15 +21,19 @@ from strobofp import (
 
 class TestReproducibility:
     def test_bit_identical_across_worker_counts(self):
-        results = [
-            simulate_tau(5.0, 0.5, 3000, seed=99, n_workers=w) for w in (1, 2, 3)
-        ]
-        base = results[0]
-        for other in results[1:]:
-            assert np.array_equal(base.histogram, other.histogram)
-            assert base.mean_tau == other.mean_tau
-            assert base.std_error == other.std_error
-            assert base.overflow == other.overflow
+        # the second case spans three chunks, so chunk scheduling matters
+        cases = [(5.0, 0.5, 3000, 99), (2.0, 0.5, 2 * mc_mod.CHUNK + 1000, 99)]
+        for rho, y0, n_trials, seed in cases:
+            results = [
+                simulate_tau(rho, y0, n_trials, seed=seed, n_workers=w)
+                for w in (1, 2, 3)
+            ]
+            base = results[0]
+            for other in results[1:]:
+                assert np.array_equal(base.histogram, other.histogram)
+                assert base.mean_tau == other.mean_tau
+                assert base.std_error == other.std_error
+                assert base.overflow == other.overflow
 
     def test_same_seed_same_result(self):
         a = simulate_tau(3.0, 0.4, 1000, seed=7)

@@ -201,6 +201,10 @@ class TestFrameDistribution:
         with pytest.raises(ValueError):
             ctor()
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            FrameDistribution("bogus")
+
     @pytest.mark.parametrize("mu", [
         FrameDistribution.two_point(0.5, 1.5, 0.5),
         FrameDistribution.uniform_jitter(0.5),
