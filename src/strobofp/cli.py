@@ -66,7 +66,6 @@ class RunConfig:
     modesum: bool = False
     n_max: int = 100
     which: str | None = None
-    tol: float = 1e-12
     quadrature_order: int = 64
     hist_out: str | None = None
 
@@ -90,8 +89,8 @@ def parse_rho_range(text: str) -> tuple:
     if len(parts) != 3:
         raise UsageError(f"range must be lo:hi:step, got {text!r}")
     lo, hi, step = (float(p) for p in parts)
-    if step <= 0 or hi < lo:
-        raise UsageError(f"range must satisfy lo <= hi and step > 0, got {text!r}")
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
+        raise UsageError(f"range must be finite with lo <= hi and step > 0, got {text!r}")
     return lo, hi, step
 
 
@@ -180,7 +179,7 @@ def cmd_meantau(cfg: RunConfig) -> int:
     rhos = _resolve_rhos(cfg)
 
     def stats_row(op):
-        stats = exit_stats(op, cfg.y0, tol=cfg.tol)
+        stats = exit_stats(op, cfg.y0)
         return (cfg.y0, stats.M, stats.mean_tau, stats.lambda0, stats.gap)
 
     rows = _sweep(cfg, rhos, mu, stats_row)
@@ -228,7 +227,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     rhos = _resolve_rhos(cfg)
 
     def spectrum_row(op):
-        lam, _, a0 = spectral_pair(op, tol=cfg.tol, y0=cfg.y0)
+        lam, _, a0 = spectral_pair(op, y0=cfg.y0)
         return (lam, 1.0 - lam, a0)
 
     rows = _sweep(cfg, rhos, mu, spectrum_row)
@@ -240,10 +239,6 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
-def _sweep_mean_frames(cfg: RunConfig, rhos: np.ndarray, y0: float, mu: FrameDistribution):
-    return _sweep(cfg, rhos, mu, lambda op: (mean_frames(op, y0).M,))
-
-
 def cmd_fit(cfg: RunConfig) -> int:
     mu = _distribution(cfg)
     which = cfg.which or "boundary"
@@ -252,12 +247,12 @@ def cmd_fit(cfg: RunConfig) -> int:
     rng = cfg.rho_range or ((20.0, 120.0, 10.0) if which == "gap" else (20.0, 200.0, 10.0))
     rhos = _range_values(rng)
     if which == "boundary":
-        result = fit_boundary(_sweep_mean_frames(cfg, rhos, 0.0, mu))
+        result = fit_boundary(_sweep(cfg, rhos, mu, lambda op: (mean_frames(op, 0.0).M,)))
     elif which == "bulk":
-        result = fit_bulk(_sweep_mean_frames(cfg, rhos, 0.5, mu))
+        result = fit_bulk(_sweep(cfg, rhos, mu, lambda op: (mean_frames(op, 0.5).M,)))
     elif which == "gap":
         result = fit_gap(
-            _sweep(cfg, rhos, mu, lambda op: (1.0 - spectral_pair(op, tol=cfg.tol)[0],))
+            _sweep(cfg, rhos, mu, lambda op: (1.0 - spectral_pair(op)[0],))
         )
     else:
         raise UsageError(f"unknown fit kind {which!r}")
@@ -352,10 +347,7 @@ def _figure2(out_dir: Path) -> None:
     (out_dir / "fig2.gp").write_text(script, newline="\n")
 
 
-def _figure_sweep(cfg: RunConfig, out_dir: Path, name: str, y0: float) -> None:
-    mu = FrameDistribution.deterministic()
-    rng = cfg.rho_range or (20.0, 200.0, 10.0)
-    data = _sweep_mean_frames(cfg, _range_values(rng), y0, mu)
+def _figure_sweep(out_dir: Path, name: str, data) -> None:
     if name == "fig3":
         fit = fit_boundary(data)
         coef = fit.coefficients
@@ -390,8 +382,11 @@ def cmd_figures(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out if cfg.out != "-" else ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     _figure2(out_dir)
-    _figure_sweep(cfg, out_dir, "fig3", 0.0)
-    _figure_sweep(cfg, out_dir, "fig4", 0.5)
+    rhos = _range_values(cfg.rho_range or (20.0, 200.0, 10.0))
+    rows = _sweep(cfg, rhos, FrameDistribution.deterministic(),
+                  lambda op: (mean_frames(op, 0.0).M, mean_frames(op, 0.5).M))
+    _figure_sweep(out_dir, "fig3", [(rho, m_edge) for rho, m_edge, _ in rows])
+    _figure_sweep(out_dir, "fig4", [(rho, m_bulk) for rho, _, m_bulk in rows])
     print(f"wrote fig2/fig3/fig4 csv+gp under {out_dir}")
     return 0
 
@@ -442,12 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="leading eigenvalue and overlap over a sweep")
     common(p)
-    p.add_argument("--tol", type=float, default=1e-12)
 
     p = sub.add_parser("fit", help="regress a sweep and compare to reference constants")
     common(p)
     p.add_argument("--which", choices=("boundary", "bulk", "gap"), default="boundary")
-    p.add_argument("--tol", type=float, default=1e-12)
 
     p = sub.add_parser("mc", help="Monte Carlo validation against the resolvent")
     common(p)
@@ -464,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
     for name in ("rho", "y0", "n_grid", "eta", "dist", "out", "fmt", "modesum",
-                 "n_max", "which", "tol", "trials", "seed", "hist_out"):
+                 "n_max", "which", "trials", "seed", "hist_out"):
         if hasattr(args, name) and getattr(args, name) is not None:
             setattr(cfg, name, getattr(args, name))
     if getattr(args, "rho_range", None):

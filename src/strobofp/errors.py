@@ -10,7 +10,7 @@ class SolverError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Power iteration exceeded its iteration cap without converging."""
+    """Inverse iteration missed the eigen-residual bound within its step cap."""
 
 
 class FitError(ValueError):

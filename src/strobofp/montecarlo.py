@@ -82,8 +82,9 @@ def simulate_tau(
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    if not (rho > 0.0 and np.isfinite(rho * rho)):
+        # rho^2 sets the frame cap, so it must be finite as well
+        raise ValueError(f"rho must be positive with a finite square, got {rho}")
     if not 0.0 <= y0 <= 1.0:
         raise ValueError(f"y0 must lie in [0, 1], got {y0}")
     if mu is None:

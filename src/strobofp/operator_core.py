@@ -93,14 +93,14 @@ class ProblemSpec:
     cutoff_eta: float = DEFAULT_CUTOFF_ETA
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
+        if not 0.0 < self.rho < math.inf:
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
         if not 0.0 <= self.y0 <= 1.0:
             raise ValueError(f"y0 must lie in [0, 1], got {self.y0}")
-        if self.cutoff_eta < 6.0:
+        if not 6.0 <= self.cutoff_eta < math.inf:
             raise ValueError(
-                f"cutoff_eta must be >= 6 to keep truncated tails below 1e-8 "
-                f"of the kernel peak, got {self.cutoff_eta}"
+                f"cutoff_eta must be finite and >= 6 to keep truncated tails "
+                f"below 1e-8 of the kernel peak, got {self.cutoff_eta}"
             )
         if self.n_grid is None:
             object.__setattr__(self, "n_grid", default_grid_size(self.rho))

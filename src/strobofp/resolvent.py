@@ -4,7 +4,8 @@ Everything here consumes an immutable `StroboOperator`.  The expected number
 of frames beyond the first, M = sum_{n>=1} S_n, is obtained from the banded
 symmetric positive-definite solve (I - K) x = h rather than by summing the
 series; `neumann_partial_sum` provides the series route as a consistency
-check, and `spectral_pair` the geometric decay rate.
+check, and `spectral_pair` the geometric decay rate by inverse iteration on
+the same Cholesky factor, stopped by ||K v - lambda0 v||_2 <= EIGEN_TOL * lambda0.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ from .operator_core import StroboOperator, _mixture_cell_average, _mixture_kerne
 
 # Contractual bound on ||(I-K)x - h||_inf after the direct solve.
 RESIDUAL_TOL = 1e-10
+# Contractual bound on ||K v - lambda v||_2 / lambda for the unit eigenvector
+# returned by spectral_pair, and the step cap of its inverse iteration.
+EIGEN_TOL = 1e-13
+EIGEN_MAX_ITER = 100
 
 _factor_cache: "weakref.WeakKeyDictionary[StroboOperator, np.ndarray]" = (
     weakref.WeakKeyDictionary()
@@ -119,33 +124,31 @@ def mean_frames(op: StroboOperator, y0: float) -> ExitStats:
     return ExitStats(M=M, mean_tau=1.0 + M)
 
 
-def spectral_pair(op: StroboOperator, tol: float = 1e-12, y0: float = 0.5):
-    """Leading eigenvalue, eigenvector and overlap amplitude by power iteration.
+def spectral_pair(op: StroboOperator, y0: float = 0.5):
+    """Leading eigenvalue, eigenvector and overlap amplitude of K.
 
-    Starts from the half-sine profile (the wide-kernel limit mode) and stops
-    when the Rayleigh quotient changes by less than `tol`.  `a0_est` is
-    normalized so that S_n ~ a0_est * lambda0^n for large n with the start
-    point `y0`.
+    Inverse iteration with (I - K)^{-1} K on the cached Cholesky factor,
+    started from the half-sine profile (the wide-kernel limit mode).  Its
+    eigenvalues lambda/(1 - lambda) separate the leading mode at every rho,
+    so a few steps suffice.  Stops once ||K v - lambda v||_2 <= EIGEN_TOL *
+    lambda for the unit vector v and its Rayleigh quotient lambda.
+    `a0_est` is normalized so that S_n ~ a0_est * lambda0^n for large n with
+    the start point `y0`.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    factor = _factorization(op)
     vec = np.sin(np.pi * op.grid)
     vec /= np.linalg.norm(vec)
-    # Gap scales like rho^-2, so the cap leaves two orders of margin.
-    cap = max(10_000, int(100 * op.rho**2))
-    lam_prev = np.inf
-    lam = 0.0
-    for _ in range(cap):
+    for _ in range(EIGEN_MAX_ITER):
         image = op.matvec(vec)
         lam = float(vec @ image)
-        vec = image / np.linalg.norm(image)
-        if abs(lam - lam_prev) < tol:
+        if np.linalg.norm(image - lam * vec) <= EIGEN_TOL * lam:
             break
-        lam_prev = lam
+        vec = cho_solve_banded((factor, False), image)
+        vec /= np.linalg.norm(vec)
     else:
         raise ConvergenceError(
-            f"power iteration did not converge within {cap} iterations "
-            f"(tol={tol:g}, rho={op.rho})"
+            f"inverse iteration missed the eigen residual {EIGEN_TOL:.0e} "
+            f"within {EIGEN_MAX_ITER} steps (rho={op.rho})"
         )
     if not 0.0 < lam < 1.0:
         raise SolverError(f"leading eigenvalue {lam} outside (0, 1)")
@@ -162,10 +165,10 @@ def neumann_partial_sum(op: StroboOperator, y0: float, terms: int) -> float:
     return float(survival_sequence(op, y0, terms).values[1:].sum())
 
 
-def exit_stats(op: StroboOperator, y0: float, tol: float = 1e-12) -> ExitStats:
+def exit_stats(op: StroboOperator, y0: float) -> ExitStats:
     """Resolvent mean combined with the spectral pair in one record."""
     base = mean_frames(op, y0)
-    lam, _, a0 = spectral_pair(op, tol=tol, y0=y0)
+    lam, _, a0 = spectral_pair(op, y0=y0)
     return ExitStats(
         M=base.M, mean_tau=base.mean_tau, lambda0=lam, a0_est=a0, gap=1.0 - lam
     )

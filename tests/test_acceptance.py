@@ -75,7 +75,7 @@ def bulk_fit():
 def gap_data():
     pts = []
     for rho in RHO_GAP:
-        lam, _, _ = spectral_pair(build_operator(ProblemSpec(rho=rho)), tol=1e-12)
+        lam, _, _ = spectral_pair(build_operator(ProblemSpec(rho=rho)))
         pts.append((rho, 1.0 - lam))
     return tuple(pts)
 
@@ -261,7 +261,7 @@ def test_criterion_10_property_suites():
 
     # Neumann series vs resolvent, tail-corrected
     stats = mean_frames(op10, 0.5)
-    lam, _, _ = spectral_pair(op10, tol=1e-13)
+    lam, _, _ = spectral_pair(op10)
     terms = int(np.ceil(10.0 / (1.0 - lam)))
     partial = neumann_partial_sum(op10, 0.5, terms)
     s_t = survival_sequence(op10, 0.5, terms).values[terms]

@@ -25,7 +25,9 @@ class TestRangeParsing:
         assert values.size == 19
         assert values[0] == 20.0 and values[-1] == 200.0
 
-    @pytest.mark.parametrize("text", ["20:200", "5:1:1", "a:b:c", "10:20:0"])
+    @pytest.mark.parametrize("text", ["20:200", "5:1:1", "a:b:c", "10:20:0",
+                                      "nan:20:1", "10:inf:1", "10:20:inf",
+                                      "-inf:20:1", "10:20:nan"])
     def test_malformed(self, text):
         with pytest.raises((UsageError, ValueError)):
             parse_rho_range(text)
@@ -232,3 +234,17 @@ class TestExitCodes:
 
     def test_unknown_command_exits_two(self):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["meantau", "--rho", "inf"],
+        ["spectrum", "--rho", "inf"],
+        ["survival", "--rho", "inf"],
+        ["mc", "--rho", "inf"],
+        ["meantau", "--rho", "5", "--eta", "inf"],
+        ["meantau", "--rho", "5", "--eta", "nan"],
+        ["mc", "--rho", "nan"],
+        ["mc", "--rho", "1e200", "--trials", "10"],
+    ])
+    def test_non_finite_input_is_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert "usage error" in capsys.readouterr().err

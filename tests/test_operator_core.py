@@ -85,6 +85,10 @@ class TestProblemSpec:
         dict(rho=1.0, y0=-0.1),
         dict(rho=1.0, cutoff_eta=5.0),
         dict(rho=1.0, n_grid=1),
+        dict(rho=math.inf),
+        dict(rho=math.nan),
+        dict(rho=5.0, cutoff_eta=math.inf),
+        dict(rho=5.0, cutoff_eta=math.nan),
     ])
     def test_invalid_inputs(self, kwargs):
         with pytest.raises(ValueError):

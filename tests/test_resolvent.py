@@ -21,7 +21,7 @@ from strobofp import (
     survival_sequence,
 )
 from strobofp.operator_core import StroboOperator
-from strobofp.resolvent import _resolvent_solve
+from strobofp.resolvent import EIGEN_TOL, _resolvent_solve
 
 
 def op_for(rho, **kwargs):
@@ -71,7 +71,7 @@ class TestSurvivalSequence:
 
     def test_ratio_converges_to_lambda0(self):
         op = op_for(6.0)
-        lam, _, _ = spectral_pair(op, tol=1e-13)
+        lam, _, _ = spectral_pair(op)
         values = survival_sequence(op, 0.5, 60).values
         ratios = values[2:] / values[1:-1]
         assert abs(ratios[-1] - lam) < 1e-9
@@ -178,13 +178,34 @@ class TestSpectralPair:
 
     def test_a0_normalizes_the_tail(self):
         op = op_for(20.0)
-        lam, _, a0 = spectral_pair(op, tol=1e-13, y0=0.5)
+        lam, _, a0 = spectral_pair(op, y0=0.5)
         values = survival_sequence(op, 0.5, 400).values
         assert values[400] / lam**400 == pytest.approx(a0, rel=1e-4)
 
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            spectral_pair(op_for(5.0), tol=0.0)
+    @pytest.mark.parametrize("rho, dist", [
+        (0.05, "deterministic"),
+        (1.0, "deterministic"),
+        (5.0, "deterministic"),
+        (50.0, "deterministic"),
+        (10.0, "exponential"),
+        (1.0, "twopoint:0.5,1.5,0.5"),
+    ])
+    def test_matches_dense_eigensolver(self, rho, dist):
+        # independent route: dense symmetric eigensolver on the same matrix
+        spec, mu = ProblemSpec(rho=rho), FrameDistribution.parse(dist)
+        if mu.kind == "deterministic":
+            op = build_operator(spec)
+        else:
+            op = build_averaged_operator(spec, mu)
+        lam, vec, _ = spectral_pair(op)
+        assert abs(lam - np.linalg.eigvalsh(op.toarray())[-1]) <= 1e-14
+        assert np.linalg.norm(op.matvec(vec) - lam * vec) <= EIGEN_TOL * lam
+
+    def test_large_rho_bulk_amplitude(self):
+        # N = 7200 is beyond a dense solve; the bulk mode's overlap amplitude
+        # tends to 4/pi as rho grows
+        _, _, a0 = spectral_pair(op_for(400.0), y0=0.5)
+        assert abs(a0 - 4.0 / math.pi) <= 5e-5
 
     def test_averaged_operator_spectrum(self):
         op = build_averaged_operator(ProblemSpec(rho=10.0), FrameDistribution.exponential())
@@ -217,7 +238,7 @@ class TestNeumannSeries:
         # partial sum + geometric tail estimate matches the direct solve
         op = op_for(10.0)
         stats = mean_frames(op, 0.5)
-        lam, _, _ = spectral_pair(op, tol=1e-13)
+        lam, _, _ = spectral_pair(op)
         terms = int(np.ceil(10.0 / (1.0 - lam)))
         partial = neumann_partial_sum(op, 0.5, terms)
         s_t = survival_sequence(op, 0.5, terms).values[terms]
