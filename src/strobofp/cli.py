@@ -41,6 +41,7 @@ _NUMERICAL_ERRORS = (
     FitError,
     InsufficientDataError,
     np.linalg.LinAlgError,
+    MemoryError,
 )
 
 
@@ -281,8 +282,9 @@ def cmd_mc(cfg: RunConfig) -> int:
         raise UsageError("mc takes a single --rho")
     rho = float(rhos[0])
     if mu.kind == "deterministic":
-        mc = simulate_tau(rho, cfg.y0, cfg.trials, cfg.seed, mu=mu)
+        # the reference first, so a failing solve costs no simulation
         reference = mean_frames(_operator(cfg, rho, mu), cfg.y0).mean_tau
+        mc = simulate_tau(rho, cfg.y0, cfg.trials, cfg.seed, mu=mu)
         z, passed = z_test(mc.mean_tau, mc.std_error, reference)
         payload = {
             "mode": "deterministic",

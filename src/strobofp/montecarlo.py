@@ -195,11 +195,12 @@ def self_averaging_check(
 
     For i.i.d. intervals the ensemble mean of tau must match the resolvent
     of the interval-averaged operator; the report carries both values and a
-    z-score with a 3-sigma pass mark.
+    z-score with a 3-sigma pass mark.  The reference is solved before the
+    simulation runs, so a failing solve costs no trials.
     """
-    mc = simulate_tau(rho, y0, n_trials, seed, mu=mu, n_workers=n_workers)
     op = build_averaged_operator(ProblemSpec(rho=rho, y0=y0), mu, u_quadrature_order)
     reference = mean_frames(op, y0).mean_tau
+    mc = simulate_tau(rho, y0, n_trials, seed, mu=mu, n_workers=n_workers)
     z, passed = z_test(mc.mean_tau, mc.std_error, reference)
     return SelfAveragingReport(
         rho=rho,

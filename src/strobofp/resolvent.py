@@ -6,6 +6,15 @@ symmetric positive-definite solve (I - K) x = h rather than by summing the
 series; `neumann_partial_sum` provides the series route as a consistency
 check, and `spectral_pair` the geometric decay rate by inverse iteration on
 the same Cholesky factor, stopped by ||K v - lambda0 v||_2 <= EIGEN_TOL * lambda0.
+
+Both routes solve on the mirror-even half of the grid.  The interval is
+symmetric, so the Toeplitz matrix K commutes with the reflection
+(J x)_i = x_{N-1-i} and the weights w are mirror-even: M = w . (I - K)^{-1} h
+depends only on the even part (h + J h)/2, and the leading eigenvector is
+even.  On even vectors, I - K folds into a banded block of ceil(N/2)
+unknowns (Cantoni & Butler, Linear Algebra Appl. 13, 1976), which
+`_factorization` factors once per operator; every Cholesky factor, solve
+and eigen step works there.
 """
 
 from __future__ import annotations
@@ -82,14 +91,36 @@ def survival_sequence(op: StroboOperator, y0: float, n_max: int) -> SurvivalSeri
 
 
 def _factorization(op: StroboOperator) -> np.ndarray:
+    """Cholesky factor of the mirror-even block of I - K, cached per operator.
+
+    For a mirror-even x, (K x)_i with i < m = ceil(N/2) is sum_j G_ij x_j
+    over j < m, with G_ij = band[|i - j|] + band[N-1-i-j]: the Toeplitz part
+    plus a Hankel fold near the middle, `band` being zero beyond the
+    bandwidth.  For odd N the middle node is its own mirror, so G counts its
+    column twice; with E = I except for a 2 at that node, (I - K) x = h on
+    the even subspace becomes (E - G) z = h[:m] with x[:m] = E z.  E - G is
+    symmetric, and E^{-1/2} (E - G) E^{-1/2} is I - K in an orthonormal
+    basis of even vectors, so it is positive definite whenever I - K is.
+    The factor is in upper banded storage with bandwidth min(bw, m - 1):
+    half the unknowns of the full matrix at the same band.
+    """
     cached = _factor_cache.get(op)
     if cached is not None:
         return cached
     bw, n = op.bandwidth, op.n
-    ab = np.zeros((bw + 1, n))
-    for d in range(bw + 1):
-        ab[bw - d, :] = -op.band[d]
-    ab[bw, :] += 1.0
+    m = (n + 1) // 2
+    b = min(bw, m - 1)
+    # Row b - d of the upper banded storage holds entry (j - d, j) in column
+    # j: the Toeplitz -band[d], less the mirror term band[N-1-(j-d)-j], which
+    # lies inside the band only in the last columns, j >= (N - bw) // 2.
+    ab = np.empty((b + 1, m))
+    ab[:] = -op.band[b::-1, None]
+    c0 = max(0, (n - bw) // 2)
+    mirror = n - 1 + np.arange(b, -1, -1)[:, None] - 2 * np.arange(c0, m)
+    ab[:, c0:] -= np.where(mirror <= bw, op.band[np.minimum(mirror, bw)], 0.0)
+    ab[b, :] += 1.0
+    if n % 2:
+        ab[b, -1] += 1.0
     try:
         factor = cholesky_banded(ab)
     except LinAlgError as exc:
@@ -101,12 +132,33 @@ def _factorization(op: StroboOperator) -> np.ndarray:
     return factor
 
 
+def _even_solve(op: StroboOperator, factor: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Mirror-even x with (I - K) x = (vec + J vec)/2, on the half-size factor."""
+    m = factor.shape[1]
+    z = cho_solve_banded((factor, False), 0.5 * (vec[:m] + vec[::-1][:m]))
+    if op.n % 2:
+        z[-1] *= 2.0
+    return np.concatenate([z, z[op.n - m - 1 :: -1]])
+
+
 def _resolvent_solve(op: StroboOperator, rhs: np.ndarray) -> np.ndarray:
+    """x = (I - K)^{-1} rhs with ||rhs - (I - K) x||_inf <= RESIDUAL_TOL.
+
+    rhs must be mirror-even.  x is even, so the odd part of rhs is residual
+    that no solve removes; an rhs whose odd part exceeds RESIDUAL_TOL is
+    rejected with ValueError.
+    """
+    odd = np.max(np.abs(rhs - rhs[::-1])) / 2.0
+    if odd > RESIDUAL_TOL:
+        raise ValueError(
+            f"resolvent right-hand side is not mirror-even: its odd part "
+            f"{odd:.3e} exceeds {RESIDUAL_TOL:.0e}"
+        )
     factor = _factorization(op)
-    x = cho_solve_banded((factor, False), rhs)
+    x = _even_solve(op, factor, rhs)
     residual = rhs - (x - op.matvec(x))
     if np.max(np.abs(residual)) > 0.5 * RESIDUAL_TOL:
-        x = x + cho_solve_banded((factor, False), residual)
+        x = x + _even_solve(op, factor, residual)
         residual = rhs - (x - op.matvec(x))
     if np.max(np.abs(residual)) > RESIDUAL_TOL:
         raise SolverError(
@@ -119,7 +171,7 @@ def _resolvent_solve(op: StroboOperator, rhs: np.ndarray) -> np.ndarray:
 def mean_frames(op: StroboOperator, y0: float) -> ExitStats:
     """Mean frames beyond the first, M = w . (I - K)^{-1} h, and E[tau] = 1 + M."""
     h = initial_vector(op, y0)
-    x = _resolvent_solve(op, h)
+    x = _resolvent_solve(op, 0.5 * (h + h[::-1]))
     M = float(op.weights @ x)
     return ExitStats(M=M, mean_tau=1.0 + M)
 
@@ -127,11 +179,13 @@ def mean_frames(op: StroboOperator, y0: float) -> ExitStats:
 def spectral_pair(op: StroboOperator, y0: float = 0.5):
     """Leading eigenvalue, eigenvector and overlap amplitude of K.
 
-    Inverse iteration with (I - K)^{-1} K on the cached Cholesky factor,
-    started from the half-sine profile (the wide-kernel limit mode).  Its
-    eigenvalues lambda/(1 - lambda) separate the leading mode at every rho,
-    so a few steps suffice.  Stops once ||K v - lambda v||_2 <= EIGEN_TOL *
-    lambda for the unit vector v and its Rayleigh quotient lambda.
+    Inverse iteration with (I - K)^{-1} K on the cached Cholesky factor of
+    the mirror-even block, started from the half-sine profile (the
+    wide-kernel limit mode); the leading mode is even, and so is every
+    iterate after the first solve.  Its eigenvalues lambda/(1 - lambda)
+    separate the leading mode at every rho, so a few steps suffice.  Stops
+    once ||K v - lambda v||_2 <= EIGEN_TOL * lambda for the unit vector v
+    and its Rayleigh quotient lambda.
     `a0_est` is normalized so that S_n ~ a0_est * lambda0^n for large n with
     the start point `y0`.
     """
@@ -143,7 +197,7 @@ def spectral_pair(op: StroboOperator, y0: float = 0.5):
         lam = float(vec @ image)
         if np.linalg.norm(image - lam * vec) <= EIGEN_TOL * lam:
             break
-        vec = cho_solve_banded((factor, False), image)
+        vec = _even_solve(op, factor, image)
         vec /= np.linalg.norm(vec)
     else:
         raise ConvergenceError(

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from strobofp import ProblemSpec, build_operator, mean_frames
+from strobofp import ProblemSpec, SolverError, build_operator, mean_frames
+from strobofp import cli, montecarlo
 from strobofp.cli import RunConfig, main, parse_rho_range, read_csv, UsageError
 
 
@@ -189,6 +190,19 @@ class TestMC:
         assert payload["z_score"] is None
         assert payload["passed"] is False
 
+    @pytest.mark.parametrize("dist", ["deterministic", "exponential"])
+    def test_failing_reference_skips_simulation(self, monkeypatch, capsys, dist):
+        def fail(op, y0):
+            raise SolverError("resolvent residual exceeds the bound")
+
+        calls = []
+        for module in (cli, montecarlo):
+            monkeypatch.setattr(module, "mean_frames", fail)
+            monkeypatch.setattr(module, "simulate_tau", lambda *a, **k: calls.append(a))
+        assert main(["mc", "--rho", "5", "--dist", dist, "--trials", "10"]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert calls == []
+
     def test_seeded_reruns_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["mc", "--rho", "4", "--trials", "2000", "--seed", "11"]
@@ -234,6 +248,14 @@ class TestExitCodes:
 
     def test_unknown_command_exits_two(self):
         assert main(["frobnicate"]) == 2
+
+    def test_out_of_memory_is_numerical_error(self, monkeypatch, capsys):
+        def no_memory(cfg, rho, mu):
+            raise MemoryError("Unable to allocate 134. GiB")
+
+        monkeypatch.setattr(cli, "_operator", no_memory)
+        assert main(["meantau", "--rho", "1e9"]) == 3
+        assert "numerical failure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["meantau", "--rho", "inf"],

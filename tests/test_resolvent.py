@@ -21,7 +21,7 @@ from strobofp import (
     survival_sequence,
 )
 from strobofp.operator_core import StroboOperator
-from strobofp.resolvent import EIGEN_TOL, _resolvent_solve
+from strobofp.resolvent import EIGEN_TOL, _factorization, _resolvent_solve
 
 
 def op_for(rho, **kwargs):
@@ -212,6 +212,57 @@ class TestSpectralPair:
         lam, vec, _ = spectral_pair(op)
         assert 0.0 < lam < 1.0
         assert np.all(vec > 0.0)
+
+
+def law_op(rho, dist, n_grid=None):
+    spec, mu = ProblemSpec(rho=rho, n_grid=n_grid), FrameDistribution.parse(dist)
+    if mu.kind == "deterministic":
+        return build_operator(spec)
+    return build_averaged_operator(spec, mu)
+
+
+LAWS = ["deterministic", "exponential", "jitter:0.5", "twopoint:0.5,1.5,0.5"]
+
+
+class TestMirrorFold:
+    # (rho, n_grid): odd N at n_grid 65, 91 and 235; bandwidth >= ceil(N/2)
+    # at rho 0.05 and 0.3 (N = 64) and at n_grid 65 and 91; a band narrower
+    # than the half at N = 360 and, but for the exponential law, at 235
+    @pytest.mark.parametrize("dist", LAWS)
+    @pytest.mark.parametrize("rho, n_grid", [
+        (0.05, None), (0.3, None), (3.0, 65), (10.0, 91), (40.0, 235), (20.0, None),
+    ])
+    def test_mean_frames_matches_dense_solve(self, rho, n_grid, dist):
+        op = law_op(rho, dist, n_grid)
+        dense = np.eye(op.n) - op.toarray()
+        for y0 in (0.0, 0.13, 0.5, 1.0):
+            h = initial_vector(op, y0)
+            dense_m = float(op.weights @ np.linalg.solve(dense, h))
+            assert mean_frames(op, y0).M == pytest.approx(dense_m, rel=1e-12)
+
+    @pytest.mark.parametrize("rho, n_grid, dist", [
+        (3.0, 65, "deterministic"),
+        (40.0, 235, "deterministic"),
+        (10.0, 91, "exponential"),
+    ])
+    def test_odd_grid_spectral_pair_matches_dense(self, rho, n_grid, dist):
+        op = law_op(rho, dist, n_grid)
+        lam, vec, _ = spectral_pair(op)
+        assert abs(lam - np.linalg.eigvalsh(op.toarray())[-1]) <= 1e-14
+        assert np.linalg.norm(op.matvec(vec) - lam * vec) <= EIGEN_TOL * lam
+
+    @pytest.mark.parametrize("rho, n_grid", [
+        (0.05, None), (20.0, None), (3.0, 65), (20.0, 235),
+    ])
+    def test_factor_is_half_size(self, rho, n_grid):
+        op = op_for(rho, n_grid=n_grid)
+        m = (op.n + 1) // 2
+        assert _factorization(op).shape == (min(op.bandwidth, m - 1) + 1, m)
+
+    def test_solve_rejects_non_palindromic_rhs(self):
+        op = op_for(20.0)
+        with pytest.raises(ValueError, match="mirror-even"):
+            _resolvent_solve(op, initial_vector(op, 0.3))
 
 
 class TestNeumannSeries:
