@@ -22,13 +22,12 @@ from . import asymptotics
 from ._threads import parallel_map
 from .errors import ConvergenceError, FitError, InsufficientDataError, ResolutionError, SolverError
 from .fitting import REFERENCE_FITS, fit_boundary, fit_bulk, fit_gap
-from .montecarlo import simulate_tau, self_averaging_check, write_histogram_csv, z_test
+from .montecarlo import self_averaging_check, write_histogram_csv
 from .operator_core import (
     DEFAULT_CUTOFF_ETA,
     FrameDistribution,
     ProblemSpec,
     build_averaged_operator,
-    build_operator,
 )
 from .resolvent import exit_stats, mean_frames, spectral_pair, survival_sequence
 
@@ -66,8 +65,7 @@ class RunConfig:
     fmt: str = "csv"
     modesum: bool = False
     n_max: int = 100
-    which: str | None = None
-    quadrature_order: int = 64
+    which: str = "boundary"
     hist_out: str | None = None
 
     def to_dict(self) -> dict:
@@ -115,11 +113,12 @@ def _distribution(cfg: RunConfig) -> FrameDistribution:
         raise UsageError(str(exc)) from exc
 
 
+def _spec(cfg: RunConfig, rho: float) -> ProblemSpec:
+    return ProblemSpec(rho=rho, y0=cfg.y0, n_grid=cfg.n_grid, cutoff_eta=cfg.eta)
+
+
 def _operator(cfg: RunConfig, rho: float, mu: FrameDistribution):
-    spec = ProblemSpec(rho=rho, y0=cfg.y0, n_grid=cfg.n_grid, cutoff_eta=cfg.eta)
-    if mu.kind == "deterministic":
-        return build_operator(spec)
-    return build_averaged_operator(spec, mu, cfg.quadrature_order)
+    return build_averaged_operator(_spec(cfg, rho), mu)
 
 
 def _sweep(cfg: RunConfig, rhos, mu: FrameDistribution, per_op):
@@ -242,7 +241,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 def cmd_fit(cfg: RunConfig) -> int:
     mu = _distribution(cfg)
-    which = cfg.which or "boundary"
+    which = cfg.which
     if cfg.rho is not None:
         raise UsageError("fit expects --rho-range, not a single --rho")
     rng = cfg.rho_range or ((20.0, 120.0, 10.0) if which == "gap" else (20.0, 200.0, 10.0))
@@ -281,39 +280,22 @@ def cmd_mc(cfg: RunConfig) -> int:
     if rhos.size != 1:
         raise UsageError("mc takes a single --rho")
     rho = float(rhos[0])
-    if mu.kind == "deterministic":
-        # the reference first, so a failing solve costs no simulation
-        reference = mean_frames(_operator(cfg, rho, mu), cfg.y0).mean_tau
-        mc = simulate_tau(rho, cfg.y0, cfg.trials, cfg.seed, mu=mu)
-        z, passed = z_test(mc.mean_tau, mc.std_error, reference)
-        payload = {
-            "mode": "deterministic",
-            "rho": rho,
-            "y0": cfg.y0,
-            "mc": mc.summary_dict(),
-            "resolvent_mean_tau": reference,
-            "z_score": z,
-            "passed": passed,
-        }
-    else:
-        report = self_averaging_check(
-            rho, cfg.y0, mu, cfg.trials, cfg.seed, cfg.quadrature_order
-        )
-        mc = report.mc
-        payload = {
-            "mode": "self-averaging",
-            "rho": rho,
-            "y0": cfg.y0,
-            "distribution": report.distribution,
-            "mc": mc.summary_dict(),
-            "resolvent_mean_tau": report.resolvent_mean_tau,
-            "z_score": report.z_score,
-            "passed": report.passed,
-        }
+    report = self_averaging_check(_spec(cfg, rho), mu, cfg.trials, cfg.seed)
+    payload = {
+        "mode": "deterministic" if mu.kind == "deterministic" else "self-averaging",
+        "rho": rho,
+        "y0": cfg.y0,
+        "mc": report.mc.summary_dict(),
+        "resolvent_mean_tau": report.resolvent_mean_tau,
+        "z_score": report.z_score,
+        "passed": report.passed,
+    }
+    if mu.kind != "deterministic":
+        payload["distribution"] = report.distribution
     text = json.dumps(_nan_to_none(payload), indent=2, sort_keys=True, allow_nan=False)
     _write_text(cfg.out, text + "\n")
     if cfg.hist_out:
-        write_histogram_csv(mc, cfg.hist_out)
+        write_histogram_csv(report.mc, cfg.hist_out)
     return 0
 
 
@@ -413,27 +395,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, rho=True):
         if rho:
-            p.add_argument("--rho", type=float, default=None,
-                           help="single confinement ratio")
-            p.add_argument("--rho-range", type=str, default=None, metavar="LO:HI:STEP",
+            p.add_argument("--rho", type=float, help="single confinement ratio")
+            p.add_argument("--rho-range", type=str, metavar="LO:HI:STEP",
                            help="sweep lo:hi:step (inclusive of lo and hi)")
-        p.add_argument("--y0", type=float, default=0.5, help="start point in [0,1]")
-        p.add_argument("--n-grid", type=int, default=None,
-                       help="override the N=ceil(18 rho) resolution rule")
-        p.add_argument("--eta", type=float, default=DEFAULT_CUTOFF_ETA,
-                       help="Gaussian band cutoff in kernel widths")
-        p.add_argument("--dist", type=str, default="deterministic",
+        p.add_argument("--y0", type=float, help="start point in [0,1]")
+        p.add_argument("--n-grid", type=int, help="override the N=ceil(18 rho) resolution rule")
+        p.add_argument("--eta", type=float, help="Gaussian band cutoff in kernel widths")
+        p.add_argument("--dist", type=str,
                        help="frame-interval law: deterministic | twopoint:u1,u2,p "
                             "| jitter:eps | exponential")
-        p.add_argument("--out", type=str, default="-", help="output path ('-' = stdout)")
+        p.add_argument("--out", type=str, help="output path ('-' = stdout)")
 
     p = sub.add_parser("meantau", help="mean frame counts and spectral gap over a sweep")
     common(p)
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", dest="fmt", choices=("csv", "json"))
 
     p = sub.add_parser("survival", help="survival sequence S_0..S_n")
     common(p)
-    p.add_argument("--n-max", type=int, default=100)
+    p.add_argument("--n-max", type=int)
     p.add_argument("--modesum", action="store_true",
                    help="add the sine-mode reference column (y0 in {0, 0.5, 1})")
 
@@ -442,14 +421,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="regress a sweep and compare to reference constants")
     common(p)
-    p.add_argument("--which", choices=("boundary", "bulk", "gap"), default="boundary")
+    p.add_argument("--which", choices=("boundary", "bulk", "gap"))
 
     p = sub.add_parser("mc", help="Monte Carlo validation against the resolvent")
     common(p)
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--hist-out", type=str, default=None,
-                   help="write the tau histogram as CSV")
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--hist-out", type=str, help="write the tau histogram as CSV")
 
     p = sub.add_parser("figures", help="emit fig2/fig3/fig4 data and gnuplot scripts")
     common(p)

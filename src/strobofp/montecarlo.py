@@ -171,7 +171,7 @@ def write_histogram_csv(result: MCResult, path: str) -> None:
 
 @dataclass(frozen=True)
 class SelfAveragingReport:
-    """Monte Carlo with random per-step intervals vs the averaged-operator mean."""
+    """Monte Carlo under a frame-interval law vs the averaged-operator mean."""
 
     rho: float
     y0: float
@@ -183,28 +183,26 @@ class SelfAveragingReport:
 
 
 def self_averaging_check(
-    rho: float,
-    y0: float,
+    spec: ProblemSpec,
     mu: FrameDistribution,
     n_trials: int,
     seed: int,
-    u_quadrature_order: int = 64,
     n_workers: int | None = None,
 ) -> SelfAveragingReport:
-    """Compare trial-wise random intervals against the averaged operator.
+    """Compare trial-wise intervals against the averaged operator on `spec`.
 
     For i.i.d. intervals the ensemble mean of tau must match the resolvent
-    of the interval-averaged operator; the report carries both values and a
-    z-score with a 3-sigma pass mark.  The reference is solved before the
-    simulation runs, so a failing solve costs no trials.
+    of the interval-averaged operator (for deterministic frames, the plain
+    operator); the report carries both values and a z-score with a 3-sigma
+    pass mark.  The reference is solved on the grid and band cutoff of
+    `spec` before the simulation runs, so a failing solve costs no trials.
     """
-    op = build_averaged_operator(ProblemSpec(rho=rho, y0=y0), mu, u_quadrature_order)
-    reference = mean_frames(op, y0).mean_tau
-    mc = simulate_tau(rho, y0, n_trials, seed, mu=mu, n_workers=n_workers)
+    reference = mean_frames(build_averaged_operator(spec, mu), spec.y0).mean_tau
+    mc = simulate_tau(spec.rho, spec.y0, n_trials, seed, mu=mu, n_workers=n_workers)
     z, passed = z_test(mc.mean_tau, mc.std_error, reference)
     return SelfAveragingReport(
-        rho=rho,
-        y0=y0,
+        rho=spec.rho,
+        y0=spec.y0,
         distribution=mu.describe(),
         mc=mc,
         resolvent_mean_tau=reference,

@@ -373,9 +373,7 @@ def build_operator(spec: ProblemSpec) -> StroboOperator:
     return _build(spec, np.array([1.0]), np.array([1.0]), cell_averaged=False)
 
 
-def build_averaged_operator(
-    spec: ProblemSpec, mu: FrameDistribution, u_quadrature_order: int = 64
-) -> StroboOperator:
+def build_averaged_operator(spec: ProblemSpec, mu: FrameDistribution) -> StroboOperator:
     """Discretize the interval-averaged operator for random frame times.
 
     The effective kernel is the mixture of Gaussians with width scale
@@ -383,5 +381,5 @@ def build_averaged_operator(
     deterministic kind reproduces `build_operator` bit for bit.  The band
     cutoff scales with the widest mixture component.
     """
-    scales, mix_w = mu.width_nodes(u_quadrature_order)
+    scales, mix_w = mu.width_nodes()
     return _build(spec, scales, mix_w, cell_averaged=mu.has_cusp)

@@ -1,18 +1,20 @@
 """Survival sequences, mean exit frames via the resolvent, leading spectral pair.
 
 Everything here consumes an immutable `StroboOperator`.  The expected number
-of frames beyond the first, M = sum_{n>=1} S_n, is obtained from the banded
-symmetric positive-definite solve (I - K) x = h rather than by summing the
-series; `neumann_partial_sum` provides the series route as a consistency
-check, and `spectral_pair` the geometric decay rate by inverse iteration on
-the same Cholesky factor, stopped by ||K v - lambda0 v||_2 <= EIGEN_TOL * lambda0.
+of frames beyond the first, M = sum_{n>=1} S_n = w . (I - K)^{-1} h, is
+obtained from a banded symmetric positive-definite solve rather than by
+summing the series.  K is symmetric, so M(y0) = h(y0) . u with
+u = (I - K)^{-1} w: one cached solve per operator serves every start point.
+Solves meet a normwise backward-error contract (`_resolvent_solve`).
+`neumann_partial_sum` provides the series route as a consistency check, and
+`spectral_pair` the geometric decay rate by inverse iteration on the same
+Cholesky factor, stopped by ||K v - lambda0 v||_2 <= EIGEN_TOL * lambda0.
 
 Both routes solve on the mirror-even half of the grid.  The interval is
 symmetric, so the Toeplitz matrix K commutes with the reflection
-(J x)_i = x_{N-1-i} and the weights w are mirror-even: M = w . (I - K)^{-1} h
-depends only on the even part (h + J h)/2, and the leading eigenvector is
-even.  On even vectors, I - K folds into a banded block of ceil(N/2)
-unknowns (Cantoni & Butler, Linear Algebra Appl. 13, 1976), which
+(J x)_i = x_{N-1-i} and the weights w are mirror-even, so u and the leading
+eigenvector are even.  On even vectors, I - K folds into a banded block of
+ceil(N/2) unknowns (Cantoni & Butler, Linear Algebra Appl. 13, 1976), which
 `_factorization` factors once per operator; every Cholesky factor, solve
 and eigen step works there.
 """
@@ -28,14 +30,18 @@ from scipy.linalg import cho_solve_banded, cholesky_banded, LinAlgError
 from .errors import ConvergenceError, SolverError
 from .operator_core import StroboOperator, _mixture_cell_average, _mixture_kernel
 
-# Contractual bound on ||(I-K)x - h||_inf after the direct solve.
-RESIDUAL_TOL = 1e-10
+# Contractual bound on the normwise backward error of a resolvent solve,
+# ||b - (I-K)x||_inf / (||I-K||_inf ||x||_inf + ||b||_inf).
+RESIDUAL_TOL = 8.0 * np.finfo(float).eps
 # Contractual bound on ||K v - lambda v||_2 / lambda for the unit eigenvector
 # returned by spectral_pair, and the step cap of its inverse iteration.
 EIGEN_TOL = 1e-13
 EIGEN_MAX_ITER = 100
 
 _factor_cache: "weakref.WeakKeyDictionary[StroboOperator, np.ndarray]" = (
+    weakref.WeakKeyDictionary()
+)
+_weight_resolvent_cache: "weakref.WeakKeyDictionary[StroboOperator, np.ndarray]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -142,37 +148,56 @@ def _even_solve(op: StroboOperator, factor: np.ndarray, vec: np.ndarray) -> np.n
 
 
 def _resolvent_solve(op: StroboOperator, rhs: np.ndarray) -> np.ndarray:
-    """x = (I - K)^{-1} rhs with ||rhs - (I - K) x||_inf <= RESIDUAL_TOL.
+    """x = (I - K)^{-1} rhs with normwise backward error at most RESIDUAL_TOL.
 
-    rhs must be mirror-even.  x is even, so the odd part of rhs is residual
-    that no solve removes; an rhs whose odd part exceeds RESIDUAL_TOL is
-    rejected with ValueError.
+    ||rhs - (I - K) x||_inf <= RESIDUAL_TOL (||I - K||_inf ||x||_inf + ||rhs||_inf)
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 7.1), with
+    ||I - K||_inf taken as 1 - band[0] + 2 sum(band[1:]): exact once N > 2 bw,
+    and at most 2.  One refinement step runs if the solve misses the bound.
+    x is even, so an rhs whose odd part exceeds the bound is rejected with
+    ValueError: no solve removes that part of the residual.
     """
+    factor = _factorization(op)
+    norm = 1.0 - op.band[0] + 2.0 * op.band[1:].sum()
+    x = _even_solve(op, factor, rhs)
+    bound = RESIDUAL_TOL * (norm * np.max(np.abs(x)) + np.max(np.abs(rhs)))
     odd = np.max(np.abs(rhs - rhs[::-1])) / 2.0
-    if odd > RESIDUAL_TOL:
+    if odd > bound:
         raise ValueError(
             f"resolvent right-hand side is not mirror-even: its odd part "
-            f"{odd:.3e} exceeds {RESIDUAL_TOL:.0e}"
+            f"{odd:.3e} exceeds the backward-error bound {bound:.3e}"
         )
-    factor = _factorization(op)
-    x = _even_solve(op, factor, rhs)
     residual = rhs - (x - op.matvec(x))
-    if np.max(np.abs(residual)) > 0.5 * RESIDUAL_TOL:
+    if np.max(np.abs(residual)) > bound:
         x = x + _even_solve(op, factor, residual)
         residual = rhs - (x - op.matvec(x))
-    if np.max(np.abs(residual)) > RESIDUAL_TOL:
+        bound = RESIDUAL_TOL * (norm * np.max(np.abs(x)) + np.max(np.abs(rhs)))
+    if np.max(np.abs(residual)) > bound:
         raise SolverError(
-            f"resolvent residual {np.max(np.abs(residual)):.3e} exceeds "
-            f"{RESIDUAL_TOL:.0e} after refinement"
+            f"resolvent residual {np.max(np.abs(residual)):.3e} exceeds the "
+            f"backward-error bound {bound:.3e} after refinement"
         )
     return x
 
 
+def _weight_resolvent(op: StroboOperator) -> np.ndarray:
+    """u = (I - K)^{-1} w, solved once per operator and cached."""
+    u = _weight_resolvent_cache.get(op)
+    if u is None:
+        u = _resolvent_solve(op, op.weights)
+        u.setflags(write=False)
+        _weight_resolvent_cache[op] = u
+    return u
+
+
 def mean_frames(op: StroboOperator, y0: float) -> ExitStats:
-    """Mean frames beyond the first, M = w . (I - K)^{-1} h, and E[tau] = 1 + M."""
-    h = initial_vector(op, y0)
-    x = _resolvent_solve(op, 0.5 * (h + h[::-1]))
-    M = float(op.weights @ x)
+    """Mean frames beyond the first and E[tau] = 1 + M, for a start at y0.
+
+    M = w . (I - K)^{-1} h(y0) = h(y0) . u, since K is symmetric, with the
+    cached u = (I - K)^{-1} w: every start point after the first costs one
+    kernel profile and one dot product.
+    """
+    M = float(initial_vector(op, y0) @ _weight_resolvent(op))
     return ExitStats(M=M, mean_tau=1.0 + M)
 
 

@@ -210,7 +210,7 @@ def test_criterion_07_self_averaging():
 
     details = []
     for label, mu in RANDOM_LAWS.items():
-        report = self_averaging_check(10.0, 0.5, mu, 100_000, seed=SEED)
+        report = self_averaging_check(ProblemSpec(rho=10.0, y0=0.5), mu, 100_000, seed=SEED)
         details.append(f"{label}:z={report.z_score:+.2f}")
         assert report.passed, f"{label} failed self-averaging: z={report.z_score}"
     _report("07", True, "; ".join(details))

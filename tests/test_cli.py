@@ -5,7 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from strobofp import ProblemSpec, SolverError, build_operator, mean_frames
+from strobofp import (
+    FrameDistribution,
+    ProblemSpec,
+    SolverError,
+    build_averaged_operator,
+    build_operator,
+    bulk_law,
+    mean_frames,
+)
 from strobofp import cli, montecarlo
 from strobofp.cli import RunConfig, main, parse_rho_range, read_csv, UsageError
 
@@ -82,6 +90,14 @@ class TestMeantau:
         payload = json.loads(out.read_text())
         assert payload[0]["rho"] == 6.0
         assert 0.0 < payload[0]["lambda0"] < 1.0
+
+
+    def test_large_rho_meets_bulk_law(self, tmp_path):
+        out = tmp_path / "m.csv"
+        assert main(["meantau", "--rho", "1000", "--y0", "0.5", "--out", str(out)]) == 0
+        _, _, rows = read_csv(out.read_text())
+        # measured relative gap 5.3e-7 (250583.4547 against 250583.5876)
+        assert rows[0][3] == pytest.approx(bulk_law(1000.0), rel=1e-6)
 
 
 class TestSurvival:
@@ -172,6 +188,15 @@ class TestMC:
         assert payload["mode"] == "self-averaging"
         assert payload["distribution"] == "exponential"
 
+    def test_random_law_reference_uses_grid_flags(self, tmp_path):
+        out = tmp_path / "mc.json"
+        assert main(["mc", "--rho", "5", "--dist", "exponential", "--n-grid", "60",
+                     "--trials", "10", "--out", str(out)]) == 0
+        op = build_averaged_operator(ProblemSpec(rho=5.0, n_grid=60),
+                                     FrameDistribution.exponential())
+        payload = json.loads(out.read_text())
+        assert payload["resolvent_mean_tau"] == mean_frames(op, 0.5).mean_tau
+
     @pytest.mark.parametrize("argv", [
         ["--rho", "0.01", "--trials", "20"],
         ["--rho", "0.01", "--trials", "20", "--dist", "jitter:0.2"],
@@ -196,9 +221,8 @@ class TestMC:
             raise SolverError("resolvent residual exceeds the bound")
 
         calls = []
-        for module in (cli, montecarlo):
-            monkeypatch.setattr(module, "mean_frames", fail)
-            monkeypatch.setattr(module, "simulate_tau", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(montecarlo, "mean_frames", fail)
+        monkeypatch.setattr(montecarlo, "simulate_tau", lambda *a, **k: calls.append(a))
         assert main(["mc", "--rho", "5", "--dist", dist, "--trials", "10"]) == 3
         assert "numerical failure" in capsys.readouterr().err
         assert calls == []

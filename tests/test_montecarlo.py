@@ -145,7 +145,7 @@ class TestValidation:
 class TestSelfAveraging:
     def test_deterministic_reduces_to_plain_check(self):
         report = self_averaging_check(
-            5.0, 0.5, FrameDistribution.deterministic(), 20_000, seed=17
+            ProblemSpec(rho=5.0, y0=0.5), FrameDistribution.deterministic(), 20_000, seed=17
         )
         direct = mean_frames(build_operator(ProblemSpec(rho=5.0)), 0.5).mean_tau
         assert report.resolvent_mean_tau == pytest.approx(direct, rel=1e-14)
@@ -153,7 +153,7 @@ class TestSelfAveraging:
 
     def test_random_intervals_consistent(self):
         report = self_averaging_check(
-            6.0, 0.5, FrameDistribution.uniform_jitter(0.5), 30_000, seed=17
+            ProblemSpec(rho=6.0, y0=0.5), FrameDistribution.uniform_jitter(0.5), 30_000, seed=17
         )
         assert abs(report.z_score) < 3.0
         assert report.passed

@@ -287,6 +287,4 @@ class TestAveragedOperator:
 
     def test_continuous_order_precondition(self):
         with pytest.raises(ValueError):
-            build_averaged_operator(
-                ProblemSpec(rho=10.0), FrameDistribution.exponential(), 8
-            )
+            FrameDistribution.exponential().width_nodes(8)

@@ -20,8 +20,15 @@ from strobofp import (
     spectral_pair,
     survival_sequence,
 )
+from strobofp import resolvent
 from strobofp.operator_core import StroboOperator
-from strobofp.resolvent import EIGEN_TOL, _factorization, _resolvent_solve
+from strobofp.resolvent import (
+    EIGEN_TOL,
+    RESIDUAL_TOL,
+    _factorization,
+    _resolvent_solve,
+    _weight_resolvent,
+)
 
 
 def op_for(rho, **kwargs):
@@ -263,6 +270,41 @@ class TestMirrorFold:
         op = op_for(20.0)
         with pytest.raises(ValueError, match="mirror-even"):
             _resolvent_solve(op, initial_vector(op, 0.3))
+
+
+class TestWeightResolvent:
+    def test_one_solve_serves_every_start(self, monkeypatch):
+        calls = []
+        solve = resolvent.cho_solve_banded
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(resolvent, "cho_solve_banded", counted)
+        op = op_for(30.0)
+        mean_frames(op, 0.5)
+        first = len(calls)
+        for y0 in (0.0, 0.13, 0.5, 1.0):
+            mean_frames(op, y0)
+        assert 1 <= first <= 2  # one solve, at most one refinement
+        assert len(calls) == first
+
+    @pytest.mark.parametrize("dist", ["deterministic", "exponential"])
+    @pytest.mark.parametrize("rho", [0.05, 20.0, 200.0, 1000.0])
+    def test_backward_error_contract(self, rho, dist):
+        # the cached u, and the even part of the centred h, whose solution
+        # grows like rho^2 (an absolute residual bound fails it at rho=1000);
+        # rounding leaves h itself odd beyond the bound at rho=0.05
+        op = law_op(rho, dist)
+        h = initial_vector(op, 0.5)
+        h = 0.5 * (h + h[::-1])
+        # ||I - K||_inf from the row sums: K >= 0 and its diagonal is below 1
+        norm = np.max(1.0 - 2.0 * op.band[0] + op.row_sums())
+        for rhs, x in ((op.weights, _weight_resolvent(op)), (h, _resolvent_solve(op, h))):
+            residual = np.max(np.abs(rhs - (x - op.matvec(x))))
+            scale = norm * np.max(np.abs(x)) + np.max(np.abs(rhs))
+            assert residual <= RESIDUAL_TOL * scale
 
 
 class TestNeumannSeries:
