@@ -4,21 +4,17 @@ reference laws, Monte Carlo oracle, and the regression harness tying them
 together."""
 
 from .asymptotics import (
-    AsymptoticConstants,
     BOUNDARY_CONST,
     BOUNDARY_SLOPE,
     BULK_A,
     BULK_B,
     BULK_C,
-    CONSTANTS,
     GAP_BETA,
     ZETA_HALF,
     boundary_law,
     bulk_law,
-    bulk_law_mean_frames,
     dirichlet_mean_exit,
     effective_exponent,
-    eigenvalue_formula,
     gap_expansion,
     loglog_window_points,
     mode_sum_survival,
@@ -63,13 +59,11 @@ from .resolvent import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticConstants",
     "BOUNDARY_CONST",
     "BOUNDARY_SLOPE",
     "BULK_A",
     "BULK_B",
     "BULK_C",
-    "CONSTANTS",
     "ConvergenceError",
     "DEFAULT_CUTOFF_ETA",
     "ExitStats",
@@ -92,11 +86,9 @@ __all__ = [
     "build_averaged_operator",
     "build_operator",
     "bulk_law",
-    "bulk_law_mean_frames",
     "default_grid_size",
     "dirichlet_mean_exit",
     "effective_exponent",
-    "eigenvalue_formula",
     "exit_stats",
     "fit_boundary",
     "fit_bulk",

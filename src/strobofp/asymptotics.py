@@ -9,7 +9,6 @@ resolvent pipeline is the numerical ground truth they are compared against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,21 +32,6 @@ BULK_C = 0.573592
 GAP_BETA = 2.332056
 
 
-@dataclass(frozen=True)
-class AsymptoticConstants:
-    """The universal coefficients bundled for reporting."""
-
-    boundary_slope: float = BOUNDARY_SLOPE
-    boundary_const: float = BOUNDARY_CONST
-    bulk_a: float = BULK_A
-    bulk_b: float = BULK_B
-    bulk_c: float = BULK_C
-    beta: float = GAP_BETA
-
-
-CONSTANTS = AsymptoticConstants()
-
-
 def boundary_law(rho: float) -> float:
     """E[tau] for a boundary start: rho/sqrt(2) + |zeta(1/2)|/sqrt(pi).
 
@@ -61,11 +45,6 @@ def bulk_law(rho: float) -> float:
     return BULK_A * rho**2 + BULK_B * rho + BULK_C
 
 
-def bulk_law_mean_frames(rho: float) -> float:
-    """M-form of `bulk_law` (E[tau] - 1); avoids off-by-one confusion."""
-    return bulk_law(rho) - 1.0
-
-
 def dirichlet_mean_exit(x0: float, params: PhysicalParams) -> float:
     """Continuously monitored mean exit time x0 (L - x0) / (2 D)."""
     if not 0.0 <= x0 <= params.L:
@@ -76,33 +55,6 @@ def dirichlet_mean_exit(x0: float, params: PhysicalParams) -> float:
 def gap_expansion(rho: float) -> float:
     """Reference expansion pi^2/(2 rho^2) + 2.332056/rho^3 for 1 - lambda0."""
     return math.pi**2 / (2.0 * rho**2) + GAP_BETA / rho**3
-
-
-def eigenvalue_formula(m: int, rho: float) -> float:
-    """Sine-mode damping factor int_{-1}^{1} (1-|u|) g_rho(u) cos(m pi u) du.
-
-    Evaluated by composite Gauss-Legendre with panel count resolving both the
-    kernel width and the cosine oscillation (absolute accuracy ~1e-13).
-    """
-    if m < 1:
-        raise ValueError(f"mode index must be >= 1, got {m}")
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    panels = int(max(m, rho / 2.0, 4.0))
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    nodes, glw = np.polynomial.legendre.leggauss(16)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        u = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-        w = 0.5 * (b - a) * glw
-        f = (
-            (1.0 - u)
-            * (rho / math.sqrt(2.0 * math.pi))
-            * np.exp(-0.5 * (rho * u) ** 2)
-            * np.cos(m * math.pi * u)
-        )
-        total += float(f @ w)
-    return 2.0 * total  # integrand is even in u
 
 
 def mode_sum_survival(

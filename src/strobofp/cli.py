@@ -74,13 +74,6 @@ class RunConfig:
             raw["rho_range"] = list(raw["rho_range"])
         return raw
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
-        raw = dict(raw)
-        if raw.get("rho_range") is not None:
-            raw["rho_range"] = tuple(raw["rho_range"])
-        return cls(**raw)
-
 
 def parse_rho_range(text: str) -> tuple:
     """lo:hi:step, inclusive of lo, inclusive of hi up to step/2 rounding."""
@@ -400,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="sweep lo:hi:step (inclusive of lo and hi)")
         p.add_argument("--y0", type=float, help="start point in [0,1]")
         p.add_argument("--n-grid", type=int, help="override the N=ceil(18 rho) resolution rule")
-        p.add_argument("--eta", type=float, help="Gaussian band cutoff in kernel widths")
+        p.add_argument("--eta", type=float,
+                       help="band cutoff: drop the kernel below e^{-eta^2/2} of its peak")
         p.add_argument("--dist", type=str,
                        help="frame-interval law: deterministic | twopoint:u1,u2,p "
                             "| jitter:eps | exponential")
@@ -460,7 +454,7 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

@@ -53,19 +53,6 @@ class FitResult:
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), **kwargs)
 
-    @classmethod
-    def from_json(cls, text: str) -> "FitResult":
-        raw = json.loads(text)
-        return cls(
-            model=raw["model"],
-            coefficients=raw["coefficients"],
-            stderrs=raw["stderrs"],
-            rms_residual=raw["rms_residual"],
-            window=tuple(raw["window"]),
-            n_points=raw["n_points"],
-            derived=raw.get("derived", {}),
-        )
-
 
 def _as_pairs(data) -> np.ndarray:
     arr = np.asarray(list(data), dtype=float)

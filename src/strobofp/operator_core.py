@@ -7,32 +7,39 @@ module builds that operator as a symmetric banded Toeplitz matrix on the
 uniform midpoint grid y_i = (i - 1/2)/N with weights 1/N, for a fixed frame
 interval (`build_operator`) or for i.i.d. random intervals averaged into an
 effective kernel (`build_averaged_operator`).
+
+`averaged_kernel` is the one evaluator of that kernel; it gives both the
+matrix band and the start profile.  Discrete interval laws give exact
+Gaussian mixtures and uniform jitter a Gauss-Legendre mixture, both taken
+pointwise.  Exponential intervals give exactly the Laplace density
+(rho/sqrt 2) e^{-sqrt 2 rho |u|} (Kotz, Kozubowski & Podgorski, The Laplace
+Distribution and Generalizations, 2001), taken as exact cell means because
+of its cusp at u = 0.  Every band is cut where the kernel has fallen to
+e^{-eta^2/2} of its peak.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ResolutionError
 
+_SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# Band cutoff in units of the kernel width; 8.5 puts the truncated tail below
-# 1e-8 of the peak (e^{-eta^2/2} ~ 2e-16 at 8.5, the 1e-8 level sits at 6).
+# Band cutoff: the kernel is dropped where it has fallen to e^{-eta^2/2} of its
+# peak, eta widths out for a Gaussian; 8.5 puts that level at ~2e-16, and the
+# floor of 6 at ~1e-8.
 DEFAULT_CUTOFF_ETA = 8.5
 
 # Resolution rule: N = ceil(18*rho) grid points, floored for small rho where
 # the kernel is wide but fits still need a stable minimum resolution.
 GRID_FACTOR = 18.0
 MIN_GRID = 64
-
-# Probability mass discarded on each side when truncating an unbounded
-# interval distribution to a finite quadrature range.
-_QUANTILE_TAIL = 1e-8
 
 
 def default_grid_size(rho: float) -> int:
@@ -158,12 +165,12 @@ class FrameDistribution:
     @classmethod
     def parse(cls, text: str) -> "FrameDistribution":
         """Parse a CLI token: deterministic | twopoint:u1,u2,p | jitter:eps | exponential."""
-        name, _, arg = text.partition(":")
+        name, sep, arg = text.partition(":")
         name = name.strip().lower()
-        if name == "deterministic":
-            return cls.deterministic()
-        if name == "exponential":
-            return cls.exponential()
+        if name in ("deterministic", "exponential"):
+            if sep:
+                raise ValueError(f"{name} takes no argument, got {text!r}")
+            return cls(name)
         if name == "jitter":
             return cls.uniform_jitter(float(arg))
         if name == "twopoint":
@@ -198,31 +205,14 @@ class FrameDistribution:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def has_cusp(self) -> bool:
-        """True when the v -> 0 support makes the averaged kernel non-smooth."""
-        return self.kind == "exponential"
-
-    @property
-    def v_upper(self) -> float:
-        """Largest interval entering the mixture (upper quantile if unbounded)."""
-        if self.kind == "two-point":
-            u1, u2, p = self.params
-            m = p * u1 + (1.0 - p) * u2
-            return max(u1, u2) / m
-        if self.kind == "uniform-jitter":
-            return 1.0 + self.params[0]
-        if self.kind == "exponential":
-            return -math.log(_QUANTILE_TAIL)
-        return 1.0
-
     def width_nodes(self, order: int = 64):
         """Mixture nodes for the per-step width scale s = sqrt(v).
 
         Returns (scales, weights) with weights normalized to total mass 1.
-        Discrete kinds are exact; continuous kinds use fixed-order
-        Gauss-Legendre in s on the (quantile-truncated) support, which keeps
-        the integrand smooth down to v -> 0.
+        Discrete kinds are exact; uniform jitter uses fixed-order
+        Gauss-Legendre in s on its support, which keeps the integrand smooth.
+        The exponential kind has no node set: its mixture is the closed-form
+        Laplace density (see `averaged_kernel`), so it raises ValueError.
         """
         if self.kind == "deterministic":
             return np.array([1.0]), np.array([1.0])
@@ -232,23 +222,22 @@ class FrameDistribution:
                 return np.array([1.0]), np.array([1.0])
             m = p * u1 + (1.0 - p) * u2
             return np.sqrt(np.array([u1 / m, u2 / m])), np.array([p, 1.0 - p])
+        if self.kind == "exponential":
+            raise ValueError(
+                "exponential intervals mix to the closed-form Laplace kernel "
+                "and have no width nodes"
+            )
         if order < 16:
             raise ValueError(
                 f"continuous mixtures need quadrature order >= 16, got {order}"
             )
-        nodes, glw = np.polynomial.legendre.leggauss(int(order))
-        if self.kind == "uniform-jitter":
-            eps = self.params[0]
-            if eps == 0.0:
-                return np.array([1.0]), np.array([1.0])
-            lo, hi = math.sqrt(1.0 - eps), math.sqrt(1.0 + eps)
-            s = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-            w = 0.5 * (hi - lo) * glw * (2.0 * s) / (2.0 * eps)
-        else:  # exponential
-            lo = math.sqrt(-math.log1p(-_QUANTILE_TAIL))
-            hi = math.sqrt(-math.log(_QUANTILE_TAIL))
-            s = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-            w = 0.5 * (hi - lo) * glw * (2.0 * s) * np.exp(-(s**2))
+        eps = self.params[0]
+        if eps == 0.0:
+            return np.array([1.0]), np.array([1.0])
+        nodes, glw = _gauss_legendre(int(order))
+        lo, hi = math.sqrt(1.0 - eps), math.sqrt(1.0 + eps)
+        s = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+        w = 0.5 * (hi - lo) * glw * (2.0 * s) / (2.0 * eps)
         return s, w / w.sum()
 
     def sample_intervals(self, gen: np.random.Generator, size: int) -> np.ndarray:
@@ -265,24 +254,51 @@ class FrameDistribution:
         return gen.standard_exponential(size)
 
 
-# -- kernel evaluation helpers ----------------------------------------------
+# -- kernel evaluation --------------------------------------------------------
 
 
-def _mixture_kernel(u: np.ndarray, rho: float, scales: np.ndarray, mix_w: np.ndarray):
-    """Pointwise mixture kernel sum_q w_q g_{rho/s_q}(u)."""
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _laplace_cell_mean(u: np.ndarray, a: float, h: float) -> np.ndarray:
+    """Mean of the Laplace density (a/2) e^{-a|t|} over [u - h/2, u + h/2].
+
+    A cell clear of the origin holds e^{-a|u|} sinh(ah/2)/h.  The cell that
+    straddles it holds (1 - e^{-ah/2} cosh(au))/h, written with expm1 and
+    cosh - 1 = 2 sinh^2(au/2) so that nothing cancels.  Both depend on |u|
+    alone, so profiles at mirrored offsets are exactly mirrored.
+    """
+    x = np.abs(u)
+    half = 0.5 * a * h
+    out = np.exp(-a * x) * (math.sinh(half) / h)
+    mid = x < 0.5 * h
+    out[mid] = (
+        -math.expm1(-half) - math.exp(-half) * 2.0 * np.sinh(0.5 * a * x[mid]) ** 2
+    ) / h
+    return out
+
+
+def averaged_kernel(u: np.ndarray, rho: float, law: FrameDistribution, h: float):
+    """One-frame kernel averaged over the interval law, at offsets u.
+
+    The exponential law gives the exact means of the Laplace density
+    (rho/sqrt 2) e^{-sqrt 2 rho |u|} over cells of width h centred on u;
+    every other law gives the pointwise Gaussian mixture
+    sum_q w_q g_{rho/s_q}(u) over its `width_nodes`, and ignores h.
+    """
+    u = np.asarray(u, dtype=float)
+    if law.kind == "exponential":
+        return _laplace_cell_mean(u, _SQRT_2 * rho, h)
+    scales, mix_w = law.width_nodes()
     r = rho / scales
     vals = (r / _SQRT_2PI) * np.exp(-0.5 * (u[..., None] * r) ** 2)
     return vals @ mix_w
-
-
-def _mixture_cell_average(
-    u: np.ndarray, rho: float, scales: np.ndarray, mix_w: np.ndarray, h: float
-):
-    """Mean of the mixture kernel over cells [u - h/2, u + h/2] (exact per node)."""
-    r = rho / scales
-    upper = ndtr((u[..., None] + 0.5 * h) * r)
-    lower = ndtr((u[..., None] - 0.5 * h) * r)
-    return ((upper - lower) @ mix_w) / h
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,7 +306,8 @@ class StroboOperator:
     """Nystrom matrix of the one-frame operator in banded Toeplitz storage.
 
     Entries are K[i, j] = band[|i - j|] for |i - j| <= bandwidth and zero
-    beyond; `band` already includes the uniform quadrature weight 1/N.  The
+    beyond; `band` already includes the uniform quadrature weight 1/N, and
+    `law` is the frame-interval law whose `averaged_kernel` it holds.  The
     instance is immutable and safe to share across threads.
     """
 
@@ -299,16 +316,13 @@ class StroboOperator:
     weights: np.ndarray
     band: np.ndarray
     bandwidth: int
-    width_scales: np.ndarray
-    width_weights: np.ndarray
-    cell_averaged: bool = False
+    law: FrameDistribution
     _sym_band: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         sym = np.concatenate([self.band[:0:-1], self.band])
         object.__setattr__(self, "_sym_band", sym)
-        for arr in (self.grid, self.weights, self.band, self.width_scales,
-                    self.width_weights, sym):
+        for arr in (self.grid, self.weights, self.band, sym):
             arr.setflags(write=False)
 
     @property
@@ -332,17 +346,26 @@ class StroboOperator:
         return dense
 
 
-def _band_width(eta: float, s_max: float, rho: float, n_grid: int) -> int:
-    return min(int(math.floor(eta * s_max * n_grid / rho)), n_grid - 1)
+def _band_width(spec: ProblemSpec, law: FrameDistribution) -> int:
+    """Offsets kept in the band: the kernel tail is cut at e^{-eta^2/2} of its peak."""
+    eta, rho, n = spec.cutoff_eta, spec.rho, spec.n_grid
+    if law.kind == "exponential":
+        # e^{-sqrt 2 rho u} reaches e^{-eta^2/2} at u = eta^2 / (2 sqrt 2 rho)
+        reach = math.floor(eta**2 * n / (2.0 * _SQRT_2 * rho))
+    else:
+        # eta widths of the widest Gaussian component
+        s_max = float(np.max(law.width_nodes()[0]))
+        reach = math.floor(eta * s_max * n / rho)
+    return min(int(reach), n - 1)
 
 
 def _midpoint_grid(n_grid: int) -> np.ndarray:
     return (np.arange(1, n_grid + 1) - 0.5) / n_grid
 
 
-def _build(spec: ProblemSpec, scales, mix_w, cell_averaged: bool) -> StroboOperator:
+def _build(spec: ProblemSpec, law: FrameDistribution) -> StroboOperator:
     n = spec.n_grid
-    bw = _band_width(spec.cutoff_eta, float(np.max(scales)), spec.rho, n)
+    bw = _band_width(spec, law)
     if bw < 4:
         raise ResolutionError(
             f"n_grid={n} resolves the kernel core with only {bw} grid steps "
@@ -350,36 +373,31 @@ def _build(spec: ProblemSpec, scales, mix_w, cell_averaged: bool) -> StroboOpera
             f"N >= {default_grid_size(spec.rho)})"
         )
     offsets = np.arange(bw + 1) / n
-    if cell_averaged:
-        # Cusped kernels (v -> 0 mixture support) overshoot row sums with
-        # node values; exact cell integrals keep the matrix sub-stochastic.
-        band = _mixture_cell_average(offsets, spec.rho, scales, mix_w, 1.0 / n) / n
-    else:
-        band = _mixture_kernel(offsets, spec.rho, scales, mix_w) / n
     return StroboOperator(
         rho=spec.rho,
         grid=_midpoint_grid(n),
         weights=np.full(n, 1.0 / n),
-        band=band,
+        band=averaged_kernel(offsets, spec.rho, law, 1.0 / n) / n,
         bandwidth=bw,
-        width_scales=np.asarray(scales, dtype=float),
-        width_weights=np.asarray(mix_w, dtype=float),
-        cell_averaged=cell_averaged,
+        law=law,
     )
 
 
 def build_operator(spec: ProblemSpec) -> StroboOperator:
     """Discretize the fixed-interval operator on the midpoint grid."""
-    return _build(spec, np.array([1.0]), np.array([1.0]), cell_averaged=False)
+    return _build(spec, FrameDistribution.deterministic())
 
 
 def build_averaged_operator(spec: ProblemSpec, mu: FrameDistribution) -> StroboOperator:
     """Discretize the interval-averaged operator for random frame times.
 
     The effective kernel is the mixture of Gaussians with width scale
-    sqrt(v)/rho over v ~ mu.  Discrete mixtures are evaluated exactly; the
-    deterministic kind reproduces `build_operator` bit for bit.  The band
-    cutoff scales with the widest mixture component.
+    sqrt(v)/rho over v ~ mu, evaluated by `averaged_kernel`.  Discrete
+    mixtures are exact; the deterministic kind reproduces `build_operator`
+    bit for bit.  Exponential intervals give the Laplace density, entered as
+    exact cell integrals: node values would overshoot the row sums at its
+    cusp, while cell integrals keep the matrix sub-stochastic.  The band is
+    cut at the relative tail e^{-eta^2/2}: eta widths of the widest Gaussian
+    component, or eta^2/(2 sqrt 2 rho) for the Laplace density.
     """
-    scales, mix_w = mu.width_nodes()
-    return _build(spec, scales, mix_w, cell_averaged=mu.has_cusp)
+    return _build(spec, mu)

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, LinAlgError
 
 from .errors import ConvergenceError, SolverError
-from .operator_core import StroboOperator, _mixture_cell_average, _mixture_kernel
+from .operator_core import StroboOperator, averaged_kernel
 
 # Contractual bound on the normwise backward error of a resolvent solve,
 # ||b - (I-K)x||_inf / (||I-K||_inf ||x||_inf + ||b||_inf).
@@ -69,17 +69,13 @@ class ExitStats:
 def initial_vector(op: StroboOperator, y0: float) -> np.ndarray:
     """Kernel profile h_i = k(y_i - y0): the one-step image of a start at y0.
 
-    For cell-averaged operators the entries are cell means of the kernel so
-    that the quadrature weights reproduce S_1 exactly.
+    The same `averaged_kernel` as the operator's band: under the exponential
+    law the entries are cell means of the kernel, so that the quadrature
+    weights reproduce S_1 exactly.
     """
     if not 0.0 <= y0 <= 1.0:
         raise ValueError(f"y0 must lie in [0, 1], got {y0}")
-    d = op.grid - y0
-    if op.cell_averaged:
-        return _mixture_cell_average(
-            d, op.rho, op.width_scales, op.width_weights, 1.0 / op.n
-        )
-    return _mixture_kernel(d, op.rho, op.width_scales, op.width_weights)
+    return averaged_kernel(op.grid - y0, op.rho, op.law, 1.0 / op.n)
 
 
 def survival_sequence(op: StroboOperator, y0: float, n_max: int) -> SurvivalSeries:

@@ -8,17 +8,15 @@ import pytest
 from strobofp import (
     BOUNDARY_CONST,
     BOUNDARY_SLOPE,
+    BULK_A,
     BULK_B,
-    CONSTANTS,
     GAP_BETA,
     InsufficientDataError,
     PhysicalParams,
     boundary_law,
     bulk_law,
-    bulk_law_mean_frames,
     dirichlet_mean_exit,
     effective_exponent,
-    eigenvalue_formula,
     gap_expansion,
     loglog_window_points,
     mode_sum_survival,
@@ -31,11 +29,10 @@ class TestConstants:
         assert BOUNDARY_CONST == pytest.approx(0.8239172, abs=1e-6)
 
     def test_bulk_linear_is_quarter_beta(self):
-        assert CONSTANTS.bulk_b == CONSTANTS.beta / 4.0
+        assert BULK_B == GAP_BETA / 4.0
 
-    def test_bundle_defaults(self):
-        assert CONSTANTS.bulk_a == 0.25
-        assert CONSTANTS.beta == GAP_BETA
+    def test_bulk_leading_is_quarter(self):
+        assert BULK_A == 0.25
 
 
 class TestBoundaryLaw:
@@ -59,9 +56,6 @@ class TestBulkLaw:
 
     def test_leading_term(self):
         assert bulk_law(1e6) / 1e12 == pytest.approx(0.25, rel=1e-5)
-
-    def test_mean_frames_form(self):
-        assert bulk_law_mean_frames(17.0) == bulk_law(17.0) - 1.0
 
 
 class TestDirichlet:
@@ -94,30 +88,6 @@ class TestGapExpansion:
     def test_leading_order(self):
         ratio = gap_expansion(1e5) / (math.pi**2 / (2.0 * 1e10))
         assert ratio == pytest.approx(1.0, abs=1e-4)
-
-
-class TestEigenvalueFormula:
-    def test_large_rho_behavior(self):
-        # the integral sits a boundary term below the pure Gaussian damping:
-        # formula = exp(-m^2 pi^2 / 2 rho^2) - sqrt(2/pi)/rho + O(rho^-2)
-        rho = 50.0
-        value = eigenvalue_formula(1, rho)
-        expected = math.exp(-math.pi**2 / (2.0 * rho**2)) - math.sqrt(2.0 / math.pi) / rho
-        assert value == pytest.approx(expected, abs=1e-3)
-
-    def test_decreasing_in_mode_index(self):
-        values = [eigenvalue_formula(m, 50.0) for m in (1, 2, 3, 4)]
-        assert np.all(np.diff(values) < 0.0)
-
-    def test_vanishes_for_wide_kernel(self):
-        assert eigenvalue_formula(1, 0.3) < 0.15
-        assert eigenvalue_formula(1, 0.1) < eigenvalue_formula(1, 0.5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            eigenvalue_formula(0, 10.0)
-        with pytest.raises(ValueError):
-            eigenvalue_formula(1, 0.0)
 
 
 class TestModeSums:

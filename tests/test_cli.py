@@ -1,6 +1,11 @@
 """CLI surface: schemas, determinism, exit codes, config round trip."""
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +25,16 @@ from strobofp.cli import RunConfig, main, parse_rho_range, read_csv, UsageError
 
 def run(tmp_path, *argv):
     return main(list(argv))
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, strobofp.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "False"
 
 
 class TestRangeParsing:
@@ -43,17 +58,14 @@ class TestRangeParsing:
 
 
 class TestRunConfig:
-    def test_round_trip(self):
+    def test_round_trip_through_json(self):
         cfg = RunConfig(
             command="meantau", rho_range=(20.0, 60.0, 10.0), y0=0.25,
             dist="jitter:0.5", seed=7, out="x.csv",
         )
-        assert RunConfig.from_dict(cfg.to_dict()) == cfg
-
-    def test_round_trip_through_json(self):
-        cfg = RunConfig(command="mc", rho=5.0, trials=1000)
-        again = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
-        assert again == cfg
+        raw = cfg.to_dict()
+        assert set(raw) == {f.name for f in dataclasses.fields(RunConfig)}
+        assert json.loads(json.dumps(raw)) == raw
 
 
 class TestMeantau:
@@ -266,6 +278,22 @@ class TestExitCodes:
 
     def test_bad_distribution_is_usage_error(self):
         assert main(["meantau", "--rho", "5", "--dist", "whatever"]) == 2
+
+    @pytest.mark.parametrize("dist", ["exponential:3", "deterministic:junk"])
+    def test_argument_on_bare_law_is_usage_error(self, dist, capsys):
+        assert main(["meantau", "--rho", "5", "--dist", dist]) == 2
+        assert "takes no argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["meantau", "--rho", "5", "--out", "{missing}/x.csv"],
+        ["mc", "--rho", "2", "--trials", "100", "--hist-out", "{missing}/h.csv"],
+        ["figures", "--out", "{file}/sub"],
+    ])
+    def test_unwritable_output_is_usage_error(self, argv, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        paths = {"missing": tmp_path / "missing", "file": tmp_path / "file"}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        assert "usage error" in capsys.readouterr().err
 
     def test_unresolved_kernel_is_numerical_error(self):
         assert main(["meantau", "--rho", "100", "--n-grid", "40"]) == 3

@@ -7,7 +7,6 @@ import pytest
 
 from strobofp import (
     FitError,
-    FitResult,
     InsufficientDataError,
     fit_boundary,
     fit_bulk,
@@ -110,12 +109,6 @@ class TestDiagnostics:
 
 
 class TestSerialization:
-    def test_json_round_trip(self):
-        data = [(r, 0.7 * r - 0.2 + 0.3 / r) for r in RHOS]
-        fit = fit_boundary(data)
-        clone = FitResult.from_json(fit.to_json())
-        assert clone == fit
-
     def test_json_fields(self):
         import json
 

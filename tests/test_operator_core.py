@@ -176,20 +176,24 @@ class TestFrameDistribution:
 
     @pytest.mark.parametrize("mu", [
         FrameDistribution.uniform_jitter(0.5),
-        FrameDistribution.exponential(),
     ])
     def test_continuous_nodes_have_unit_mean(self, mu):
-        # quantile truncation shaves ~(v_hi + 1) * 1e-8 off the mean
         s, w = mu.width_nodes(96)
         assert w.sum() == pytest.approx(1.0, abs=1e-14)
         assert (s**2) @ w == pytest.approx(1.0, abs=5e-7)
+
+    def test_exponential_has_no_width_nodes(self):
+        # its mixture is the closed-form Laplace kernel, not a node set
+        with pytest.raises(ValueError):
+            FrameDistribution.exponential().width_nodes()
 
     def test_parse_round_trip(self):
         for text in ["deterministic", "exponential", "jitter:0.25", "twopoint:0.5,1.5,0.5"]:
             mu = FrameDistribution.parse(text)
             assert FrameDistribution.parse(mu.describe()) == mu
 
-    @pytest.mark.parametrize("text", ["nope", "twopoint:1,2", "jitter:"])
+    @pytest.mark.parametrize("text", ["nope", "twopoint:1,2", "jitter:",
+                                      "exponential:3", "deterministic:junk"])
     def test_parse_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             FrameDistribution.parse(text)
@@ -256,22 +260,25 @@ class TestAveragedOperator:
         assert np.allclose(op.band, expected, rtol=1e-15, atol=0.0)
 
     def test_exponential_band_matches_closed_form(self):
-        # exponential intervals give the two-sided exponential kernel
-        # (rho/sqrt(2)) e^{-sqrt(2) rho |u|}; its cell integrals are exact
-        spec = ProblemSpec(rho=10.0)
+        # exponential intervals give the Laplace kernel (a/2) e^{-a|u|} with
+        # a = sqrt(2) rho; band[k] is its integral over [(k - 1/2)/N, (k + 1/2)/N]
+        for rho in (0.05, 1.0, 10.0, 100.0):
+            op = build_averaged_operator(ProblemSpec(rho=rho), FrameDistribution.exponential())
+            n = op.n
+            k = np.arange(op.bandwidth + 1)
+            a = math.sqrt(2.0) * rho
+            lo = (k - 0.5) / n
+            exact = np.where(k == 0, -np.expm1(-0.5 * a / n),
+                             -0.5 * np.exp(-a * lo) * np.expm1(-a / n))
+            assert np.max(np.abs(op.band - exact) / exact) < 1e-12, rho
+
+    def test_exponential_cutoff_rule(self):
+        # the Laplace tail e^{-sqrt(2) rho u} is cut at e^{-eta^2/2}
+        spec = ProblemSpec(rho=100.0)
         op = build_averaged_operator(spec, FrameDistribution.exponential())
-        assert op.cell_averaged
-        n = op.n
-        k = np.arange(op.bandwidth + 1)
-        c = math.sqrt(2.0) * 10.0
-        lo = np.maximum((k - 0.5) / n, 0.0)
-        hi = (k + 0.5) / n
-        exact = np.where(k == 0, 1.0 - np.exp(-c * hi),
-                         0.5 * (np.exp(-c * lo) - np.exp(-c * hi)))
-        rel = np.abs(op.band - exact) / exact
-        core = exact / exact[0] > 1e-4
-        assert rel[core].max() < 5e-5   # quadrature-order limited
-        assert rel.max() < 5e-4         # far tail, truncated upper quantile
+        n, eta = spec.n_grid, spec.cutoff_eta
+        rule = min(math.floor(eta**2 * n / (2.0 * math.sqrt(2.0) * 100.0)), n - 1)
+        assert op.bandwidth == rule == 459
 
     def test_exponential_rows_substochastic(self):
         op = build_averaged_operator(ProblemSpec(rho=20.0), FrameDistribution.exponential())
@@ -287,4 +294,4 @@ class TestAveragedOperator:
 
     def test_continuous_order_precondition(self):
         with pytest.raises(ValueError):
-            FrameDistribution.exponential().width_nodes(8)
+            FrameDistribution.uniform_jitter(0.5).width_nodes(8)

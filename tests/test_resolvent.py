@@ -55,6 +55,15 @@ class TestInitialVector:
         s1 = float(op.weights @ initial_vector(op, 0.5))
         assert s1 == pytest.approx(0.6826895, abs=1e-4)
 
+    def test_exponential_profile_is_exactly_even(self):
+        # every offset y_i - 1/2 on N = 64 is exact, so the centred profile
+        # must have no odd part and pass the solver's evenness check
+        op = build_averaged_operator(ProblemSpec(rho=0.05), FrameDistribution.exponential())
+        h = initial_vector(op, 0.5)
+        assert np.array_equal(h, h[::-1])
+        x = _resolvent_solve(op, h)
+        assert np.array_equal(x, x[::-1])
+
     def test_rejects_start_outside_interval(self):
         with pytest.raises(ValueError):
             initial_vector(op_for(2.0), 1.2)
@@ -128,8 +137,7 @@ class TestMeanFrames:
             weights=np.full(n, 1.0 / n),
             band=band,
             bandwidth=bw,
-            width_scales=np.array([1.0]),
-            width_weights=np.array([1.0]),
+            law=FrameDistribution.deterministic(),
         )
         with pytest.raises(SolverError):
             mean_frames(bad, 0.5)
