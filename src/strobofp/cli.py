@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -139,6 +140,24 @@ def _write_text(out: str, text: str) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text, newline="\n")
+
+
+def _check_output_paths(cfg: RunConfig) -> None:
+    """Refuse an --out or --hist-out file that cannot be written, before any work.
+
+    `figures` takes --out as a directory and creates it as its first step.
+    """
+    paths = [cfg.hist_out]
+    if cfg.command != "figures" and cfg.out != "-":
+        paths.append(cfg.out)
+    for path in filter(None, paths):
+        target = Path(path)
+        parent = target.parent
+        if target.is_dir() or not parent.is_dir() or not os.access(parent, os.W_OK):
+            raise UsageError(
+                f"cannot write {path}: it is a directory, or its directory "
+                f"is missing or not writable"
+            )
 
 
 def _csv_text(command: str, columns, rows, extra_comment: str | None = None) -> str:
@@ -447,6 +466,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         cfg = config_from_args(args)
+        _check_output_paths(cfg)
         return _HANDLERS[cfg.command](cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

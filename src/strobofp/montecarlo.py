@@ -26,6 +26,19 @@ _UINT64_MASK = 0xFFFFFFFFFFFFFFFF
 # Trials per random stream; part of the stream layout, so changing it
 # changes every seeded result.
 CHUNK = 65_536
+# Most frames a run may simulate, counted as n_trials * (1 + rho^2), the
+# scale of _hard_cap: about ten minutes at 50-130 ns per frame.
+FRAME_BUDGET = 1e10
+
+
+def _check_frame_budget(rho: float, n_trials: int) -> None:
+    """Refuse a run whose n_trials * (1 + rho^2) exceeds FRAME_BUDGET."""
+    frames = n_trials * (1.0 + rho * rho)
+    if not frames <= FRAME_BUDGET:
+        raise ValueError(
+            f"{n_trials} trials at rho={rho:g} scale to {frames:.3g} frames "
+            f"(n_trials * (1 + rho^2)), over the budget of {FRAME_BUDGET:.0e}"
+        )
 
 
 def _hard_cap(rho: float) -> int:
@@ -87,6 +100,7 @@ def simulate_tau(
         raise ValueError(f"rho must be positive with a finite square, got {rho}")
     if not 0.0 <= y0 <= 1.0:
         raise ValueError(f"y0 must lie in [0, 1], got {y0}")
+    _check_frame_budget(rho, n_trials)
     if mu is None:
         mu = FrameDistribution.deterministic()
     n_cap = _hard_cap(rho)
@@ -195,8 +209,10 @@ def self_averaging_check(
     of the interval-averaged operator (for deterministic frames, the plain
     operator); the report carries both values and a z-score with a 3-sigma
     pass mark.  The reference is solved on the grid and band cutoff of
-    `spec` before the simulation runs, so a failing solve costs no trials.
+    `spec` before the simulation runs, so a failing solve costs no trials,
+    and a run over FRAME_BUDGET is refused before either.
     """
+    _check_frame_budget(spec.rho, n_trials)
     reference = mean_frames(build_averaged_operator(spec, mu), spec.y0).mean_tau
     mc = simulate_tau(spec.rho, spec.y0, n_trials, seed, mu=mu, n_workers=n_workers)
     z, passed = z_test(mc.mean_tau, mc.std_error, reference)

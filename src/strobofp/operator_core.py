@@ -346,6 +346,20 @@ class StroboOperator:
         return dense
 
 
+def laplace_band(op: StroboOperator) -> tuple[float, float]:
+    """(s, r) with band[d] = s r^d for 1 <= d <= bandwidth, exponential law only.
+
+    With a = sqrt 2 rho and h = 1/N, s = sinh(ah/2) and r = e^{-ah}: the
+    cell means of `_laplace_cell_mean` times h.  The band is geometric, so
+    up to its omitted tail I - K = (1 - band[0] + s) I - s R with
+    R_ij = r^{|i-j|}, whose inverse is tridiagonal.
+    """
+    if op.law.kind != "exponential":
+        raise ValueError(f"only the exponential law has a geometric band, got {op.law.kind}")
+    ah = _SQRT_2 * op.rho / op.n
+    return math.sinh(0.5 * ah), math.exp(-ah)
+
+
 def _band_width(spec: ProblemSpec, law: FrameDistribution) -> int:
     """Offsets kept in the band: the kernel tail is cut at e^{-eta^2/2} of its peak."""
     eta, rho, n = spec.cutoff_eta, spec.rho, spec.n_grid

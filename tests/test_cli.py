@@ -19,7 +19,7 @@ from strobofp import (
     bulk_law,
     mean_frames,
 )
-from strobofp import cli, montecarlo
+from strobofp import cli, montecarlo, resolvent
 from strobofp.cli import RunConfig, main, parse_rho_range, read_csv, UsageError
 
 
@@ -294,6 +294,48 @@ class TestExitCodes:
         paths = {"missing": tmp_path / "missing", "file": tmp_path / "file"}
         assert main([arg.format(**paths) for arg in argv]) == 2
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["meantau", "--rho-range", "100:400:100", "--out", "{missing}/x.csv"],
+        ["fit", "--which", "bulk", "--out", "{missing}/fit.json"],
+        ["mc", "--rho", "2", "--trials", "100", "--hist-out", "{missing}/h.csv"],
+        ["mc", "--rho", "2", "--trials", "100", "--out", "{dir}"],
+    ])
+    def test_unwritable_output_refused_before_any_work(self, argv, tmp_path, monkeypatch,
+                                                       capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("no operator may be built for an unwritable output")
+
+        monkeypatch.setattr(cli, "build_averaged_operator", fail)
+        monkeypatch.setattr(montecarlo, "build_averaged_operator", fail)
+        monkeypatch.setattr(montecarlo, "simulate_tau", fail)
+        paths = {"missing": tmp_path / "missing", "dir": tmp_path}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "cannot write" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["mc", "--rho", "1e6", "--trials", "10"],
+        ["mc", "--rho", "3000", "--trials", "100000", "--dist", "exponential"],
+    ])
+    def test_over_frame_budget_refused_before_any_work(self, argv, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("no work may start over the frame budget")
+
+        monkeypatch.setattr(montecarlo, "build_averaged_operator", fail)
+        monkeypatch.setattr(montecarlo, "simulate_tau", fail)
+        assert main(argv) == 2
+        assert "budget" in capsys.readouterr().err
+
+    def test_factor_beyond_physical_memory_is_numerical_error(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("no factor may be attempted beyond physical memory")
+
+        monkeypatch.setattr(resolvent, "_physical_memory", lambda: 1e4)
+        monkeypatch.setattr(resolvent, "cholesky_banded", fail)
+        assert main(["meantau", "--rho", "20"]) == 3
+        assert "physical memory" in capsys.readouterr().err
 
     def test_unresolved_kernel_is_numerical_error(self):
         assert main(["meantau", "--rho", "100", "--n-grid", "40"]) == 3

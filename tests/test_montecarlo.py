@@ -131,6 +131,30 @@ class TestOverflowPolicy:
         assert mid.overflow == 0
 
 
+class TestFrameBudget:
+    def test_over_budget_refused_before_simulating(self, monkeypatch):
+        # 10 * (1 + 1e12) frames; the cap is cut to one frame so that a
+        # missing check fails here instead of running for days
+        monkeypatch.setattr(mc_mod, "_hard_cap", lambda rho: 1)
+        with pytest.raises(ValueError, match="budget"):
+            simulate_tau(1e6, 0.5, 10, seed=1)
+
+    def test_budget_counts_trials_times_rho_squared(self, monkeypatch):
+        monkeypatch.setattr(mc_mod, "FRAME_BUDGET", 100 * (1.0 + 2.0**2))
+        assert simulate_tau(2.0, 0.5, 100, seed=1).n_trials == 100
+        with pytest.raises(ValueError, match="budget"):
+            simulate_tau(2.0, 0.5, 101, seed=1)
+
+    def test_self_averaging_refuses_before_the_reference(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("no operator may be built over the budget")
+
+        monkeypatch.setattr(mc_mod, "build_averaged_operator", fail)
+        with pytest.raises(ValueError, match="budget"):
+            self_averaging_check(ProblemSpec(rho=1e6), FrameDistribution.deterministic(),
+                                 10, seed=1)
+
+
 class TestValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(rho=0.0, y0=0.5, n_trials=10, seed=1),

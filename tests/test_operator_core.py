@@ -17,6 +17,7 @@ from strobofp import (
     gaussian_kernel,
     mean_frames,
 )
+from strobofp.operator_core import laplace_band
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -271,6 +272,9 @@ class TestAveragedOperator:
             exact = np.where(k == 0, -np.expm1(-0.5 * a / n),
                              -0.5 * np.exp(-a * lo) * np.expm1(-a / n))
             assert np.max(np.abs(op.band - exact) / exact) < 1e-12, rho
+            # the geometric form the resolvent's tridiagonal inverse relies on
+            s, r = laplace_band(op)
+            assert np.max(np.abs(op.band[1:] - s * r ** k[1:]) / exact[1:]) < 1e-12, rho
 
     def test_exponential_cutoff_rule(self):
         # the Laplace tail e^{-sqrt(2) rho u} is cut at e^{-eta^2/2}

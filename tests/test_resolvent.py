@@ -21,7 +21,7 @@ from strobofp import (
     survival_sequence,
 )
 from strobofp import resolvent
-from strobofp.operator_core import StroboOperator
+from strobofp.operator_core import DEFAULT_CUTOFF_ETA, StroboOperator
 from strobofp.resolvent import (
     EIGEN_TOL,
     RESIDUAL_TOL,
@@ -203,6 +203,7 @@ class TestSpectralPair:
         (5.0, "deterministic"),
         (50.0, "deterministic"),
         (10.0, "exponential"),
+        (40.0, "exponential"),  # N = 720 with the band cut at 459
         (1.0, "twopoint:0.5,1.5,0.5"),
     ])
     def test_matches_dense_eigensolver(self, rho, dist):
@@ -229,8 +230,9 @@ class TestSpectralPair:
         assert np.all(vec > 0.0)
 
 
-def law_op(rho, dist, n_grid=None):
-    spec, mu = ProblemSpec(rho=rho, n_grid=n_grid), FrameDistribution.parse(dist)
+def law_op(rho, dist, n_grid=None, eta=DEFAULT_CUTOFF_ETA):
+    spec = ProblemSpec(rho=rho, n_grid=n_grid, cutoff_eta=eta)
+    mu = FrameDistribution.parse(dist)
     if mu.kind == "deterministic":
         return build_operator(spec)
     return build_averaged_operator(spec, mu)
@@ -274,6 +276,19 @@ class TestMirrorFold:
         m = (op.n + 1) // 2
         assert _factorization(op).shape == (min(op.bandwidth, m - 1) + 1, m)
 
+    @pytest.mark.parametrize("rho", [0.05, 3.0, 40.0, 1000.0])
+    def test_exponential_route_selection(self, rho):
+        # the default cutoff leaves a tail below 2 eps: a tridiagonal factor;
+        # eta = 6 cuts at ~1e-8, so beyond a full band (rho >= 12.8) the
+        # exponential law keeps the half-size band
+        m = (law_op(rho, "exponential").n + 1) // 2
+        assert _factorization(law_op(rho, "exponential")).shape == (2, m)
+        op = law_op(rho, "exponential", eta=6.0)
+        if op.bandwidth == op.n - 1:
+            assert _factorization(op).shape == (2, m)
+        else:
+            assert _factorization(op).shape == (min(op.bandwidth, m - 1) + 1, m)
+
     def test_solve_rejects_non_palindromic_rhs(self):
         op = op_for(20.0)
         with pytest.raises(ValueError, match="mirror-even"):
@@ -290,29 +305,37 @@ class TestWeightResolvent:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(resolvent, "cho_solve_banded", counted)
-        op = op_for(30.0)
-        mean_frames(op, 0.5)
-        first = len(calls)
-        for y0 in (0.0, 0.13, 0.5, 1.0):
-            mean_frames(op, y0)
-        assert 1 <= first <= 2  # one solve, at most one refinement
-        assert len(calls) == first
+        # the banded route and, for exponential frames, the Laplace route
+        for dist in ("deterministic", "exponential"):
+            calls.clear()
+            op = law_op(30.0, dist)
+            mean_frames(op, 0.5)
+            first = len(calls)
+            for y0 in (0.0, 0.13, 0.5, 1.0):
+                mean_frames(op, y0)
+            assert 1 <= first <= 2  # one solve, at most one refinement
+            assert len(calls) == first
 
     @pytest.mark.parametrize("dist", ["deterministic", "exponential"])
-    @pytest.mark.parametrize("rho", [0.05, 20.0, 200.0, 1000.0])
+    @pytest.mark.parametrize("rho", [0.05, 20.0, 200.0, 1000.0, 3000.0])
     def test_backward_error_contract(self, rho, dist):
         # the cached u, and the even part of the centred h, whose solution
         # grows like rho^2 (an absolute residual bound fails it at rho=1000);
-        # rounding leaves h itself odd beyond the bound at rho=0.05
-        op = law_op(rho, dist)
-        h = initial_vector(op, 0.5)
-        h = 0.5 * (h + h[::-1])
-        # ||I - K||_inf from the row sums: K >= 0 and its diagonal is below 1
-        norm = np.max(1.0 - 2.0 * op.band[0] + op.row_sums())
-        for rhs, x in ((op.weights, _weight_resolvent(op)), (h, _resolvent_solve(op, h))):
-            residual = np.max(np.abs(rhs - (x - op.matvec(x))))
-            scale = norm * np.max(np.abs(x)) + np.max(np.abs(rhs))
-            assert residual <= RESIDUAL_TOL * scale
+        # rounding leaves h itself odd beyond the bound at rho=0.05.
+        # Exponential frames also at eta = 6, which keeps the banded route
+        # once the band is cut (rho >= 20 here)
+        etas = (DEFAULT_CUTOFF_ETA, 6.0) if dist == "exponential" else (DEFAULT_CUTOFF_ETA,)
+        for eta in etas:
+            op = law_op(rho, dist, eta=eta)
+            h = initial_vector(op, 0.5)
+            h = 0.5 * (h + h[::-1])
+            # ||I - K||_inf from the row sums: K >= 0 and its diagonal is below 1
+            norm = np.max(1.0 - 2.0 * op.band[0] + op.row_sums())
+            for rhs, x in ((op.weights, _weight_resolvent(op)),
+                           (h, _resolvent_solve(op, h))):
+                residual = np.max(np.abs(rhs - (x - op.matvec(x))))
+                scale = norm * np.max(np.abs(x)) + np.max(np.abs(rhs))
+                assert residual <= RESIDUAL_TOL * scale
 
 
 class TestNeumannSeries:
