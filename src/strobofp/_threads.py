@@ -6,11 +6,10 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 
-def worker_count(n_items: int, requested: int | None = None) -> int:
-    """Workers for `n_items` jobs: `requested`, else STROBOFP_THREADS, else
-    one per CPU; never more than there are items."""
-    if requested is None:
-        requested = os.environ.get("STROBOFP_THREADS") or os.cpu_count() or 1
+def worker_count(n_items: int) -> int:
+    """Workers for `n_items` jobs: STROBOFP_THREADS, else one per CPU; never
+    more than there are items."""
+    requested = os.environ.get("STROBOFP_THREADS") or os.cpu_count() or 1
     return max(1, min(int(requested), n_items))
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import asymptotics
 from ._threads import parallel_map
-from .errors import ConvergenceError, FitError, InsufficientDataError, ResolutionError, SolverError
+from .errors import ConvergenceError, FitError, ResolutionError, SolverError
 from .fitting import REFERENCE_FITS, fit_boundary, fit_bulk, fit_gap
 from .montecarlo import self_averaging_check, write_histogram_csv
 from .operator_core import (
@@ -39,7 +39,6 @@ _NUMERICAL_ERRORS = (
     SolverError,
     ConvergenceError,
     FitError,
-    InsufficientDataError,
     np.linalg.LinAlgError,
     MemoryError,
 )

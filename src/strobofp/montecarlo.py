@@ -85,13 +85,12 @@ def simulate_tau(
     n_trials: int,
     seed: int,
     mu: FrameDistribution | None = None,
-    n_workers: int | None = None,
 ) -> MCResult:
     """Estimate E[tau] by independent trials with chunk-keyed random streams.
 
     Each chunk's stream depends only on (seed, chunk index), so the result
-    is reproducible bit for bit regardless of `n_workers` (which defaults to
-    the STROBOFP_THREADS environment variable, else one per CPU).
+    is reproducible bit for bit for any worker count (the STROBOFP_THREADS
+    environment variable, else one per CPU).
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -129,7 +128,7 @@ def simulate_tau(
                     break
         return taus
 
-    with ThreadPoolExecutor(max_workers=worker_count(n_chunks, n_workers)) as pool:
+    with ThreadPoolExecutor(max_workers=worker_count(n_chunks)) as pool:
         taus = np.concatenate(list(pool.map(run_chunk, range(n_chunks))))
 
     overflow = int(np.count_nonzero(taus == 0))
@@ -201,7 +200,6 @@ def self_averaging_check(
     mu: FrameDistribution,
     n_trials: int,
     seed: int,
-    n_workers: int | None = None,
 ) -> SelfAveragingReport:
     """Compare trial-wise intervals against the averaged operator on `spec`.
 
@@ -214,7 +212,7 @@ def self_averaging_check(
     """
     _check_frame_budget(spec.rho, n_trials)
     reference = mean_frames(build_averaged_operator(spec, mu), spec.y0).mean_tau
-    mc = simulate_tau(spec.rho, spec.y0, n_trials, seed, mu=mu, n_workers=n_workers)
+    mc = simulate_tau(spec.rho, spec.y0, n_trials, seed, mu=mu)
     z, passed = z_test(mc.mean_tau, mc.std_error, reference)
     return SelfAveragingReport(
         rho=spec.rho,

@@ -146,8 +146,8 @@ class FrameDistribution:
 
     @classmethod
     def two_point(cls, u1: float, u2: float, p: float) -> "FrameDistribution":
-        if u1 <= 0 or u2 <= 0:
-            raise ValueError("two-point support must be positive")
+        if not (0.0 < u1 < math.inf and 0.0 < u2 < math.inf):
+            raise ValueError(f"two-point support must be finite and positive, got {u1}, {u2}")
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {p}")
         return cls("two-point", (float(u1), float(u2), float(p)))

@@ -14,15 +14,16 @@ Both routes solve on the mirror-even half of the grid.  The interval is
 symmetric, so the Toeplitz matrix K commutes with the reflection
 (J x)_i = x_{N-1-i} and the weights w are mirror-even, so u and the leading
 eigenvector are even.  On even vectors, I - K folds into a banded block of
-ceil(N/2) unknowns (Cantoni & Butler, Linear Algebra Appl. 13, 1976), which
-`_factorization` factors once per operator; every Cholesky factor, solve
-and eigen step works there.
+ceil(N/2) unknowns (Cantoni & Butler, Linear Algebra Appl. 13, 1976); every
+Cholesky factor, solve and eigen step works there.
 
 Exponential frames have the geometric band s r^d, whose untruncated
 Toeplitz matrix has a tridiagonal inverse; when the omitted tail is at most
 LAPLACE_TAIL_TOL, every solve goes through it in O(N) (`_laplace_route`),
 with one refinement step against the truncated band always taken.  Lower
-cutoffs and coarse grids keep the banded route.
+cutoffs and coarse grids keep the banded route.  `_factorization` chooses
+the route once per operator and caches it beside the factor; one fold
+(`_fold`) builds the banded block for either route.
 """
 
 from __future__ import annotations
@@ -49,12 +50,9 @@ EIGEN_MAX_ITER = 100
 # frames are solved through the tridiagonal inverse of the untruncated band.
 LAPLACE_TAIL_TOL = 2.0 * np.finfo(float).eps
 
-_factor_cache: "weakref.WeakKeyDictionary[StroboOperator, np.ndarray]" = (
-    weakref.WeakKeyDictionary()
-)
-_weight_resolvent_cache: "weakref.WeakKeyDictionary[StroboOperator, np.ndarray]" = (
-    weakref.WeakKeyDictionary()
-)
+# Per operator: (Cholesky factor, Laplace route), and u = (I - K)^{-1} w.
+_factor_cache = weakref.WeakKeyDictionary()
+_weight_resolvent_cache = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -133,29 +131,44 @@ def _physical_memory() -> float:
         return math.inf
 
 
-def _factorization(op: StroboOperator) -> np.ndarray:
-    """Cholesky factor of the mirror-even block of I - K, cached per operator.
+def _fold(col: np.ndarray, n: int) -> np.ndarray:
+    """Upper banded storage of the mirror-even block of a symmetric Toeplitz matrix.
 
-    For a mirror-even x, (A x)_i with i < m = ceil(N/2) is sum_j G_ij x_j
-    over j < m, with G_ij = A_ij + A_{i,N-1-j}: for the symmetric Toeplitz
-    A = I - K, the Toeplitz band plus a Hankel fold near the middle, `band`
-    being zero beyond the bandwidth.  For odd N the middle node is its own
-    mirror, so G counts its column twice; with E = I except for a 2 at that
-    node, A x = h on the even subspace becomes G z = h[:m] with x[:m] = E z.
-    G is symmetric, and E^{-1/2} G E^{-1/2} is A in an orthonormal basis of
-    even vectors, so it is positive definite whenever A is.  The factor is
-    in upper banded storage with bandwidth min(bw, m - 1): half the unknowns
-    of the full matrix at the same band.
-    On the Laplace route (`_laplace_route`) A is the tridiagonal B instead,
-    and the factor has bandwidth 1.
+    The matrix A has order n and first column `col`, zero beyond it.  For a
+    mirror-even x, (A x)_i with i < m = ceil(n/2) is sum_j G_ij x_j over
+    j < m, with G_ij = A_ij + A_{i,n-1-j}: the Toeplitz band plus a Hankel
+    mirror term, which lies inside the band only in the last columns,
+    j >= (n - bw) // 2.  For odd n the middle node is its own mirror, so G
+    counts its column twice.  Row b - d holds entry (j - d, j) in column j,
+    with bandwidth b = min(bw, m - 1).
+    """
+    bw, m = col.size - 1, (n + 1) // 2
+    b = min(bw, m - 1)
+    ab = np.repeat(col[b::-1, None], m, axis=1)
+    c0 = max(0, (n - bw) // 2)
+    mirror = n - 1 + np.arange(b, -1, -1)[:, None] - 2 * np.arange(c0, m)
+    ab[:, c0:] += np.where(mirror <= bw, col[np.minimum(mirror, bw)], 0.0)
+    return ab
+
+
+def _factorization(op: StroboOperator) -> tuple:
+    """(factor, Laplace route) of the mirror-even block of I - K, cached per operator.
+
+    The route (`_laplace_route`) is decided here, once per operator.  On
+    the banded route the factor is that of G = `_fold` of I - K: with
+    E = I except for a 2 at the middle node of odd N, A x = h on the even
+    subspace becomes G z = h[:m] with x[:m] = E z.  G is symmetric, and
+    E^{-1/2} G E^{-1/2} is A in an orthonormal basis of even vectors, so it
+    is positive definite whenever A is; it has half the unknowns of the
+    full matrix at the same band.  On the Laplace route the same fold of
+    the tridiagonal B gives a factor of bandwidth 1.
     """
     cached = _factor_cache.get(op)
     if cached is not None:
         return cached
-    bw, n = op.bandwidth, op.n
-    m = (n + 1) // 2
+    n, m = op.n, (op.n + 1) // 2
     route = _laplace_route(op)
-    b = 1 if route is not None else min(bw, m - 1)
+    b = 1 if route is not None else min(op.bandwidth, m - 1)
     # the banded storage and the factor LAPACK returns beside it
     need = 2 * 8.0 * (b + 1) * m
     if need > _physical_memory():
@@ -164,28 +177,14 @@ def _factorization(op: StroboOperator) -> np.ndarray:
             f"more than the physical memory"
         )
     if route is not None:
-        # G_ij = B_ij + B_{i,N-1-j}: the Toeplitz rows of B, alpha r^2 less
-        # at its corner, and the fold at the middle (doubled for odd N)
+        # B is Toeplitz but for its corners, alpha r^2 less; N >= 5 (at
+        # least 4 grid steps of kernel core) keeps the corner out of the fold
         alpha, r, sq = route
-        ab = np.empty((2, m))
-        ab[0] = -alpha * r
-        ab[1] = alpha * (1.0 + r * r) - sq
+        ab = _fold(np.array([alpha * (1.0 + r * r) - sq, -alpha * r]), n)
         ab[1, 0] = alpha - sq
-        if n % 2:
-            ab[:, -1] *= 2.0
-        else:
-            ab[1, -1] -= alpha * r
     else:
-        # Row b - d of the upper banded storage holds entry (j - d, j) in
-        # column j: the Toeplitz -band[d], less the mirror term
-        # band[N-1-(j-d)-j], which lies inside the band only in the last
-        # columns, j >= (N - bw) // 2.
-        ab = np.empty((b + 1, m))
-        ab[:] = -op.band[b::-1, None]
-        c0 = max(0, (n - bw) // 2)
-        mirror = n - 1 + np.arange(b, -1, -1)[:, None] - 2 * np.arange(c0, m)
-        ab[:, c0:] -= np.where(mirror <= bw, op.band[np.minimum(mirror, bw)], 0.0)
-        ab[b, :] += 1.0
+        ab = _fold(-op.band, n)
+        ab[b] += 1.0
         if n % 2:
             ab[b, -1] += 1.0
     try:
@@ -195,18 +194,18 @@ def _factorization(op: StroboOperator) -> np.ndarray:
             "(I - K) is not positive definite; the operator exceeds unit "
             "spectral radius, which signals a construction bug"
         ) from exc
-    _factor_cache[op] = factor
-    return factor
+    _factor_cache[op] = factor, route
+    return factor, route
 
 
-def _even_solve(op: StroboOperator, factor: np.ndarray, vec: np.ndarray) -> np.ndarray:
+def _even_solve(op: StroboOperator, vec: np.ndarray) -> np.ndarray:
     """Mirror-even x with (I - K) x = (vec + J vec)/2, on the half-size factor."""
+    factor, route = _factorization(op)
     m = factor.shape[1]
     even = 0.5 * (vec[:m] + vec[::-1][:m])
     z = cho_solve_banded((factor, False), even)
     if op.n % 2:
         z[-1] *= 2.0
-    route = _laplace_route(op)
     if route is not None:
         # (b + s q B^{-1} b)/alpha; never B^{-1} T b, which loses two digits
         alpha, _, sq = route
@@ -227,9 +226,9 @@ def _resolvent_solve(op: StroboOperator, rhs: np.ndarray) -> np.ndarray:
     x is even, so an rhs whose odd part exceeds the bound is rejected with
     ValueError: no solve removes that part of the residual.
     """
-    factor = _factorization(op)
+    laplace = _factorization(op)[1] is not None
     norm = 1.0 - op.band[0] + 2.0 * op.band[1:].sum()
-    x = _even_solve(op, factor, rhs)
+    x = _even_solve(op, rhs)
     bound = RESIDUAL_TOL * (norm * np.max(np.abs(x)) + np.max(np.abs(rhs)))
     odd = np.max(np.abs(rhs - rhs[::-1])) / 2.0
     if odd > bound:
@@ -238,8 +237,8 @@ def _resolvent_solve(op: StroboOperator, rhs: np.ndarray) -> np.ndarray:
             f"{odd:.3e} exceeds the backward-error bound {bound:.3e}"
         )
     residual = rhs - (x - op.matvec(x))
-    if _laplace_route(op) is not None or np.max(np.abs(residual)) > bound:
-        x = x + _even_solve(op, factor, residual)
+    if laplace or np.max(np.abs(residual)) > bound:
+        x = x + _even_solve(op, residual)
         residual = rhs - (x - op.matvec(x))
         bound = RESIDUAL_TOL * (norm * np.max(np.abs(x)) + np.max(np.abs(rhs)))
     if np.max(np.abs(residual)) > bound:
@@ -284,7 +283,6 @@ def spectral_pair(op: StroboOperator, y0: float = 0.5):
     `a0_est` is normalized so that S_n ~ a0_est * lambda0^n for large n with
     the start point `y0`.
     """
-    factor = _factorization(op)
     vec = np.sin(np.pi * op.grid)
     vec /= np.linalg.norm(vec)
     for _ in range(EIGEN_MAX_ITER):
@@ -292,7 +290,7 @@ def spectral_pair(op: StroboOperator, y0: float = 0.5):
         lam = float(vec @ image)
         if np.linalg.norm(image - lam * vec) <= EIGEN_TOL * lam:
             break
-        vec = _even_solve(op, factor, image)
+        vec = _even_solve(op, image)
         vec /= np.linalg.norm(vec)
     else:
         raise ConvergenceError(

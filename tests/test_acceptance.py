@@ -240,7 +240,7 @@ def test_criterion_09_dirichlet_limit():
     _report("09", True, "ratios " + "; ".join(details) + " in [0.98, 1.05]")
 
 
-def test_criterion_10_property_suites():
+def test_criterion_10_property_suites(monkeypatch):
     # sub-stochasticity, fixed and interval-averaged kernels
     for op in (build_operator(ProblemSpec(rho=20.0)),
                build_averaged_operator(ProblemSpec(rho=10.0),
@@ -277,8 +277,10 @@ def test_criterion_10_property_suites():
     assert fg.rms_residual < 1e-12
 
     # Monte Carlo bit-reproducibility across worker counts
-    one = simulate_tau(5.0, 0.5, 2000, seed=99, n_workers=1)
-    three = simulate_tau(5.0, 0.5, 2000, seed=99, n_workers=3)
+    monkeypatch.setenv("STROBOFP_THREADS", "1")
+    one = simulate_tau(5.0, 0.5, 2000, seed=99)
+    monkeypatch.setenv("STROBOFP_THREADS", "3")
+    three = simulate_tau(5.0, 0.5, 2000, seed=99)
     assert np.array_equal(one.histogram, three.histogram)
     assert one.mean_tau == three.mean_tau
 

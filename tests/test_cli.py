@@ -337,6 +337,19 @@ class TestExitCodes:
         assert main(["meantau", "--rho", "20"]) == 3
         assert "physical memory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dist", ["twopoint:inf,1,0.5", "twopoint:1,inf,0"])
+    def test_non_finite_two_point_support_is_usage_error(self, dist, capsys):
+        assert main(["meantau", "--rho", "5", "--dist", dist]) == 2
+        assert "two-point support must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--rho-range", "20:30:10"],
+        ["fit", "--which", "bulk", "--rho-range", "20:50:10"],
+    ])
+    def test_too_few_fit_points_is_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert "usage error" in capsys.readouterr().err
+
     def test_unresolved_kernel_is_numerical_error(self):
         assert main(["meantau", "--rho", "100", "--n-grid", "40"]) == 3
 

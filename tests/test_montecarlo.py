@@ -20,14 +20,14 @@ from strobofp import (
 
 
 class TestReproducibility:
-    def test_bit_identical_across_worker_counts(self):
+    def test_bit_identical_across_worker_counts(self, monkeypatch):
         # the second case spans three chunks, so chunk scheduling matters
         cases = [(5.0, 0.5, 3000, 99), (2.0, 0.5, 2 * mc_mod.CHUNK + 1000, 99)]
         for rho, y0, n_trials, seed in cases:
-            results = [
-                simulate_tau(rho, y0, n_trials, seed=seed, n_workers=w)
-                for w in (1, 2, 3)
-            ]
+            results = []
+            for w in ("1", "2", "3"):
+                monkeypatch.setenv("STROBOFP_THREADS", w)
+                results.append(simulate_tau(rho, y0, n_trials, seed=seed))
             base = results[0]
             for other in results[1:]:
                 assert np.array_equal(base.histogram, other.histogram)
@@ -46,11 +46,20 @@ class TestReproducibility:
         assert not np.array_equal(a.histogram, b.histogram)
 
     def test_env_variable_controls_workers(self, monkeypatch):
-        monkeypatch.setenv("STROBOFP_THREADS", "2")
-        a = simulate_tau(3.0, 0.5, 1500, seed=11)
-        monkeypatch.delenv("STROBOFP_THREADS")
-        b = simulate_tau(3.0, 0.5, 1500, seed=11, n_workers=1)
-        assert np.array_equal(a.histogram, b.histogram)
+        seen = []
+        pool = mc_mod.ThreadPoolExecutor
+
+        def recording(max_workers):
+            seen.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(mc_mod, "ThreadPoolExecutor", recording)
+        results = []
+        for w in ("2", "1"):
+            monkeypatch.setenv("STROBOFP_THREADS", w)
+            results.append(simulate_tau(3.0, 0.5, mc_mod.CHUNK + 1000, seed=11))
+        assert seen == [2, 1]
+        assert np.array_equal(results[0].histogram, results[1].histogram)
 
 
 class TestStatistics:

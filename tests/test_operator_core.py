@@ -194,7 +194,9 @@ class TestFrameDistribution:
             assert FrameDistribution.parse(mu.describe()) == mu
 
     @pytest.mark.parametrize("text", ["nope", "twopoint:1,2", "jitter:",
-                                      "exponential:3", "deterministic:junk"])
+                                      "exponential:3", "deterministic:junk",
+                                      "twopoint:inf,1,0.5", "twopoint:1,inf,0",
+                                      "twopoint:nan,1,0.5"])
     def test_parse_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             FrameDistribution.parse(text)

@@ -274,7 +274,7 @@ class TestMirrorFold:
     def test_factor_is_half_size(self, rho, n_grid):
         op = op_for(rho, n_grid=n_grid)
         m = (op.n + 1) // 2
-        assert _factorization(op).shape == (min(op.bandwidth, m - 1) + 1, m)
+        assert _factorization(op)[0].shape == (min(op.bandwidth, m - 1) + 1, m)
 
     @pytest.mark.parametrize("rho", [0.05, 3.0, 40.0, 1000.0])
     def test_exponential_route_selection(self, rho):
@@ -282,12 +282,29 @@ class TestMirrorFold:
         # eta = 6 cuts at ~1e-8, so beyond a full band (rho >= 12.8) the
         # exponential law keeps the half-size band
         m = (law_op(rho, "exponential").n + 1) // 2
-        assert _factorization(law_op(rho, "exponential")).shape == (2, m)
+        assert _factorization(law_op(rho, "exponential"))[0].shape == (2, m)
         op = law_op(rho, "exponential", eta=6.0)
         if op.bandwidth == op.n - 1:
-            assert _factorization(op).shape == (2, m)
+            assert _factorization(op)[0].shape == (2, m)
         else:
-            assert _factorization(op).shape == (min(op.bandwidth, m - 1) + 1, m)
+            assert _factorization(op)[0].shape == (min(op.bandwidth, m - 1) + 1, m)
+
+    def test_route_decided_once_per_operator(self, monkeypatch):
+        # a solve, a second start point and every eigen step read the route
+        # that the factorization cached; fresh operators, so nothing is cached
+        decisions = []
+        route = resolvent._laplace_route
+
+        def counted(op):
+            decisions.append(op.law.kind)
+            return route(op)
+
+        monkeypatch.setattr(resolvent, "_laplace_route", counted)
+        for dist in ("exponential", "deterministic"):
+            op = law_op(100.0, dist)
+            exit_stats(op, 0.5)
+            mean_frames(op, 0.0)
+        assert decisions == ["exponential", "deterministic"]
 
     def test_solve_rejects_non_palindromic_rhs(self):
         op = op_for(20.0)
