@@ -22,7 +22,7 @@ import numpy as np
 from . import asymptotics
 from ._threads import parallel_map
 from .errors import ConvergenceError, FitError, ResolutionError, SolverError
-from .fitting import REFERENCE_FITS, fit_boundary, fit_bulk, fit_gap
+from .fitting import REFERENCE_FITS, check_window, fit_boundary, fit_bulk, fit_gap
 from .montecarlo import self_averaging_check, write_histogram_csv
 from .operator_core import (
     DEFAULT_CUTOFF_ETA,
@@ -44,8 +44,9 @@ _NUMERICAL_ERRORS = (
 )
 
 
-class UsageError(Exception):
-    """Invalid flag combination or value detected after argument parsing."""
+class UsageError(argparse.ArgumentTypeError):
+    """Invalid flag value or combination; argparse reports one raised by a
+    `type` converter, `main` any other."""
 
 
 @dataclass
@@ -92,18 +93,9 @@ def _range_values(rng: tuple) -> np.ndarray:
 
 
 def _resolve_rhos(cfg: RunConfig) -> np.ndarray:
-    if (cfg.rho is None) == (cfg.rho_range is None):
-        raise UsageError("exactly one of --rho / --rho-range is required")
     if cfg.rho is not None:
         return np.array([cfg.rho])
     return _range_values(cfg.rho_range)
-
-
-def _distribution(cfg: RunConfig) -> FrameDistribution:
-    try:
-        return FrameDistribution.parse(cfg.dist)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _spec(cfg: RunConfig, rho: float) -> ProblemSpec:
@@ -186,7 +178,7 @@ def read_csv(text: str):
 
 
 def cmd_meantau(cfg: RunConfig) -> int:
-    mu = _distribution(cfg)
+    mu = FrameDistribution.parse(cfg.dist)
     rhos = _resolve_rhos(cfg)
 
     def stats_row(op):
@@ -208,14 +200,10 @@ def cmd_meantau(cfg: RunConfig) -> int:
 
 
 def cmd_survival(cfg: RunConfig) -> int:
-    mu = _distribution(cfg)
-    rhos = _resolve_rhos(cfg)
-    if rhos.size != 1:
-        raise UsageError("survival takes a single --rho")
-    rho = float(rhos[0])
+    mu = FrameDistribution.parse(cfg.dist)
     if cfg.modesum and cfg.y0 not in (0.0, 0.5, 1.0):
         raise UsageError("--modesum needs y0 in {0, 0.5, 1}")
-    series = survival_sequence(_operator(cfg, rho, mu), cfg.y0, cfg.n_max)
+    series = survival_sequence(_operator(cfg, cfg.rho, mu), cfg.y0, cfg.n_max)
     columns = ["n", "S_n"]
     rows = [[n, s] for n, s in enumerate(series.values)]
     if cfg.modesum:
@@ -224,17 +212,17 @@ def cmd_survival(cfg: RunConfig) -> int:
         for row in rows:
             row.append(
                 1.0 if row[0] == 0
-                else asymptotics.mode_sum_survival(rho, int(row[0]), start)
+                else asymptotics.mode_sum_survival(cfg.rho, int(row[0]), start)
             )
     _write_text(
         cfg.out,
-        _csv_text("survival", columns, rows, f"rho={_format(rho)} y0={_format(cfg.y0)}"),
+        _csv_text("survival", columns, rows, f"rho={_format(cfg.rho)} y0={_format(cfg.y0)}"),
     )
     return 0
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    mu = _distribution(cfg)
+    mu = FrameDistribution.parse(cfg.dist)
     rhos = _resolve_rhos(cfg)
 
     def spectrum_row(op):
@@ -251,22 +239,17 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def cmd_fit(cfg: RunConfig) -> int:
-    mu = _distribution(cfg)
+    mu = FrameDistribution.parse(cfg.dist)
     which = cfg.which
-    if cfg.rho is not None:
-        raise UsageError("fit expects --rho-range, not a single --rho")
     rng = cfg.rho_range or ((20.0, 120.0, 10.0) if which == "gap" else (20.0, 200.0, 10.0))
     rhos = _range_values(rng)
-    if which == "boundary":
-        result = fit_boundary(_sweep(cfg, rhos, mu, lambda op: (mean_frames(op, 0.0).M,)))
-    elif which == "bulk":
-        result = fit_bulk(_sweep(cfg, rhos, mu, lambda op: (mean_frames(op, 0.5).M,)))
-    elif which == "gap":
-        result = fit_gap(
-            _sweep(cfg, rhos, mu, lambda op: (1.0 - spectral_pair(op)[0],))
-        )
-    else:
-        raise UsageError(f"unknown fit kind {which!r}")
+    check_window(which, rhos)
+    fit, per_op = {
+        "boundary": (fit_boundary, lambda op: (mean_frames(op, 0.0).M,)),
+        "bulk": (fit_bulk, lambda op: (mean_frames(op, 0.5).M,)),
+        "gap": (fit_gap, lambda op: (1.0 - spectral_pair(op)[0],)),
+    }[which]
+    result = fit(_sweep(cfg, rhos, mu, per_op))
 
     _write_text(cfg.out, result.to_json(indent=2, sort_keys=True) + "\n")
     targets = REFERENCE_FITS[which]
@@ -286,15 +269,11 @@ def cmd_fit(cfg: RunConfig) -> int:
 
 
 def cmd_mc(cfg: RunConfig) -> int:
-    mu = _distribution(cfg)
-    rhos = _resolve_rhos(cfg)
-    if rhos.size != 1:
-        raise UsageError("mc takes a single --rho")
-    rho = float(rhos[0])
-    report = self_averaging_check(_spec(cfg, rho), mu, cfg.trials, cfg.seed)
+    mu = FrameDistribution.parse(cfg.dist)
+    report = self_averaging_check(_spec(cfg, cfg.rho), mu, cfg.trials, cfg.seed)
     payload = {
         "mode": "deterministic" if mu.kind == "deterministic" else "self-averaging",
-        "rho": rho,
+        "rho": cfg.rho,
         "y0": cfg.y0,
         "mc": report.mc.summary_dict(),
         "resolvent_mean_tau": report.resolvent_mean_tau,
@@ -374,12 +353,14 @@ def _figure_sweep(out_dir: Path, name: str, data) -> None:
 
 
 def cmd_figures(cfg: RunConfig) -> int:
+    rhos = _range_values(cfg.rho_range or (20.0, 200.0, 10.0))
+    check_window("boundary", rhos)
+    check_window("bulk", rhos)
     out_dir = Path(cfg.out if cfg.out != "-" else ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    _figure2(out_dir)
-    rhos = _range_values(cfg.rho_range or (20.0, 200.0, 10.0))
     rows = _sweep(cfg, rhos, FrameDistribution.deterministic(),
                   lambda op: (mean_frames(op, 0.0).M, mean_frames(op, 0.5).M))
+    _figure2(out_dir)
     _figure_sweep(out_dir, "fig3", [(rho, m_edge) for rho, m_edge, _ in rows])
     _figure_sweep(out_dir, "fig4", [(rho, m_bulk) for rho, _, m_bulk in rows])
     print(f"wrote fig2/fig3/fig4 csv+gp under {out_dir}")
@@ -396,6 +377,21 @@ _HANDLERS = {
 }
 
 
+# Options several subcommands register, each read by every handler that takes it.
+_SHARED_FLAGS = {
+    "--rho": dict(type=float, help="single confinement ratio"),
+    "--rho-range": dict(type=parse_rho_range, metavar="LO:HI:STEP",
+                        help="sweep lo:hi:step (inclusive of lo and hi)"),
+    "--y0": dict(type=float, help="start point in [0,1]"),
+    "--dist": dict(help="frame-interval law: deterministic | twopoint:u1,u2,p "
+                        "| jitter:eps | exponential"),
+    "--n-grid": dict(type=int, help="override the N=ceil(18 rho) resolution rule"),
+    "--eta": dict(type=float,
+                  help="band cutoff: drop the kernel below e^{-eta^2/2} of its peak"),
+    "--out": dict(help="output path ('-' = stdout)"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="strobofp",
@@ -404,57 +400,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, rho=True):
-        if rho:
-            p.add_argument("--rho", type=float, help="single confinement ratio")
-            p.add_argument("--rho-range", type=str, metavar="LO:HI:STEP",
-                           help="sweep lo:hi:step (inclusive of lo and hi)")
-        p.add_argument("--y0", type=float, help="start point in [0,1]")
-        p.add_argument("--n-grid", type=int, help="override the N=ceil(18 rho) resolution rule")
-        p.add_argument("--eta", type=float,
-                       help="band cutoff: drop the kernel below e^{-eta^2/2} of its peak")
-        p.add_argument("--dist", type=str,
-                       help="frame-interval law: deterministic | twopoint:u1,u2,p "
-                            "| jitter:eps | exponential")
-        p.add_argument("--out", type=str, help="output path ('-' = stdout)")
+    def subcommand(name, help, rho_flags, *flags):
+        """Subparser taking `rho_flags` (exactly one if --rho is among them),
+        `flags`, --n-grid, --eta and --out.  An option left unset stays out of
+        the namespace, so its RunConfig default applies."""
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        if rho_flags == ("--rho",):
+            p.add_argument("--rho", required=True, **_SHARED_FLAGS["--rho"])
+        else:
+            group = p.add_mutually_exclusive_group(required="--rho" in rho_flags)
+            for flag in rho_flags:
+                group.add_argument(flag, **_SHARED_FLAGS[flag])
+        for flag in (*flags, "--n-grid", "--eta", "--out"):
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
+        return p
 
-    p = sub.add_parser("meantau", help="mean frame counts and spectral gap over a sweep")
-    common(p)
+    p = subcommand("meantau", "mean frame counts and spectral gap over a sweep",
+                   ("--rho", "--rho-range"), "--y0", "--dist")
     p.add_argument("--format", dest="fmt", choices=("csv", "json"))
 
-    p = sub.add_parser("survival", help="survival sequence S_0..S_n")
-    common(p)
+    p = subcommand("survival", "survival sequence S_0..S_n", ("--rho",), "--y0", "--dist")
     p.add_argument("--n-max", type=int)
     p.add_argument("--modesum", action="store_true",
                    help="add the sine-mode reference column (y0 in {0, 0.5, 1})")
 
-    p = sub.add_parser("spectrum", help="leading eigenvalue and overlap over a sweep")
-    common(p)
+    subcommand("spectrum", "leading eigenvalue and overlap over a sweep",
+               ("--rho", "--rho-range"), "--y0", "--dist")
 
-    p = sub.add_parser("fit", help="regress a sweep and compare to reference constants")
-    common(p)
+    p = subcommand("fit", "regress a sweep and compare to reference constants",
+                   ("--rho-range",), "--dist")
     p.add_argument("--which", choices=("boundary", "bulk", "gap"))
 
-    p = sub.add_parser("mc", help="Monte Carlo validation against the resolvent")
-    common(p)
+    p = subcommand("mc", "Monte Carlo validation against the resolvent",
+                   ("--rho",), "--y0", "--dist")
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--hist-out", type=str, help="write the tau histogram as CSV")
+    p.add_argument("--hist-out", help="write the tau histogram as CSV")
 
-    p = sub.add_parser("figures", help="emit fig2/fig3/fig4 data and gnuplot scripts")
-    common(p)
+    subcommand("figures", "emit fig2/fig3/fig4 data and gnuplot scripts", ("--rho-range",))
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("rho", "y0", "n_grid", "eta", "dist", "out", "fmt", "modesum",
-                 "n_max", "which", "trials", "seed", "hist_out"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "rho_range", None):
-        cfg.rho_range = parse_rho_range(args.rho_range)
-    return cfg
 
 
 def main(argv=None) -> int:
@@ -464,7 +448,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        cfg = config_from_args(args)
+        cfg = RunConfig(**vars(args))
         _check_output_paths(cfg)
         return _HANDLERS[cfg.command](cfg)
     except UsageError as exc:

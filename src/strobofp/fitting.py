@@ -24,6 +24,9 @@ REFERENCE_FITS = {
     "gap": {"intercept": math.pi**2 / 2.0, "beta": 2.332056},
 }
 
+# Fewest points and smallest rho each regression accepts.
+_WINDOWS = {"boundary": (5, 10.0), "bulk": (6, 10.0), "gap": (4, 20.0)}
+
 _CORRELATION_WARN = 0.9999
 
 
@@ -61,13 +64,15 @@ def _as_pairs(data) -> np.ndarray:
     return arr
 
 
-def _check_window(arr: np.ndarray, n_min: int, rho_min: float, what: str) -> None:
-    if arr.shape[0] < n_min:
+def check_window(model: str, rhos) -> None:
+    """Refuse sweep points `rhos` too few or too low for `model`'s regression."""
+    n_min, rho_min = _WINDOWS[model]
+    if len(rhos) < n_min:
         raise InsufficientDataError(
-            f"{what} fit needs at least {n_min} points, got {arr.shape[0]}"
+            f"{model} fit needs at least {n_min} points, got {len(rhos)}"
         )
-    if np.any(arr[:, 0] < rho_min):
-        raise ValueError(f"{what} fit requires all rho >= {rho_min}")
+    if np.any(np.asarray(rhos) < rho_min):
+        raise ValueError(f"{model} fit requires all rho >= {rho_min}")
 
 
 def _ols(design: np.ndarray, y: np.ndarray, names, model: str, window, derived=None):
@@ -112,7 +117,7 @@ def _ols(design: np.ndarray, y: np.ndarray, names, model: str, window, derived=N
 def fit_boundary(data) -> FitResult:
     """OLS of boundary-start M on {rho, 1, 1/rho}; coefficients A, B, C."""
     arr = _as_pairs(data)
-    _check_window(arr, 5, 10.0, "boundary")
+    check_window("boundary", arr[:, 0])
     rho = arr[:, 0]
     design = np.column_stack([rho, np.ones_like(rho), 1.0 / rho])
     return _ols(
@@ -124,7 +129,7 @@ def fit_boundary(data) -> FitResult:
 def fit_bulk(data) -> FitResult:
     """OLS of bulk-start M on {rho^2, rho, 1}; reports derived beta = 4b, C = c + 1."""
     arr = _as_pairs(data)
-    _check_window(arr, 6, 10.0, "bulk")
+    check_window("bulk", arr[:, 0])
     rho = arr[:, 0]
     design = np.column_stack([rho**2, rho, np.ones_like(rho)])
     return _ols(
@@ -137,7 +142,7 @@ def fit_bulk(data) -> FitResult:
 def fit_gap(data) -> FitResult:
     """OLS of gap * rho^2 on {1, 1/rho}; intercept targets pi^2/2, slope is beta."""
     arr = _as_pairs(data)
-    _check_window(arr, 4, 20.0, "gap")
+    check_window("gap", arr[:, 0])
     rho = arr[:, 0]
     design = np.column_stack([np.ones_like(rho), 1.0 / rho])
     return _ols(

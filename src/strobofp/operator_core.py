@@ -41,6 +41,9 @@ DEFAULT_CUTOFF_ETA = 8.5
 GRID_FACTOR = 18.0
 MIN_GRID = 64
 
+# Gauss-Legendre nodes over the width scale of uniform jitter.
+JITTER_ORDER = 64
+
 
 def default_grid_size(rho: float) -> int:
     """Grid points prescribed by the resolution rule N = max(64, ceil(18*rho))."""
@@ -205,11 +208,11 @@ class FrameDistribution:
 
     # -- structure ---------------------------------------------------------
 
-    def width_nodes(self, order: int = 64):
+    def width_nodes(self):
         """Mixture nodes for the per-step width scale s = sqrt(v).
 
         Returns (scales, weights) with weights normalized to total mass 1.
-        Discrete kinds are exact; uniform jitter uses fixed-order
+        Discrete kinds are exact; uniform jitter uses JITTER_ORDER-node
         Gauss-Legendre in s on its support, which keeps the integrand smooth.
         The exponential kind has no node set: its mixture is the closed-form
         Laplace density (see `averaged_kernel`), so it raises ValueError.
@@ -227,14 +230,10 @@ class FrameDistribution:
                 "exponential intervals mix to the closed-form Laplace kernel "
                 "and have no width nodes"
             )
-        if order < 16:
-            raise ValueError(
-                f"continuous mixtures need quadrature order >= 16, got {order}"
-            )
         eps = self.params[0]
         if eps == 0.0:
             return np.array([1.0]), np.array([1.0])
-        nodes, glw = _gauss_legendre(int(order))
+        nodes, glw = _gauss_legendre()
         lo, hi = math.sqrt(1.0 - eps), math.sqrt(1.0 + eps)
         s = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
         w = 0.5 * (hi - lo) * glw * (2.0 * s) / (2.0 * eps)
@@ -257,10 +256,10 @@ class FrameDistribution:
 # -- kernel evaluation --------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(order: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+@functools.cache
+def _gauss_legendre():
+    """JITTER_ORDER Gauss-Legendre nodes and weights on [-1, 1], computed once."""
+    nodes, weights = np.polynomial.legendre.leggauss(JITTER_ORDER)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -386,6 +385,17 @@ def _build(spec: ProblemSpec, law: FrameDistribution) -> StroboOperator:
             f"at rho={spec.rho}; need at least 4 (resolution rule: "
             f"N >= {default_grid_size(spec.rho)})"
         )
+    if law.kind != "exponential":
+        # the narrowest Gaussian component needs the same 4 steps as the widest
+        s_min = float(np.min(law.width_nodes()[0]))
+        steps = math.floor(spec.cutoff_eta * s_min * n / spec.rho)
+        if steps < 4:
+            need = 4.0 * float(spec.rho) / (spec.cutoff_eta * s_min) if s_min else math.inf
+            raise ResolutionError(
+                f"n_grid={n} resolves the narrowest interval component (width "
+                f"scale {s_min:.3g}) with only {steps} grid steps at rho={spec.rho}; "
+                f"need at least 4 (N >= {np.ceil(need):.4g})"
+            )
     offsets = np.arange(bw + 1) / n
     return StroboOperator(
         rho=spec.rho,

@@ -31,6 +31,8 @@ from strobofp import (
     spectral_pair,
     survival_sequence,
 )
+from strobofp._threads import worker_count
+from strobofp.montecarlo import CHUNK
 
 RHO_SWEEP = tuple(float(r) for r in range(20, 201, 10))
 RHO_GAP = tuple(float(r) for r in range(20, 121, 10))
@@ -276,11 +278,14 @@ def test_criterion_10_property_suites(monkeypatch):
     fg = fit_gap([(r, 4.9348 / r**2 + 2.332 / r**3) for r in rhos])
     assert fg.rms_residual < 1e-12
 
-    # Monte Carlo bit-reproducibility across worker counts
+    # Monte Carlo bit-reproducibility across worker counts: three chunks, so
+    # STROBOFP_THREADS=3 really runs three workers
+    trials = 2 * CHUNK + 1
     monkeypatch.setenv("STROBOFP_THREADS", "1")
-    one = simulate_tau(5.0, 0.5, 2000, seed=99)
+    one = simulate_tau(2.0, 0.5, trials, seed=99)
     monkeypatch.setenv("STROBOFP_THREADS", "3")
-    three = simulate_tau(5.0, 0.5, 2000, seed=99)
+    assert worker_count(-(-trials // CHUNK)) == 3
+    three = simulate_tau(2.0, 0.5, trials, seed=99)
     assert np.array_equal(one.histogram, three.histogram)
     assert one.mean_tau == three.mean_tau
 

@@ -1,5 +1,6 @@
 """CLI surface: schemas, determinism, exit codes, config round trip."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -35,6 +36,33 @@ def test_cli_import_leaves_scipy_special_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "False"
+
+
+# Every flag each subcommand registers; each is read by that subcommand's handler.
+FLAG_SETS = {
+    "meantau": {"--rho", "--rho-range", "--y0", "--dist", "--n-grid", "--eta", "--out",
+                "--format"},
+    "survival": {"--rho", "--y0", "--dist", "--n-grid", "--eta", "--out", "--n-max",
+                 "--modesum"},
+    "spectrum": {"--rho", "--rho-range", "--y0", "--dist", "--n-grid", "--eta", "--out"},
+    "fit": {"--rho-range", "--dist", "--n-grid", "--eta", "--out", "--which"},
+    "mc": {"--rho", "--y0", "--dist", "--n-grid", "--eta", "--out", "--trials", "--seed",
+           "--hist-out"},
+    "figures": {"--rho-range", "--n-grid", "--eta", "--out"},
+}
+
+
+def test_each_subcommand_registers_exactly_its_flag_set():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    registered = {}
+    for name, subparser in sub.choices.items():
+        actions = [a for a in subparser._actions if not isinstance(a, argparse._HelpAction)]
+        assert {a.dest for a in actions} <= fields
+        registered[name] = {opt for a in actions for opt in a.option_strings}
+    assert registered == FLAG_SETS
+    assert sum(map(len, registered.values())) == 42
 
 
 class TestRangeParsing:
@@ -349,6 +377,49 @@ class TestExitCodes:
     def test_too_few_fit_points_is_usage_error(self, argv, capsys):
         assert main(argv) == 2
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["figures", "--rho", "30", "--out", "{out}"],
+        ["figures", "--y0", "0.3", "--out", "{out}"],
+        ["figures", "--dist", "exponential", "--out", "{out}"],
+        ["fit", "--y0", "0.3"],
+        ["fit", "--rho", "30"],
+        ["survival", "--rho-range", "5:5:1"],
+        ["mc", "--rho-range", "5:5:1", "--trials", "10"],
+    ])
+    def test_flag_the_subcommand_does_not_read_is_usage_error(self, argv, tmp_path,
+                                                              monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("no operator may be built for a rejected flag")
+
+        monkeypatch.setattr(cli, "build_averaged_operator", fail)
+        monkeypatch.setattr(montecarlo, "build_averaged_operator", fail)
+        out = tmp_path / "figs"
+        assert main([arg.format(out=out) for arg in argv]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--which", "bulk", "--rho-range", "200:600:100"],
+        ["fit", "--which", "gap", "--rho-range", "10:100:10"],
+        ["figures", "--rho-range", "200:500:100", "--out", "{out}"],
+        ["figures", "--rho-range", "5:100:5", "--out", "{out}"],
+    ])
+    def test_short_or_low_fit_window_refused_before_any_work(self, argv, tmp_path,
+                                                             monkeypatch, capsys):
+        builds = []
+        monkeypatch.setattr(cli, "build_averaged_operator", lambda *a: builds.append(a))
+        out = tmp_path / "figs"
+        assert main([arg.format(out=out) for arg in argv]) == 2
+        assert builds == []
+        assert not out.exists()
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dist", ["twopoint:1e-320,1,0.5", "twopoint:1e-4,1,0.5",
+                                      "twopoint:5e-324,1e308,0.5"])
+    def test_unresolved_narrow_component_is_numerical_error(self, dist, capsys):
+        assert main(["meantau", "--rho", "5", "--dist", dist]) == 3
+        err = capsys.readouterr().err
+        assert "narrowest interval component" in err and "(N >= " in err
 
     def test_unresolved_kernel_is_numerical_error(self):
         assert main(["meantau", "--rho", "100", "--n-grid", "40"]) == 3

@@ -179,7 +179,7 @@ class TestFrameDistribution:
         FrameDistribution.uniform_jitter(0.5),
     ])
     def test_continuous_nodes_have_unit_mean(self, mu):
-        s, w = mu.width_nodes(96)
+        s, w = mu.width_nodes()
         assert w.sum() == pytest.approx(1.0, abs=1e-14)
         assert (s**2) @ w == pytest.approx(1.0, abs=5e-7)
 
@@ -298,6 +298,10 @@ class TestAveragedOperator:
         wide = build_averaged_operator(spec, FrameDistribution.two_point(0.5, 1.5, 0.5))
         assert wide.bandwidth > base.bandwidth
 
-    def test_continuous_order_precondition(self):
-        with pytest.raises(ValueError):
-            FrameDistribution.uniform_jitter(0.5).width_nodes(8)
+    def test_narrow_component_needs_the_grid_it_names(self):
+        # s = sqrt(1e-4 / 0.50005): 4 steps need N >= 4 rho / (eta s) = 166.4
+        mu = FrameDistribution.two_point(1e-4, 1.0, 0.5)
+        with pytest.raises(ResolutionError, match=r"narrowest .*\(N >= 167\)"):
+            build_averaged_operator(ProblemSpec(rho=5.0, n_grid=166), mu)
+        op = build_averaged_operator(ProblemSpec(rho=5.0, n_grid=167), mu)
+        assert np.all(op.row_sums() <= 1.0)
