@@ -57,40 +57,51 @@ def gap_expansion(rho: float) -> float:
     return math.pi**2 / (2.0 * rho**2) + GAP_BETA / rho**3
 
 
-def mode_sum_survival(
-    rho: float, n: int, start: str = "boundary", truncation_tol: float = 1e-12
-) -> float:
-    """Sine-mode survival sums for boundary or bulk starts.
+def mode_sum_survival(rho: float, n, start: str = "boundary", truncation_tol: float = 1e-12):
+    """Sine-mode survival sums for boundary or bulk starts, at one n or an array of n.
 
     boundary: 1/2 + (2/pi) sum_m exp[-pi^2 (2m+1)^2 n / (2 rho^2)]/(2m+1)
     bulk:     (2/pi) sum_m (-1)^m exp[-2 pi^2 (m+1)^2 n / rho^2]/(2m+2)
 
-    Terms are truncated below `truncation_tol`; the bulk series alternates
-    with decreasing terms, so the truncation error is below the first
-    omitted term.  These are reference formulas with a limited validity
-    window: they do not reproduce the true n -> infinity decay and are
-    reported for comparison, never used as an oracle.
+    Both are sum_m s_m exp(-pi^2 k^2 n / (2 rho^2))/k with k = 2m+1 or
+    2m+2.  Each n keeps the modes up to its own cap, about
+    rho sqrt(2 ln(1/tol)/n)/pi for the boundary series and half that for
+    the bulk one, and among them the terms not below `truncation_tol`; the
+    bulk series alternates with decreasing terms, so the truncation error
+    is below the first omitted term.  An array of n is summed mode by mode
+    over the n whose cap reaches that mode, in O(len(n) + modes) memory and
+    sum_n cap(n) term evaluations.  A scalar n gives a float, an array an
+    array of its shape.  These are reference formulas with a limited
+    validity window: they do not reproduce the true n -> infinity decay and
+    are reported for comparison, never used as an oracle.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = np.asarray(n)
+    if np.any(n < 1):
+        raise ValueError(f"n must be >= 1, got {n.min()}")
     if start not in ("boundary", "bulk"):
         raise ValueError(f"start must be 'boundary' or 'bulk', got {start!r}")
-    x = n / rho**2
-    if start == "boundary":
-        # positive terms decaying super-geometrically in m
-        m_cap = int(rho * math.sqrt(2.0 * max(math.log(1.0 / truncation_tol), 1.0) / n) / math.pi) + 2
-        m = np.arange(m_cap + 1)
-        odd = 2 * m + 1
-        terms = np.exp(-0.5 * math.pi**2 * odd**2 * x) / odd
-        terms = terms[terms >= truncation_tol]
-        return 0.5 + (2.0 / math.pi) * float(terms.sum())
-    m_cap = int(rho * math.sqrt(max(math.log(1.0 / truncation_tol), 1.0) / (2.0 * n)) / math.pi) + 2
-    m = np.arange(m_cap + 1)
-    even = m + 1
-    terms = np.exp(-2.0 * math.pi**2 * even**2 * x) / (2.0 * m + 2)
-    keep = terms >= truncation_tol
-    signs = np.where(m % 2 == 0, 1.0, -1.0)
-    return (2.0 / math.pi) * float((signs[keep] * terms[keep]).sum())
+    boundary = start == "boundary"
+    log_tol = max(math.log(1.0 / truncation_tol), 1.0)
+    # sorted by n, the caps descend: the n that mode m reaches are a prefix
+    order = np.argsort(n, axis=None)
+    flat = n.ravel()[order].astype(float)
+    cap_sq = 2.0 * log_tol if boundary else 0.5 * log_tol
+    caps = (rho * np.sqrt(cap_sq / flat) / math.pi).astype(np.int64) + 2
+    x = flat / rho**2
+    sums = np.zeros(flat.size)
+    for m in range(int(caps.max(initial=-1)) + 1):
+        active = int(np.searchsorted(-caps, -m, side="right"))
+        k = 2 * m + 1 if boundary else 2 * m + 2
+        terms = np.exp(-0.5 * math.pi**2 * k**2 * x[:active]) / k
+        terms[terms < truncation_tol] = 0.0
+        if boundary or m % 2 == 0:
+            sums[:active] += terms
+        else:
+            sums[:active] -= terms
+    values = np.empty(flat.size)
+    values[order] = (0.5 if boundary else 0.0) + (2.0 / math.pi) * sums
+    values = values.reshape(n.shape)
+    return float(values) if values.ndim == 0 else values
 
 
 def loglog_window_points(rho_lo: float, rho_hi: float, n_points: int = 20) -> np.ndarray:

@@ -209,11 +209,9 @@ def cmd_survival(cfg: RunConfig) -> int:
     if cfg.modesum:
         start = "bulk" if cfg.y0 == 0.5 else "boundary"
         columns.append("mode_sum")
-        for row in rows:
-            row.append(
-                1.0 if row[0] == 0
-                else asymptotics.mode_sum_survival(cfg.rho, int(row[0]), start)
-            )
+        sums = asymptotics.mode_sum_survival(cfg.rho, np.arange(1, cfg.n_max + 1), start)
+        for row, value in zip(rows, [1.0, *sums.tolist()]):
+            row.append(value)
     _write_text(
         cfg.out,
         _csv_text("survival", columns, rows, f"rho={_format(cfg.rho)} y0={_format(cfg.y0)}"),

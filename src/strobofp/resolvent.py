@@ -10,12 +10,18 @@ Solves meet a normwise backward-error contract (`_resolvent_solve`).
 `spectral_pair` the geometric decay rate by inverse iteration on the same
 Cholesky factor, stopped by ||K v - lambda0 v||_2 <= EIGEN_TOL * lambda0.
 
-Both routes solve on the mirror-even half of the grid.  The interval is
-symmetric, so the Toeplitz matrix K commutes with the reflection
-(J x)_i = x_{N-1-i} and the weights w are mirror-even, so u and the leading
-eigenvector are even.  On even vectors, I - K folds into a banded block of
-ceil(N/2) unknowns (Cantoni & Butler, Linear Algebra Appl. 13, 1976); every
-Cholesky factor, solve and eigen step works there.
+Everything that iterates with K works on the mirror-even half of the grid.
+The interval is symmetric, so the Toeplitz matrix K commutes with the
+reflection (J x)_i = x_{N-1-i} and the weights w are mirror-even, so u and
+the leading eigenvector are even, and S_n = w . K^{n-1} h depends only on
+the even part of h.  An even vector is carried as its first ceil(N/2)
+entries: I - K folds into a banded block of that order (Cantoni & Butler,
+Linear Algebra Appl. 13, 1976), where every Cholesky factor and solve
+works, and K into `StroboOperator.even_matvec`, which makes every product
+of the survival recursion and of inverse iteration.  Sums and norms over
+the full grid weight each mirrored pair 2 and the middle node of odd N 1
+(`_multiplicity`).  Only the residual of `_resolvent_solve`, a full-grid
+backward-error statement, is taken with the full product `op.matvec`.
 
 Exponential frames have the geometric band s r^d, whose untruncated
 Toeplitz matrix has a tridiagonal inverse; when the omitted tail is at most
@@ -87,17 +93,52 @@ def initial_vector(op: StroboOperator, y0: float) -> np.ndarray:
     return averaged_kernel(op.grid - y0, op.rho, op.law, 1.0 / op.n)
 
 
+def _multiplicity(n: int) -> np.ndarray:
+    """How often each entry of the even half x[:ceil(n/2)] occurs in the full x.
+
+    2 for every mirrored pair, 1 for the middle node of odd n: sums, dot
+    products and norms of even vectors over the full grid are sums over the
+    half with these weights.
+    """
+    mult = np.full((n + 1) // 2, 2.0)
+    if n % 2:
+        mult[-1] = 1.0
+    return mult
+
+
+def _even_half(vec: np.ndarray) -> np.ndarray:
+    """First ceil(N/2) entries of the even part (vec + J vec)/2."""
+    m = (vec.size + 1) // 2
+    return 0.5 * (vec[:m] + vec[::-1][:m])
+
+
+def _unfold(half: np.ndarray, n: int) -> np.ndarray:
+    """The full mirror-even vector of length n whose first entries are `half`."""
+    return np.concatenate([half, half[n - half.size - 1 :: -1]])
+
+
 def survival_sequence(op: StroboOperator, y0: float, n_max: int) -> SurvivalSeries:
-    """S_0 = 1 and S_n = w . K^{n-1} h for n = 1..n_max."""
+    """S_0 = 1 and S_n = w . K^{n-1} h for n = 1..n_max.
+
+    The weights are mirror-even and K commutes with the reflection, so S_n
+    depends only on the even part of h, whatever y0: h is folded once into
+    the first half of (h + J h)/2, advanced by `StroboOperator.even_matvec`,
+    and S_n is taken with weight 2 w_i on each mirrored pair and w_i on the
+    middle node of odd N.  Weights that are not mirror-even raise ValueError.
+    """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if not np.array_equal(op.weights, op.weights[::-1]):
+        raise ValueError("survival_sequence needs mirror-even quadrature weights")
+    mult = _multiplicity(op.n)
+    weights = op.weights[: mult.size] * mult
     values = np.empty(n_max + 1)
     values[0] = 1.0
-    vec = initial_vector(op, y0)
+    vec = _even_half(initial_vector(op, y0))
     for n in range(1, n_max + 1):
-        values[n] = op.weights @ vec
+        values[n] = weights @ vec
         if n < n_max:
-            vec = op.matvec(vec)
+            vec = op.even_matvec(vec)
     return SurvivalSeries(rho=op.rho, y0=y0, values=values)
 
 
@@ -198,19 +239,20 @@ def _factorization(op: StroboOperator) -> tuple:
     return factor, route
 
 
-def _even_solve(op: StroboOperator, vec: np.ndarray) -> np.ndarray:
-    """Mirror-even x with (I - K) x = (vec + J vec)/2, on the half-size factor."""
+def _even_solve(op: StroboOperator, half: np.ndarray) -> np.ndarray:
+    """First half of the mirror-even x with (I - K) x = b, from b's first half.
+
+    Both halves have m = ceil(N/2) entries; the half-size factor solves it.
+    """
     factor, route = _factorization(op)
-    m = factor.shape[1]
-    even = 0.5 * (vec[:m] + vec[::-1][:m])
-    z = cho_solve_banded((factor, False), even)
+    z = cho_solve_banded((factor, False), half)
     if op.n % 2:
         z[-1] *= 2.0
     if route is not None:
         # (b + s q B^{-1} b)/alpha; never B^{-1} T b, which loses two digits
         alpha, _, sq = route
-        z = (even + sq * z) / alpha
-    return np.concatenate([z, z[op.n - m - 1 :: -1]])
+        z = (half + sq * z) / alpha
+    return z
 
 
 def _resolvent_solve(op: StroboOperator, rhs: np.ndarray) -> np.ndarray:
@@ -228,7 +270,7 @@ def _resolvent_solve(op: StroboOperator, rhs: np.ndarray) -> np.ndarray:
     """
     laplace = _factorization(op)[1] is not None
     norm = 1.0 - op.band[0] + 2.0 * op.band[1:].sum()
-    x = _even_solve(op, rhs)
+    x = _unfold(_even_solve(op, _even_half(rhs)), op.n)
     bound = RESIDUAL_TOL * (norm * np.max(np.abs(x)) + np.max(np.abs(rhs)))
     odd = np.max(np.abs(rhs - rhs[::-1])) / 2.0
     if odd > bound:
@@ -238,7 +280,7 @@ def _resolvent_solve(op: StroboOperator, rhs: np.ndarray) -> np.ndarray:
         )
     residual = rhs - (x - op.matvec(x))
     if laplace or np.max(np.abs(residual)) > bound:
-        x = x + _even_solve(op, residual)
+        x = x + _unfold(_even_solve(op, _even_half(residual)), op.n)
         residual = rhs - (x - op.matvec(x))
         bound = RESIDUAL_TOL * (norm * np.max(np.abs(x)) + np.max(np.abs(rhs)))
     if np.max(np.abs(residual)) > bound:
@@ -275,23 +317,31 @@ def spectral_pair(op: StroboOperator, y0: float = 0.5):
 
     Inverse iteration with (I - K)^{-1} K on the cached Cholesky factor of
     the mirror-even block, started from the half-sine profile (the
-    wide-kernel limit mode); the leading mode is even, and so is every
-    iterate after the first solve.  Its eigenvalues lambda/(1 - lambda)
-    separate the leading mode at every rho, so a few steps suffice.  Stops
-    once ||K v - lambda v||_2 <= EIGEN_TOL * lambda for the unit vector v
-    and its Rayleigh quotient lambda.
+    wide-kernel limit mode).  The leading mode is even, so every iterate,
+    its image K v (`StroboOperator.even_matvec`), the Rayleigh quotient and
+    the norms live on the half of ceil(N/2) entries, with the multiplicities
+    of `_multiplicity`; the vector is unfolded once at the end.  The
+    eigenvalues lambda/(1 - lambda) of the iteration separate the leading
+    mode at every rho, so a few steps suffice.  Stops once
+    ||K v - lambda v||_2 <= EIGEN_TOL * lambda for the unit vector v and its
+    Rayleigh quotient lambda.
     `a0_est` is normalized so that S_n ~ a0_est * lambda0^n for large n with
     the start point `y0`.
     """
-    vec = np.sin(np.pi * op.grid)
-    vec /= np.linalg.norm(vec)
+    mult = _multiplicity(op.n)
+
+    def norm(z):
+        return math.sqrt(mult @ (z * z))
+
+    vec = np.sin(np.pi * op.grid[: mult.size])
+    vec /= norm(vec)
     for _ in range(EIGEN_MAX_ITER):
-        image = op.matvec(vec)
-        lam = float(vec @ image)
-        if np.linalg.norm(image - lam * vec) <= EIGEN_TOL * lam:
+        image = op.even_matvec(vec)
+        lam = float(mult @ (vec * image))
+        if norm(image - lam * vec) <= EIGEN_TOL * lam:
             break
         vec = _even_solve(op, image)
-        vec /= np.linalg.norm(vec)
+        vec /= norm(vec)
     else:
         raise ConvergenceError(
             f"inverse iteration missed the eigen residual {EIGEN_TOL:.0e} "
@@ -299,6 +349,7 @@ def spectral_pair(op: StroboOperator, y0: float = 0.5):
         )
     if not 0.0 < lam < 1.0:
         raise SolverError(f"leading eigenvalue {lam} outside (0, 1)")
+    vec = _unfold(vec, op.n)
     if vec.sum() < 0.0:
         vec = -vec
     h = initial_vector(op, y0)

@@ -1,6 +1,7 @@
 """Closed-form reference laws and the effective-exponent fitter."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,20 @@ class TestGapExpansion:
         assert ratio == pytest.approx(1.0, abs=1e-4)
 
 
+def _mode_sum_per_n(rho, n, start, tol=1e-12):
+    """One n at a time: every mode up to n's cap, terms below tol dropped."""
+    log_tol = max(math.log(1.0 / tol), 1.0)
+    if start == "boundary":
+        m = np.arange(int(rho * math.sqrt(2.0 * log_tol / n) / math.pi) + 3)
+        k = 2 * m + 1
+        terms = np.exp(-0.5 * math.pi**2 * k**2 * n / rho**2) / k
+        return 0.5 + (2.0 / math.pi) * terms[terms >= tol].sum()
+    m = np.arange(int(rho * math.sqrt(log_tol / (2.0 * n)) / math.pi) + 3)
+    terms = np.exp(-2.0 * math.pi**2 * (m + 1) ** 2 * n / rho**2) / (2.0 * m + 2)
+    keep = terms >= tol
+    return (2.0 / math.pi) * (np.where(m % 2 == 0, 1.0, -1.0)[keep] * terms[keep]).sum()
+
+
 class TestModeSums:
     def test_boundary_long_time_limit_is_half(self):
         # the odd-mode sum tends to 1/2, not 0: a documented validity limit
@@ -113,9 +128,37 @@ class TestModeSums:
         first = (2.0 / math.pi) * math.exp(-2.0 * math.pi**2 * n / rho**2) / 2.0
         assert 0.0 < value <= first
 
+    @pytest.mark.parametrize("start", ["boundary", "bulk"])
+    @pytest.mark.parametrize("rho", [10.0, 30.0, 100.0])
+    def test_array_matches_per_n_loop(self, rho, start):
+        # the per-n reference sums each n's kept terms on its own; the array
+        # path sums mode by mode, so only the order of the additions differs
+        n = np.arange(1, 2001)
+        values = mode_sum_survival(rho, n, start)
+        assert values.shape == n.shape
+        reference = np.array([_mode_sum_per_n(rho, int(k), start) for k in n])
+        assert np.max(np.abs(values - reference)) <= 1e-14
+        shuffled = np.random.default_rng(5).permutation(n).reshape(40, 50)
+        assert np.array_equal(mode_sum_survival(rho, shuffled, start), values[shuffled - 1])
+        scalar = mode_sum_survival(rho, 7, start)
+        assert type(scalar) is float and scalar == values[6]
+
+    def test_array_memory_is_linear_in_n(self):
+        # an n_max x modes matrix would take ~110 MB here (711 boundary modes)
+        n = np.arange(1, 20001)
+        tracemalloc.start()
+        try:
+            mode_sum_survival(300.0, n, "boundary")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_validation(self):
         with pytest.raises(ValueError):
             mode_sum_survival(10.0, 0, "boundary")
+        with pytest.raises(ValueError):
+            mode_sum_survival(10.0, np.array([3, 0, 5]), "bulk")
         with pytest.raises(ValueError):
             mode_sum_survival(10.0, 5, "sideways")
 

@@ -421,6 +421,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "narrowest interval component" in err and "(N >= " in err
 
+    @pytest.mark.parametrize("argv", [
+        ["meantau", "--rho", "5"],
+        ["meantau", "--rho", "5", "--dist", "exponential"],
+        ["survival", "--rho", "5", "--n-max", "3"],
+    ])
+    def test_huge_cutoff_gives_the_full_band(self, argv, tmp_path):
+        # eta = 100 already keeps every offset at rho = 5; 1e308 must not overflow
+        assert build_operator(ProblemSpec(rho=5.0, cutoff_eta=1e308)).bandwidth == 89
+        outputs = []
+        for eta in ("1e308", "100"):
+            out = tmp_path / f"{eta}.csv"
+            assert main([*argv, "--eta", eta, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["meantau", "--rho", "1e306", "--dist", "exponential"],
+        ["meantau", "--rho", "1e306"],
+        ["meantau", "--rho", "1e308"],
+    ])
+    def test_grid_beyond_any_array_is_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert "usage error" in capsys.readouterr().err
+
     def test_unresolved_kernel_is_numerical_error(self):
         assert main(["meantau", "--rho", "100", "--n-grid", "40"]) == 3
 

@@ -17,7 +17,7 @@ from strobofp import (
     gaussian_kernel,
     mean_frames,
 )
-from strobofp.operator_core import laplace_band
+from strobofp.operator_core import _band_width, laplace_band
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -90,6 +90,7 @@ class TestProblemSpec:
         dict(rho=math.nan),
         dict(rho=5.0, cutoff_eta=math.inf),
         dict(rho=5.0, cutoff_eta=math.nan),
+        dict(rho=1e308),  # 18 rho grid points overflow a float
     ])
     def test_invalid_inputs(self, kwargs):
         with pytest.raises(ValueError):
@@ -285,6 +286,19 @@ class TestAveragedOperator:
         n, eta = spec.n_grid, spec.cutoff_eta
         rule = min(math.floor(eta**2 * n / (2.0 * math.sqrt(2.0) * 100.0)), n - 1)
         assert op.bandwidth == rule == 459
+
+    @pytest.mark.parametrize("rho, eta, dist, expected", [
+        (5.0, 1e308, "deterministic", "full"),
+        (5.0, 1e308, "exponential", "full"),
+        (5.0, 1e200, "jitter:0.5", "full"),
+        # eta^2 n overflows at rho = 1e306, the reach itself does not
+        (1e306, 8.5, "exponential", 459),
+        (1e306, 8.5, "deterministic", 153),
+    ])
+    def test_cutoff_rule_survives_float_overflow(self, rho, eta, dist, expected):
+        spec = ProblemSpec(rho=rho, cutoff_eta=eta)
+        bw = _band_width(spec, FrameDistribution.parse(dist))
+        assert bw == (spec.n_grid - 1 if expected == "full" else expected)
 
     def test_exponential_rows_substochastic(self):
         op = build_averaged_operator(ProblemSpec(rho=20.0), FrameDistribution.exponential())

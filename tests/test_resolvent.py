@@ -1,5 +1,6 @@
 """Resolvent solves, survival sequences and the leading spectral pair."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -241,14 +242,23 @@ def law_op(rho, dist, n_grid=None, eta=DEFAULT_CUTOFF_ETA):
 LAWS = ["deterministic", "exponential", "jitter:0.5", "twopoint:0.5,1.5,0.5"]
 
 
+# (rho, n_grid): odd N at n_grid 65, 91 and 235; bandwidth >= ceil(N/2)
+# at rho 0.05 and 0.3 (N = 64) and at n_grid 65 and 91; a band narrower
+# than the half at N = 360 and, but for the exponential law, at 235
+FOLD_CASES = [(0.05, None), (0.3, None), (3.0, 65), (10.0, 91), (40.0, 235), (20.0, None)]
+
+
+def unfold(half, n):
+    """The mirror-even vector of length n whose first entries are `half`."""
+    full = np.empty(n)
+    full[: half.size] = half
+    full[n - half.size :] = half[::-1]
+    return full
+
+
 class TestMirrorFold:
-    # (rho, n_grid): odd N at n_grid 65, 91 and 235; bandwidth >= ceil(N/2)
-    # at rho 0.05 and 0.3 (N = 64) and at n_grid 65 and 91; a band narrower
-    # than the half at N = 360 and, but for the exponential law, at 235
     @pytest.mark.parametrize("dist", LAWS)
-    @pytest.mark.parametrize("rho, n_grid", [
-        (0.05, None), (0.3, None), (3.0, 65), (10.0, 91), (40.0, 235), (20.0, None),
-    ])
+    @pytest.mark.parametrize("rho, n_grid", FOLD_CASES)
     def test_mean_frames_matches_dense_solve(self, rho, n_grid, dist):
         op = law_op(rho, dist, n_grid)
         dense = np.eye(op.n) - op.toarray()
@@ -256,6 +266,62 @@ class TestMirrorFold:
             h = initial_vector(op, y0)
             dense_m = float(op.weights @ np.linalg.solve(dense, h))
             assert mean_frames(op, y0).M == pytest.approx(dense_m, rel=1e-12)
+
+    @pytest.mark.parametrize("dist", LAWS)
+    @pytest.mark.parametrize("rho, n_grid", FOLD_CASES)
+    def test_survival_matches_dense_powers(self, rho, n_grid, dist):
+        # S_n = w . K^{n-1} h with the dense matrix, for starts whose profile
+        # has an odd part (y0 = 0, 0.13, 1) and for the centred one
+        op = law_op(rho, dist, n_grid)
+        dense = op.toarray()
+        for y0 in (0.0, 0.13, 0.5, 1.0):
+            vec, expected = initial_vector(op, y0), [1.0]
+            for _ in range(40):
+                expected.append(op.weights @ vec)
+                vec = dense @ vec
+            values = survival_sequence(op, y0, 40).values
+            assert values == pytest.approx(np.array(expected), rel=1e-12, abs=0.0)
+
+    # the fold cases, plus bandwidth == ceil(N/2) at rho 17 (N = 306) and
+    # two wider grids
+    @pytest.mark.parametrize("dist", LAWS)
+    @pytest.mark.parametrize("rho, n_grid", [*FOLD_CASES, (17.0, None), (17.0, 307),
+                                             (100.0, None), (400.0, None)])
+    def test_even_matvec_matches_full_product(self, rho, n_grid, dist):
+        op = law_op(rho, dist, n_grid)
+        m = (op.n + 1) // 2
+        half = np.random.default_rng(11).standard_normal(m)
+        full = op.matvec(unfold(half, op.n))
+        assert np.max(np.abs(op.even_matvec(half) - full[:m])) <= 2e-15 * np.max(np.abs(half))
+
+    def test_even_matvec_rejects_a_wrong_length(self):
+        op = op_for(5.0)
+        with pytest.raises(ValueError, match="even half"):
+            op.even_matvec(np.ones(op.n))
+
+    def test_survival_rejects_non_even_weights(self):
+        op = op_for(5.0)
+        skewed = dataclasses.replace(op, weights=op.weights * np.linspace(0.9, 1.1, op.n))
+        with pytest.raises(ValueError, match="mirror-even"):
+            survival_sequence(skewed, 0.5, 3)
+
+    def test_survival_and_eigen_steps_make_no_full_grid_product(self, monkeypatch):
+        # every product of the survival recursion and of inverse iteration is
+        # a half-grid one; the resolvent keeps its full-grid residual products
+        calls = []
+        matvec = StroboOperator.matvec
+
+        def counted(self, vec):
+            calls.append(self.n)
+            return matvec(self, vec)
+
+        monkeypatch.setattr(StroboOperator, "matvec", counted)
+        op = op_for(100.0)
+        survival_sequence(op, 0.5, 2000)
+        spectral_pair(op)
+        assert calls == []
+        mean_frames(op, 0.5)
+        assert 1 <= len(calls) <= 2
 
     @pytest.mark.parametrize("rho, n_grid, dist", [
         (3.0, 65, "deterministic"),
