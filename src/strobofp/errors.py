@@ -6,11 +6,12 @@ class ResolutionError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """(I - K) could not be factorized or the solve residual is out of tolerance."""
+    """(I - K) is not positive definite, the solve residual is out of tolerance,
+    or the leading eigenvalue lies outside (0, 1)."""
 
 
 class ConvergenceError(RuntimeError):
-    """Inverse iteration missed the eigen-residual bound within its step cap."""
+    """PCG or LOPCG missed its residual bound within its step cap."""
 
 
 class FitError(ValueError):

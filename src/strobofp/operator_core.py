@@ -370,15 +370,17 @@ class StroboOperator:
 
 
 def laplace_band(op: StroboOperator) -> tuple[float, float]:
-    """(s, r) with band[d] = s r^d for 1 <= d <= bandwidth, exponential law only.
+    """(s, r) of the exponential-frame band at the operator's rho and grid, for any law.
 
     With a = sqrt 2 rho and h = 1/N, s = sinh(ah/2) and r = e^{-ah}: the
-    cell means of `_laplace_cell_mean` times h.  The band is geometric, so
-    up to its omitted tail I - K = (1 - band[0] + s) I - s R with
-    R_ij = r^{|i-j|}, whose inverse is tridiagonal.
+    cell means of `_laplace_cell_mean` times h, so exponential frames have
+    band[d] = s r^d for 1 <= d <= bandwidth.  Every law is unit-mean and
+    shares the diffusion scale of that band, so the untruncated Laplace
+    operator P = (1 - band_0 + s) I - s R, R_ij = r^{|i-j|}, whose inverse
+    is tridiagonal, preconditions I - K for every law (`resolvent`): for
+    deterministic frames the symbol ratio (1 - e^{-t})(1 + t)/t of I - K
+    to P lies in [1, 1.30].
     """
-    if op.law.kind != "exponential":
-        raise ValueError(f"only the exponential law has a geometric band, got {op.law.kind}")
     ah = _SQRT_2 * op.rho / op.n
     return math.sinh(0.5 * ah), math.exp(-ah)
 

@@ -2,40 +2,48 @@
 
 Everything here consumes an immutable `StroboOperator`.  The expected number
 of frames beyond the first, M = sum_{n>=1} S_n = w . (I - K)^{-1} h, is
-obtained from a banded symmetric positive-definite solve rather than by
-summing the series.  K is symmetric, so M(y0) = h(y0) . u with
-u = (I - K)^{-1} w: one cached solve per operator serves every start point.
-Solves meet a normwise backward-error contract (`_resolvent_solve`).
+obtained from a symmetric positive-definite solve rather than by summing
+the series.  K is symmetric, so M(y0) = h(y0) . u with u = (I - K)^{-1} w:
+one cached solve per operator serves every start point.  Solves meet a
+normwise backward-error contract (`_resolvent_solve`).
 `neumann_partial_sum` provides the series route as a consistency check, and
-`spectral_pair` the geometric decay rate by inverse iteration on the same
-Cholesky factor, stopped by ||K v - lambda0 v||_2 <= EIGEN_TOL * lambda0.
+`spectral_pair` the geometric decay rate, stopped by
+||K v - lambda0 v||_2 <= EIGEN_TOL * lambda0.
+
+Both are preconditioned Krylov iterations with one preconditioner P for
+every frame law: the exponential-frame (Laplace) operator I - K_L at the
+same rho and grid (`_factorization`).  Every law is unit-mean, so every
+law has the diffusion scale of P and matches it at low frequency; P^{-1}
+is tridiagonal (Kac, Murdock & Szego), so applying it costs O(N).  For
+deterministic frames the symbol ratio (1 - e^{-t})(1 + t)/t of I - K to P
+lies in [1, 1.30], so P^{-1}(I - K) has condition number at most 1.30
+(Chan & Ng, SIAM Rev. 38, 1996).  Conjugate gradients (`_pcg`) solve with
+it in about 11 steps, stopped once the recursive residual meets the
+backward-error bound and then checked on the true residual, and LOPCG
+(Knyazev, SIAM J. Sci. Comput. 23, 2001) finds the leading pair in about
+as many, stopped by the eigen residual above; exponential frames, for
+which P is I - K up to the omitted band tail, take 1 to 4 PCG steps.
+Wider mixtures take longer: 25 to 36 steps for twopoint:0.001,1,0.99.
 
 Everything that iterates with K works on the mirror-even half of the grid.
 The interval is symmetric, so the Toeplitz matrix K commutes with the
 reflection (J x)_i = x_{N-1-i} and the weights w are mirror-even, so u and
 the leading eigenvector are even, and S_n = w . K^{n-1} h depends only on
 the even part of h.  An even vector is carried as its first ceil(N/2)
-entries: I - K folds into a banded block of that order (Cantoni & Butler,
-Linear Algebra Appl. 13, 1976), where every Cholesky factor and solve
-works, and K into `StroboOperator.even_matvec`, which makes every product
-of the survival recursion and of inverse iteration.  Sums and norms over
-the full grid weight each mirrored pair 2 and the middle node of odd N 1
-(`_multiplicity`).  Only the residual of `_resolvent_solve`, a full-grid
-backward-error statement, is taken with the full product `op.matvec`.
-
-Exponential frames have the geometric band s r^d, whose untruncated
-Toeplitz matrix has a tridiagonal inverse; when the omitted tail is at most
-LAPLACE_TAIL_TOL, every solve goes through it in O(N) (`_laplace_route`),
-with one refinement step against the truncated band always taken.  Lower
-cutoffs and coarse grids keep the banded route.  `_factorization` chooses
-the route once per operator and caches it beside the factor; one fold
-(`_fold`) builds the banded block for either route.
+entries: the tridiagonal inverse of P folds into a tridiagonal block of
+that order (`_fold`; Cantoni & Butler, Linear Algebra Appl. 13, 1976),
+whose Cholesky factor is the one factor per operator, and K into
+`StroboOperator.even_matvec`, which makes every product of the survival
+recursion, of PCG and of LOPCG.  Sums, inner products and norms over the
+full grid weight each mirrored pair 2 and the middle node of odd N 1
+(`_multiplicity`).  Only the residual check of `_resolvent_solve`, a
+full-grid backward-error statement, is taken with the full product
+`op.matvec`.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import weakref
 from dataclasses import dataclass
 
@@ -49,14 +57,11 @@ from .operator_core import StroboOperator, averaged_kernel, laplace_band
 # ||b - (I-K)x||_inf / (||I-K||_inf ||x||_inf + ||b||_inf).
 RESIDUAL_TOL = 8.0 * np.finfo(float).eps
 # Contractual bound on ||K v - lambda v||_2 / lambda for the unit eigenvector
-# returned by spectral_pair, and the step cap of its inverse iteration.
+# returned by spectral_pair, and the step cap of its LOPCG and of each PCG solve.
 EIGEN_TOL = 1e-13
 EIGEN_MAX_ITER = 100
-# Largest omitted band tail ||K_untruncated - K||_inf for which exponential
-# frames are solved through the tridiagonal inverse of the untruncated band.
-LAPLACE_TAIL_TOL = 2.0 * np.finfo(float).eps
 
-# Per operator: (Cholesky factor, Laplace route), and u = (I - K)^{-1} w.
+# Per operator: the preconditioner's (factor, alpha, s q), and u = (I - K)^{-1} w.
 _factor_cache = weakref.WeakKeyDictionary()
 _weight_resolvent_cache = weakref.WeakKeyDictionary()
 
@@ -142,36 +147,6 @@ def survival_sequence(op: StroboOperator, y0: float, n_max: int) -> SurvivalSeri
     return SurvivalSeries(rho=op.rho, y0=y0, values=values)
 
 
-def _laplace_route(op: StroboOperator):
-    """(alpha, r, s q) when I - K is solved through the tridiagonal inverse, else None.
-
-    Exponential frames give band[d] = s r^d (`laplace_band`), so up to the
-    omitted tail I - K = alpha I - s R with alpha = 1 - band[0] + s and
-    R_ij = r^{|i-j|}.  R^{-1} = T/q with q = 1 - r^2 and
-    T = tridiag(-r, 1 + r^2, -r) but 1 in both corners (Kac, Murdock &
-    Szego, J. Rational Mech. Anal. 2, 1953), hence
-    (I - K)^{-1} b = (b + s q B^{-1} b)/alpha with the tridiagonal SPD
-    B = alpha T - s q I.  Taken when the omitted tail
-    ||K_untruncated - K||_inf = 2 s r^{bw+1}/(1 - r) is at most LAPLACE_TAIL_TOL.
-    """
-    if op.law.kind != "exponential":
-        return None
-    s, r = laplace_band(op)
-    bw = op.bandwidth
-    if bw < op.n - 1 and 2.0 * s * r ** (bw + 1) / (1.0 - r) > LAPLACE_TAIL_TOL:
-        return None
-    # q from the rounded r that T holds: 1 - r is exact for r >= 1/2
-    return 1.0 - op.band[0] + s, r, s * (1.0 - r) * (1.0 + r)
-
-
-def _physical_memory() -> float:
-    """Bytes of physical memory, or inf where the platform does not say."""
-    try:
-        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
-    except (AttributeError, OSError, ValueError):
-        return math.inf
-
-
 def _fold(col: np.ndarray, n: int) -> np.ndarray:
     """Upper banded storage of the mirror-even block of a symmetric Toeplitz matrix.
 
@@ -193,66 +168,88 @@ def _fold(col: np.ndarray, n: int) -> np.ndarray:
 
 
 def _factorization(op: StroboOperator) -> tuple:
-    """(factor, Laplace route) of the mirror-even block of I - K, cached per operator.
+    """(factor, alpha, s q) of the exponential-frame preconditioner P, cached per operator.
 
-    The route (`_laplace_route`) is decided here, once per operator.  On
-    the banded route the factor is that of G = `_fold` of I - K: with
-    E = I except for a 2 at the middle node of odd N, A x = h on the even
-    subspace becomes G z = h[:m] with x[:m] = E z.  G is symmetric, and
-    E^{-1/2} G E^{-1/2} is A in an orthonormal basis of even vectors, so it
-    is positive definite whenever A is; it has half the unknowns of the
-    full matrix at the same band.  On the Laplace route the same fold of
-    the tridiagonal B gives a factor of bandwidth 1.
+    P = alpha I - s R is the untruncated Laplace operator at the same rho
+    and grid (`laplace_band`), with alpha = 1 - band_0 + s = cosh(ah/2) of
+    that band and R_ij = r^{|i-j|}.  R^{-1} = T/q with q = 1 - r^2 and
+    T = tridiag(-r, 1 + r^2, -r) but 1 in both corners (Kac, Murdock &
+    Szego, J. Rational Mech. Anal. 2, 1953), hence
+    P^{-1} b = (b + s q B^{-1} b)/alpha with the tridiagonal SPD
+    B = alpha T - s q I.  The factor is the Cholesky factor of G = `_fold`
+    of B: with E = I except for a 2 at the middle node of odd N, B z = b on
+    the even subspace becomes G y = b[:m] with z[:m] = E y, and G is
+    positive definite whenever B is.
     """
     cached = _factor_cache.get(op)
-    if cached is not None:
-        return cached
-    n, m = op.n, (op.n + 1) // 2
-    route = _laplace_route(op)
-    b = 1 if route is not None else min(op.bandwidth, m - 1)
-    # the banded storage and the factor LAPACK returns beside it
-    need = 2 * 8.0 * (b + 1) * m
-    if need > _physical_memory():
-        raise MemoryError(
-            f"the Cholesky factor of N={n}, bandwidth {b} needs {need / 2**30:.3g} GiB, "
-            f"more than the physical memory"
-        )
-    if route is not None:
+    if cached is None:
+        s, r = laplace_band(op)
+        # cosh(ah/2) = sqrt(1 + sinh^2); q from the rounded r that T holds,
+        # since 1 - r is exact for r >= 1/2
+        alpha, sq = math.hypot(1.0, s), s * (1.0 - r) * (1.0 + r)
         # B is Toeplitz but for its corners, alpha r^2 less; N >= 5 (at
         # least 4 grid steps of kernel core) keeps the corner out of the fold
-        alpha, r, sq = route
-        ab = _fold(np.array([alpha * (1.0 + r * r) - sq, -alpha * r]), n)
+        ab = _fold(np.array([alpha * (1.0 + r * r) - sq, -alpha * r]), op.n)
         ab[1, 0] = alpha - sq
-    else:
-        ab = _fold(-op.band, n)
-        ab[b] += 1.0
-        if n % 2:
-            ab[b, -1] += 1.0
-    try:
-        factor = cholesky_banded(ab)
-    except LinAlgError as exc:
-        raise SolverError(
-            "(I - K) is not positive definite; the operator exceeds unit "
-            "spectral radius, which signals a construction bug"
-        ) from exc
-    _factor_cache[op] = factor, route
-    return factor, route
+        try:
+            cached = cholesky_banded(ab), alpha, sq
+        except LinAlgError:
+            # r within rounding of 1 (rho below ~3e-15 on the default grid)
+            # can make B singular; ||s R|| <= s N is then below 2e-15, and
+            # P = alpha I
+            cached = None, alpha, 0.0
+        _factor_cache[op] = cached
+    return cached
 
 
-def _even_solve(op: StroboOperator, half: np.ndarray) -> np.ndarray:
-    """First half of the mirror-even x with (I - K) x = b, from b's first half.
-
-    Both halves have m = ceil(N/2) entries; the half-size factor solves it.
-    """
-    factor, route = _factorization(op)
-    z = cho_solve_banded((factor, False), half)
+def _precondition(op: StroboOperator, half: np.ndarray) -> np.ndarray:
+    """First half of P^{-1} b for the mirror-even b with b[:m] = half."""
+    factor, alpha, sq = _factorization(op)
+    if factor is None:
+        return half / alpha
+    z = cho_solve_banded((factor, False), half, check_finite=False)
     if op.n % 2:
         z[-1] *= 2.0
-    if route is not None:
-        # (b + s q B^{-1} b)/alpha; never B^{-1} T b, which loses two digits
-        alpha, _, sq = route
-        z = (half + sq * z) / alpha
-    return z
+    # (b + s q B^{-1} b)/alpha; never B^{-1} T b, which loses two digits
+    return (half + sq * z) / alpha
+
+
+def _pcg(op: StroboOperator, half, res, bound, steps: int):
+    """Advance (I - K) half = b by PCG until bound(half) covers the residual res.
+
+    res is the residual b - (I - K) half on the mirror-even half, updated
+    recursively; inner products weight it by `_multiplicity`.  Returns the
+    iterate and the step count, which carries on from `steps` and is capped
+    at EIGEN_MAX_ITER.
+    """
+    mult = _multiplicity(op.n)
+    p = rz = None
+    while np.max(np.abs(res)) > bound(half):
+        if steps == EIGEN_MAX_ITER:
+            raise ConvergenceError(
+                f"PCG resolvent solve at rho={op.rho}: recursive residual "
+                f"{np.max(np.abs(res)):.3e} exceeds the backward-error bound "
+                f"{bound(half):.3e} after {steps} steps"
+            )
+        z = _precondition(op, res)
+        rz_next = float(mult @ (res * z))
+        p = z if p is None else z + (rz_next / rz) * p
+        rz = rz_next
+        ap = p - op.even_matvec(p)
+        curvature = float(mult @ (p * ap))
+        if not curvature > 0.0:
+            raise SolverError(
+                f"PCG resolvent solve at rho={op.rho}: curvature p.(I - K)p = "
+                f"{curvature:.3e} <= 0 at step {steps + 1} with residual "
+                f"{np.max(np.abs(res)):.3e} against the bound {bound(half):.3e}; "
+                f"(I - K) is not positive definite, the operator exceeds unit "
+                f"spectral radius"
+            )
+        step = rz / curvature
+        half = half + step * p
+        res = res - step * ap
+        steps += 1
+    return half, steps
 
 
 def _resolvent_solve(op: StroboOperator, rhs: np.ndarray) -> np.ndarray:
@@ -261,34 +258,49 @@ def _resolvent_solve(op: StroboOperator, rhs: np.ndarray) -> np.ndarray:
     ||rhs - (I - K) x||_inf <= RESIDUAL_TOL (||I - K||_inf ||x||_inf + ||rhs||_inf)
     (Higham, Accuracy and Stability of Numerical Algorithms, Thm 7.1), with
     ||I - K||_inf taken as 1 - band[0] + 2 sum(band[1:]): exact once N > 2 bw,
-    and at most 2.  The residual is always that of the truncated band,
-    `op.matvec`.  One refinement step runs if the solve misses the bound,
-    and always on the Laplace route, whose first solve inverts the
-    untruncated geometric band and lands at a few tens of eps.
-    x is even, so an rhs whose odd part exceeds the bound is rejected with
-    ValueError: no solve removes that part of the residual.
+    and at most 2.  Conjugate gradients on the mirror-even half, each step
+    one `even_matvec` and one tridiagonal solve with the exponential-frame
+    preconditioner P (`_factorization`).  Every law is unit-mean, so P
+    matches I - K at low frequency; for deterministic frames the symbol
+    ratio (1 - e^{-t})(1 + t)/t lies in [1, 1.30], so P^{-1}(I - K) has
+    condition number at most 1.30 (Chan & Ng, SIAM Rev. 38, 1996) and about
+    11 steps suffice; exponential frames, for which P is exact up to the
+    omitted band tail, take 1 to 2 (up to 4 with eta = 6).  PCG stops once its recursive residual
+    meets the bound; the true residual of the truncated band, `op.matvec`
+    on the full grid, is then checked against the same bound, and PCG
+    restarts once from it if it misses.  Non-positive curvature
+    p.(I - K)p <= 0 raises SolverError, EIGEN_MAX_ITER steps in all
+    ConvergenceError.  x is even, so an rhs whose odd part exceeds the
+    bound is rejected with ValueError: no solve removes that part of the
+    residual.
     """
-    laplace = _factorization(op)[1] is not None
     norm = 1.0 - op.band[0] + 2.0 * op.band[1:].sum()
-    x = _unfold(_even_solve(op, _even_half(rhs)), op.n)
-    bound = RESIDUAL_TOL * (norm * np.max(np.abs(x)) + np.max(np.abs(rhs)))
-    odd = np.max(np.abs(rhs - rhs[::-1])) / 2.0
-    if odd > bound:
-        raise ValueError(
-            f"resolvent right-hand side is not mirror-even: its odd part "
-            f"{odd:.3e} exceeds the backward-error bound {bound:.3e}"
-        )
-    residual = rhs - (x - op.matvec(x))
-    if laplace or np.max(np.abs(residual)) > bound:
-        x = x + _unfold(_even_solve(op, _even_half(residual)), op.n)
+    rhs_max = np.max(np.abs(rhs))
+
+    def bound(half):
+        return RESIDUAL_TOL * (norm * np.max(np.abs(half)) + rhs_max)
+
+    res = _even_half(rhs)
+    half, steps = np.zeros_like(res), 0
+    for restart in (False, True):
+        half, steps = _pcg(op, half, res, bound, steps)
+        x = _unfold(half, op.n)
+        if not restart:
+            odd = np.max(np.abs(rhs - rhs[::-1])) / 2.0
+            if odd > bound(half):
+                raise ValueError(
+                    f"resolvent right-hand side is not mirror-even: its odd part "
+                    f"{odd:.3e} exceeds the backward-error bound {bound(half):.3e}"
+                )
         residual = rhs - (x - op.matvec(x))
-        bound = RESIDUAL_TOL * (norm * np.max(np.abs(x)) + np.max(np.abs(rhs)))
-    if np.max(np.abs(residual)) > bound:
-        raise SolverError(
-            f"resolvent residual {np.max(np.abs(residual)):.3e} exceeds the "
-            f"backward-error bound {bound:.3e} after refinement"
-        )
-    return x
+        if np.max(np.abs(residual)) <= bound(half):
+            return x
+        res = _even_half(residual)
+    raise SolverError(
+        f"PCG resolvent solve at rho={op.rho}: true residual "
+        f"{np.max(np.abs(residual)):.3e} exceeds the backward-error bound "
+        f"{bound(half):.3e} after {steps} steps and one restart"
+    )
 
 
 def _weight_resolvent(op: StroboOperator) -> np.ndarray:
@@ -315,16 +327,19 @@ def mean_frames(op: StroboOperator, y0: float) -> ExitStats:
 def spectral_pair(op: StroboOperator, y0: float = 0.5):
     """Leading eigenvalue, eigenvector and overlap amplitude of K.
 
-    Inverse iteration with (I - K)^{-1} K on the cached Cholesky factor of
-    the mirror-even block, started from the half-sine profile (the
-    wide-kernel limit mode).  The leading mode is even, so every iterate,
-    its image K v (`StroboOperator.even_matvec`), the Rayleigh quotient and
-    the norms live on the half of ceil(N/2) entries, with the multiplicities
-    of `_multiplicity`; the vector is unfolded once at the end.  The
-    eigenvalues lambda/(1 - lambda) of the iteration separate the leading
-    mode at every rho, so a few steps suffice.  Stops once
-    ||K v - lambda v||_2 <= EIGEN_TOL * lambda for the unit vector v and its
-    Rayleigh quotient lambda.
+    Locally optimal preconditioned conjugate gradients with block size 1
+    (LOPCG; Knyazev, SIAM J. Sci. Comput. 23, 2001), started from the
+    half-sine profile (the wide-kernel limit mode): each step takes the
+    Rayleigh-Ritz maximizer of K over the iterate v, its residual
+    preconditioned by the exponential-frame P of `_resolvent_solve`, and
+    the previous search direction.  The leading mode is even, so every
+    vector lives on the half of ceil(N/2) entries, with the inner products
+    of `_multiplicity`; the vector is unfolded once at the end.  Each step
+    makes one `StroboOperator.even_matvec`, of the preconditioned residual;
+    the images of v and of the search direction are carried along
+    linearly.  Stops once ||K v - lambda0 v||_2 <= EIGEN_TOL * lambda0 for
+    the unit vector v and its Rayleigh quotient lambda0, confirmed with a
+    fresh product of v.  EIGEN_MAX_ITER steps raise ConvergenceError.
     `a0_est` is normalized so that S_n ~ a0_est * lambda0^n for large n with
     the start point `y0`.
     """
@@ -333,22 +348,55 @@ def spectral_pair(op: StroboOperator, y0: float = 0.5):
     def norm(z):
         return math.sqrt(mult @ (z * z))
 
+    def orthonormalize(z, image, basis, images):
+        """z and its image K z, made orthogonal to `basis` and then unit."""
+        for u, ku in zip(basis, images):
+            c = mult @ (u * z)
+            z, image = z - c * u, image - c * ku
+        size = norm(z)
+        return z / size, image / size
+
     vec = np.sin(np.pi * op.grid[: mult.size])
     vec /= norm(vec)
-    for _ in range(EIGEN_MAX_ITER):
-        image = op.even_matvec(vec)
+    image, fresh = op.even_matvec(vec), True
+    direction = direction_image = None
+    steps = 0
+    while True:
         lam = float(mult @ (vec * image))
-        if norm(image - lam * vec) <= EIGEN_TOL * lam:
-            break
-        vec = _even_solve(op, image)
-        vec /= norm(vec)
-    else:
-        raise ConvergenceError(
-            f"inverse iteration missed the eigen residual {EIGEN_TOL:.0e} "
-            f"within {EIGEN_MAX_ITER} steps (rho={op.rho})"
-        )
+        residual = norm(image - lam * vec)
+        if residual <= EIGEN_TOL * lam:
+            if fresh:
+                break
+            # the carried image holds rounding from every step: confirm
+            image, fresh = op.even_matvec(vec), True
+            continue
+        if steps == EIGEN_MAX_ITER:
+            raise ConvergenceError(
+                f"LOPCG spectral_pair at rho={op.rho}: eigen residual "
+                f"{residual:.3e} exceeds the bound {EIGEN_TOL * lam:.3e} after {steps} steps"
+            )
+        steps += 1
+        # the preconditioned residual; its image is the step's one product
+        w = _precondition(op, image - lam * vec)
+        w, kw = orthonormalize(w, op.even_matvec(w), [vec], [image])
+        basis, images = [vec, w], [image, kw]
+        if direction is not None:
+            p, kp = orthonormalize(direction, direction_image, basis, images)
+            basis.append(p)
+            images.append(kp)
+        basis, images = np.array(basis), np.array(images)
+        ritz = (basis * mult) @ images.T
+        coef = np.linalg.eigh(0.5 * (ritz + ritz.T))[1][:, -1]
+        direction, direction_image = coef[1:] @ basis[1:], coef[1:] @ images[1:]
+        vec, image = coef @ basis, coef @ images
+        size = norm(vec)
+        vec, image, fresh = vec / size, image / size, False
     if not 0.0 < lam < 1.0:
-        raise SolverError(f"leading eigenvalue {lam} outside (0, 1)")
+        raise SolverError(
+            f"LOPCG spectral_pair at rho={op.rho}: leading eigenvalue {lam} outside "
+            f"(0, 1) after {steps} steps, eigen residual {residual:.3e} against the "
+            f"bound {EIGEN_TOL * lam:.3e}"
+        )
     vec = _unfold(vec, op.n)
     if vec.sum() < 0.0:
         vec = -vec

@@ -8,6 +8,7 @@ import pytest
 from scipy.special import ndtr
 
 from strobofp import (
+    ConvergenceError,
     FrameDistribution,
     ProblemSpec,
     SolverError,
@@ -143,6 +144,17 @@ class TestMeanFrames:
         with pytest.raises(SolverError):
             mean_frames(bad, 0.5)
 
+    @pytest.mark.parametrize("dist, mass", [("deterministic", 1.0 / math.sqrt(2.0 * math.pi)),
+                                            ("exponential", 1.0 / math.sqrt(2.0))])
+    def test_vanishing_rho(self, dist, mass):
+        # r = e^{-ah} rounds to 1 and B is singular: P falls back to alpha I.
+        # K is then the kernel peak rho*mass spread evenly, so S_1, M and
+        # lambda0 all equal it to rounding
+        op = law_op(1e-20, dist)
+        assert _factorization(op)[0] is None
+        assert mean_frames(op, 0.5).M == pytest.approx(1e-20 * mass, rel=1e-12)
+        assert spectral_pair(op)[0] == pytest.approx(1e-20 * mass, rel=1e-12)
+
     def test_banded_solve_matches_dense_solver(self):
         # independent route: dense numpy solve of (I - K) x = h on the
         # interval-averaged operator
@@ -206,6 +218,8 @@ class TestSpectralPair:
         (10.0, "exponential"),
         (40.0, "exponential"),  # N = 720 with the band cut at 459
         (1.0, "twopoint:0.5,1.5,0.5"),
+        (40.0, "jitter:0.5"),
+        (20.0, "twopoint:0.001,1,0.99"),  # the widest band, 359, and ~30 steps
     ])
     def test_matches_dense_eigensolver(self, rho, dist):
         # independent route: dense symmetric eigensolver on the same matrix
@@ -338,39 +352,47 @@ class TestMirrorFold:
         (0.05, None), (20.0, None), (3.0, 65), (20.0, 235),
     ])
     def test_factor_is_half_size(self, rho, n_grid):
-        op = op_for(rho, n_grid=n_grid)
-        m = (op.n + 1) // 2
-        assert _factorization(op)[0].shape == (min(op.bandwidth, m - 1) + 1, m)
+        # the preconditioner's factor is tridiagonal on the even half, whatever
+        # the law and its band
+        for dist in LAWS:
+            op = law_op(rho, dist, n_grid)
+            assert _factorization(op)[0].shape == (2, (op.n + 1) // 2)
 
     @pytest.mark.parametrize("rho", [0.05, 3.0, 40.0, 1000.0])
-    def test_exponential_route_selection(self, rho):
-        # the default cutoff leaves a tail below 2 eps: a tridiagonal factor;
-        # eta = 6 cuts at ~1e-8, so beyond a full band (rho >= 12.8) the
-        # exponential law keeps the half-size band
-        m = (law_op(rho, "exponential").n + 1) // 2
-        assert _factorization(law_op(rho, "exponential"))[0].shape == (2, m)
-        op = law_op(rho, "exponential", eta=6.0)
-        if op.bandwidth == op.n - 1:
-            assert _factorization(op)[0].shape == (2, m)
-        else:
-            assert _factorization(op)[0].shape == (min(op.bandwidth, m - 1) + 1, m)
+    def test_exponential_preconditioner_is_exact(self, rho, monkeypatch):
+        # P is the exponential-frame I - K up to its omitted band tail: at the
+        # default cutoff the tail is below 2 eps (0 for a full band), and
+        # eta = 6 cuts it at ~1e-8 once the band is cut (rho >= 12.8)
+        products = []
+        even_matvec = StroboOperator.even_matvec
 
-    def test_route_decided_once_per_operator(self, monkeypatch):
-        # a solve, a second start point and every eigen step read the route
-        # that the factorization cached; fresh operators, so nothing is cached
-        decisions = []
-        route = resolvent._laplace_route
+        def counted(self, half):
+            products.append(1)
+            return even_matvec(self, half)
 
-        def counted(op):
-            decisions.append(op.law.kind)
-            return route(op)
+        monkeypatch.setattr(StroboOperator, "even_matvec", counted)
+        for eta, steps in ((DEFAULT_CUTOFF_ETA, 2), (6.0, 4)):
+            op = law_op(rho, "exponential", eta=eta)
+            products.clear()
+            _weight_resolvent(op)
+            assert 1 <= len(products) <= steps
 
-        monkeypatch.setattr(resolvent, "_laplace_route", counted)
-        for dist in ("exponential", "deterministic"):
+    def test_preconditioner_built_once_per_operator(self, monkeypatch):
+        # a solve, a second start point and every eigen step use the factor
+        # the first solve cached; fresh operators, so nothing is cached
+        shapes = []
+        factor = resolvent.cholesky_banded
+
+        def counted(ab):
+            shapes.append(ab.shape)
+            return factor(ab)
+
+        monkeypatch.setattr(resolvent, "cholesky_banded", counted)
+        for dist in LAWS:
             op = law_op(100.0, dist)
             exit_stats(op, 0.5)
             mean_frames(op, 0.0)
-        assert decisions == ["exponential", "deterministic"]
+        assert shapes == [(2, 900)] * len(LAWS)
 
     def test_solve_rejects_non_palindromic_rhs(self):
         op = op_for(20.0)
@@ -388,25 +410,28 @@ class TestWeightResolvent:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(resolvent, "cho_solve_banded", counted)
-        # the banded route and, for exponential frames, the Laplace route
-        for dist in ("deterministic", "exponential"):
+        # one preconditioner apply per PCG step of the first solve, none after
+        for dist in LAWS:
             calls.clear()
             op = law_op(30.0, dist)
             mean_frames(op, 0.5)
             first = len(calls)
             for y0 in (0.0, 0.13, 0.5, 1.0):
                 mean_frames(op, y0)
-            assert 1 <= first <= 2  # one solve, at most one refinement
+            assert first >= 1
             assert len(calls) == first
 
-    @pytest.mark.parametrize("dist", ["deterministic", "exponential"])
+    # jitter:0.5 adds a smooth mixture, twopoint:0.001,1,0.99 the widest band
+    # (1459) and the most PCG and LOPCG steps (up to 34)
+    @pytest.mark.parametrize("dist", ["deterministic", "exponential", "jitter:0.5",
+                                      "twopoint:0.001,1,0.99"])
     @pytest.mark.parametrize("rho", [0.05, 20.0, 200.0, 1000.0, 3000.0])
     def test_backward_error_contract(self, rho, dist):
         # the cached u, and the even part of the centred h, whose solution
         # grows like rho^2 (an absolute residual bound fails it at rho=1000);
         # rounding leaves h itself odd beyond the bound at rho=0.05.
-        # Exponential frames also at eta = 6, which keeps the banded route
-        # once the band is cut (rho >= 20 here)
+        # Exponential frames also at eta = 6, where the preconditioner is no
+        # longer exact once the band is cut (rho >= 20 here)
         etas = (DEFAULT_CUTOFF_ETA, 6.0) if dist == "exponential" else (DEFAULT_CUTOFF_ETA,)
         for eta in etas:
             op = law_op(rho, dist, eta=eta)
@@ -419,6 +444,64 @@ class TestWeightResolvent:
                 residual = np.max(np.abs(rhs - (x - op.matvec(x))))
                 scale = norm * np.max(np.abs(x)) + np.max(np.abs(rhs))
                 assert residual <= RESIDUAL_TOL * scale
+
+
+def supercritical_op():
+    """A hand-built band with row sums 1.2: I - K is indefinite."""
+    n, bw = 64, 8
+    return StroboOperator(
+        rho=1.0,
+        grid=(np.arange(1, n + 1) - 0.5) / n,
+        weights=np.full(n, 1.0 / n),
+        band=np.full(bw + 1, 1.2 / (2 * bw + 1)),
+        bandwidth=bw,
+        law=FrameDistribution.deterministic(),
+    )
+
+
+# every failure names its routine and rho, its step count, and the residual
+# it reached against its bound
+_NUMBER = r"[-+0-9.e]+"
+
+
+class TestFailureMessages:
+    def test_pcg_non_positive_curvature(self):
+        with pytest.raises(SolverError, match=(
+                rf"PCG resolvent solve at rho=1\.0: curvature p\.\(I - K\)p = {_NUMBER} "
+                rf"<= 0 at step \d+ with residual {_NUMBER} against the bound {_NUMBER}")):
+            _resolvent_solve(supercritical_op(), np.full(64, 1.0 / 64))
+
+    def test_pcg_step_cap(self, monkeypatch):
+        monkeypatch.setattr(resolvent, "EIGEN_MAX_ITER", 2)
+        with pytest.raises(ConvergenceError, match=(
+                rf"PCG resolvent solve at rho=100\.0: recursive residual {_NUMBER} "
+                rf"exceeds the backward-error bound {_NUMBER} after 2 steps")):
+            mean_frames(op_for(100.0), 0.5)
+
+    def test_pcg_true_residual_after_restart(self, monkeypatch):
+        # a full-grid product with fresh noise of 1e-9 on every call: the
+        # true residual misses the bound however far PCG goes
+        matvec, rng = StroboOperator.matvec, np.random.default_rng(5)
+        monkeypatch.setattr(StroboOperator, "matvec",
+                            lambda self, vec: matvec(self, vec) + 1e-9 * rng.random(vec.size))
+        with pytest.raises(SolverError, match=(
+                rf"PCG resolvent solve at rho=100\.0: true residual {_NUMBER} exceeds the "
+                rf"backward-error bound {_NUMBER} after \d+ steps and one restart")):
+            mean_frames(op_for(100.0), 0.5)
+
+    def test_lopcg_step_cap(self, monkeypatch):
+        monkeypatch.setattr(resolvent, "EIGEN_MAX_ITER", 2)
+        with pytest.raises(ConvergenceError, match=(
+                rf"LOPCG spectral_pair at rho=100\.0: eigen residual {_NUMBER} exceeds "
+                rf"the bound {_NUMBER} after 2 steps")):
+            spectral_pair(op_for(100.0))
+
+    def test_lopcg_eigenvalue_outside_unit_interval(self):
+        with pytest.raises(SolverError, match=(
+                rf"LOPCG spectral_pair at rho=1\.0: leading eigenvalue {_NUMBER} outside "
+                rf"\(0, 1\) after \d+ steps, eigen residual {_NUMBER} against the "
+                rf"bound {_NUMBER}")):
+            spectral_pair(supercritical_op())
 
 
 class TestNeumannSeries:
