@@ -377,9 +377,9 @@ def laplace_band(op: StroboOperator) -> tuple[float, float]:
     band[d] = s r^d for 1 <= d <= bandwidth.  Every law is unit-mean and
     shares the diffusion scale of that band, so the untruncated Laplace
     operator P = (1 - band_0 + s) I - s R, R_ij = r^{|i-j|}, whose inverse
-    is tridiagonal, preconditions I - K for every law (`resolvent`): for
-    deterministic frames the symbol ratio (1 - e^{-t})(1 + t)/t of I - K
-    to P lies in [1, 1.30].
+    is tridiagonal, preconditions I - K for every law whose symbol ratio
+    to P stays within the bound of `resolvent`: for deterministic frames
+    that ratio, (1 - e^{-t})(1 + t)/t, lies in [1, 1.30].
     """
     ah = _SQRT_2 * op.rho / op.n
     return math.sinh(0.5 * ah), math.exp(-ah)

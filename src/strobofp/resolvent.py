@@ -10,29 +10,35 @@ normwise backward-error contract (`_resolvent_solve`).
 `spectral_pair` the geometric decay rate, stopped by
 ||K v - lambda0 v||_2 <= EIGEN_TOL * lambda0.
 
-Both are preconditioned Krylov iterations with one preconditioner P for
-every frame law: the exponential-frame (Laplace) operator I - K_L at the
-same rho and grid (`_factorization`).  Every law is unit-mean, so every
-law has the diffusion scale of P and matches it at low frequency; P^{-1}
-is tridiagonal (Kac, Murdock & Szego), so applying it costs O(N).  For
-deterministic frames the symbol ratio (1 - e^{-t})(1 + t)/t of I - K to P
-lies in [1, 1.30], so P^{-1}(I - K) has condition number at most 1.30
-(Chan & Ng, SIAM Rev. 38, 1996).  Conjugate gradients (`_pcg`) solve with
-it in about 11 steps, stopped once the recursive residual meets the
-backward-error bound and then checked on the true residual, and LOPCG
-(Knyazev, SIAM J. Sci. Comput. 23, 2001) finds the leading pair in about
-as many, stopped by the eigen residual above; exponential frames, for
-which P is I - K up to the omitted band tail, take 1 to 4 PCG steps.
-Wider mixtures take longer: 25 to 36 steps for twopoint:0.001,1,0.99.
+Both are preconditioned Krylov iterations with a preconditioner P
+chosen once per operator (`_factorization`).  P is the exponential-frame
+(Laplace) operator I - K_L at the same rho and grid wherever the
+symbol-ratio bound allows it (`_laplace_route`).  Every law is unit-mean,
+so every law has the diffusion scale of P and matches it at low
+frequency; P^{-1} is tridiagonal (Kac, Murdock & Szego), so applying it
+costs O(N).  The ratio of the symbols of I - K and P bounds the condition
+number of P^{-1}(I - K) (Chan & Ng, SIAM Rev. 38, 1996): for
+deterministic frames it is (1 - e^{-t})(1 + t)/t, in [1, 1.30], and
+conjugate gradients (`_pcg`) solve in about 11 steps, stopped once the
+recursive residual meets the backward-error bound and then checked on the
+true residual; LOPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) finds the
+leading pair in about as many, stopped by the eigen residual above.
+Exponential frames, for which P is I - K up to the omitted band tail,
+take 1 to 4 PCG steps; wide two-point mixtures take more, about 55 at the
+largest bound admitted, LAPLACE_COND_MAX = 16.  Beyond it (for example
+twopoint:1e-5,1,0.999, bound 58) the steps would approach the cap, and
+P is I - K itself, factored with its band: PCG then takes one step and
+LOPCG about as many as inverse iteration.
 
 Everything that iterates with K works on the mirror-even half of the grid.
 The interval is symmetric, so the Toeplitz matrix K commutes with the
 reflection (J x)_i = x_{N-1-i} and the weights w are mirror-even, so u and
 the leading eigenvector are even, and S_n = w . K^{n-1} h depends only on
 the even part of h.  An even vector is carried as its first ceil(N/2)
-entries: the tridiagonal inverse of P folds into a tridiagonal block of
-that order (`_fold`; Cantoni & Butler, Linear Algebra Appl. 13, 1976),
-whose Cholesky factor is the one factor per operator, and K into
+entries: a symmetric Toeplitz matrix folds into a banded block of that
+order (`_fold`; Cantoni & Butler, Linear Algebra Appl. 13, 1976), the
+tridiagonal inverse of P into a tridiagonal one, whose Cholesky factor is
+the one factor per operator (or that of the folded I - K), and K into
 `StroboOperator.even_matvec`, which makes every product of the survival
 recursion, of PCG and of LOPCG.  Sums, inner products and norms over the
 full grid weight each mirrored pair 2 and the middle node of odd N 1
@@ -44,6 +50,7 @@ full-grid backward-error statement, is taken with the full product
 from __future__ import annotations
 
 import math
+import os
 import weakref
 from dataclasses import dataclass
 
@@ -60,8 +67,12 @@ RESIDUAL_TOL = 8.0 * np.finfo(float).eps
 # returned by spectral_pair, and the step cap of its LOPCG and of each PCG solve.
 EIGEN_TOL = 1e-13
 EIGEN_MAX_ITER = 100
+# Largest symbol-ratio bound on cond(P^{-1}(I - K)) for which the Laplace
+# preconditioner is used.  CG's bound 2((sqrt k - 1)/(sqrt k + 1))^j asks
+# about 0.5 sqrt(k) ln(2/eps) steps, about 70 at k = 16: inside EIGEN_MAX_ITER.
+LAPLACE_COND_MAX = 16.0
 
-# Per operator: the preconditioner's (factor, alpha, s q), and u = (I - K)^{-1} w.
+# Per operator: the preconditioner's (factor, Laplace route), and u = (I - K)^{-1} w.
 _factor_cache = weakref.WeakKeyDictionary()
 _weight_resolvent_cache = weakref.WeakKeyDictionary()
 
@@ -167,62 +178,131 @@ def _fold(col: np.ndarray, n: int) -> np.ndarray:
     return ab
 
 
-def _factorization(op: StroboOperator) -> tuple:
-    """(factor, alpha, s q) of the exponential-frame preconditioner P, cached per operator.
+def _symbol_condition(op: StroboOperator) -> float:
+    """Bound on the condition number of P^{-1}(I - K) from the ratio of their symbols.
+
+    With t = xi^2/(2 rho^2), a Gaussian component of width scale s has the
+    symbol e^{-s^2 t} and the Laplace kernel 1/(1 + t), so the ratio is
+    f(t) = (1 - sum_q w_q e^{-s_q^2 t})(1 + t)/t over the law's
+    `width_nodes`.  It tends to sum_q w_q s_q^2 = 1 (unit mean) as t -> 0
+    and to 1 as t -> inf; the bound is max f / min f over 400 log-spaced t
+    from the interval's lowest mode, xi = pi, to the grid's Nyquist
+    frequency, xi = pi N.  Aliasing and the band cut are left out.
+    Exponential frames have the Laplace symbol itself: 1.
+    """
+    if op.law.kind == "exponential":
+        return 1.0
+    scales, weights = op.law.width_nodes()
+    # log10 t; capped so that neither t nor s^2 t overflows, f is 1 there
+    lo = min(2.0 * math.log10(math.pi / op.rho) - math.log10(2.0), 200.0)
+    hi = min(lo + 2.0 * math.log10(op.n), 200.0)
+    t = np.logspace(lo, hi, 400)
+    ratio = -np.expm1(-np.outer(t, scales * scales)) @ weights * (1.0 + 1.0 / t)
+    return float(ratio.max() / ratio.min())
+
+
+def _laplace_route(op: StroboOperator):
+    """(alpha, r, s q) of the exponential-frame preconditioner P, or None.
 
     P = alpha I - s R is the untruncated Laplace operator at the same rho
     and grid (`laplace_band`), with alpha = 1 - band_0 + s = cosh(ah/2) of
-    that band and R_ij = r^{|i-j|}.  R^{-1} = T/q with q = 1 - r^2 and
-    T = tridiag(-r, 1 + r^2, -r) but 1 in both corners (Kac, Murdock &
-    Szego, J. Rational Mech. Anal. 2, 1953), hence
-    P^{-1} b = (b + s q B^{-1} b)/alpha with the tridiagonal SPD
-    B = alpha T - s q I.  The factor is the Cholesky factor of G = `_fold`
-    of B: with E = I except for a 2 at the middle node of odd N, B z = b on
-    the even subspace becomes G y = b[:m] with z[:m] = E y, and G is
-    positive definite whenever B is.
+    that band and R_ij = r^{|i-j|}; q = 1 - r^2.  It is taken when the
+    symbol-ratio bound of `_symbol_condition` is at most LAPLACE_COND_MAX;
+    None leaves the banded factor of I - K itself as the preconditioner.
+    """
+    if _symbol_condition(op) > LAPLACE_COND_MAX:
+        return None
+    s, r = laplace_band(op)
+    # cosh(ah/2) = sqrt(1 + sinh^2); q from the rounded r that T holds,
+    # since 1 - r is exact for r >= 1/2
+    return math.hypot(1.0, s), r, s * (1.0 - r) * (1.0 + r)
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where the platform does not say."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, OSError, ValueError):
+        return math.inf
+
+
+def _factorization(op: StroboOperator) -> tuple:
+    """(factor, Laplace route) of the preconditioner on the mirror-even half, cached.
+
+    The route (`_laplace_route`) is decided here, once per operator.  On
+    the Laplace route R^{-1} = T/q with T = tridiag(-r, 1 + r^2, -r) but 1
+    in both corners (Kac, Murdock & Szego, J. Rational Mech. Anal. 2,
+    1953), hence P^{-1} b = (b + s q B^{-1} b)/alpha with the tridiagonal
+    SPD B = alpha T - s q I, and the factor is that of G = `_fold` of B.
+    Otherwise the preconditioner is I - K itself and the factor that of
+    its fold, of bandwidth min(bw, m - 1).  With E = I except for a 2 at
+    the middle node of odd N, A z = b on the even subspace becomes
+    G y = b[:m] with z[:m] = E y, and G is positive definite whenever A is.
     """
     cached = _factor_cache.get(op)
-    if cached is None:
-        s, r = laplace_band(op)
-        # cosh(ah/2) = sqrt(1 + sinh^2); q from the rounded r that T holds,
-        # since 1 - r is exact for r >= 1/2
-        alpha, sq = math.hypot(1.0, s), s * (1.0 - r) * (1.0 + r)
+    if cached is not None:
+        return cached
+    n, m = op.n, (op.n + 1) // 2
+    route = _laplace_route(op)
+    b = 1 if route is not None else min(op.bandwidth, m - 1)
+    # the banded storage and the factor LAPACK returns beside it
+    need = 2 * 8.0 * (b + 1) * m
+    if need > _physical_memory():
+        raise MemoryError(
+            f"the Cholesky factor of N={n}, bandwidth {b} needs {need / 2**30:.3g} GiB, "
+            f"more than the physical memory"
+        )
+    if route is not None:
         # B is Toeplitz but for its corners, alpha r^2 less; N >= 5 (at
         # least 4 grid steps of kernel core) keeps the corner out of the fold
-        ab = _fold(np.array([alpha * (1.0 + r * r) - sq, -alpha * r]), op.n)
+        alpha, r, sq = route
+        ab = _fold(np.array([alpha * (1.0 + r * r) - sq, -alpha * r]), n)
         ab[1, 0] = alpha - sq
-        try:
-            cached = cholesky_banded(ab), alpha, sq
-        except LinAlgError:
-            # r within rounding of 1 (rho below ~3e-15 on the default grid)
-            # can make B singular; ||s R|| <= s N is then below 2e-15, and
-            # P = alpha I
-            cached = None, alpha, 0.0
-        _factor_cache[op] = cached
-    return cached
+    else:
+        ab = _fold(-op.band, n)
+        ab[b] += 1.0
+        if n % 2:
+            ab[b, -1] += 1.0
+    try:
+        factor = cholesky_banded(ab)
+    except LinAlgError as exc:
+        if route is None:
+            raise SolverError(
+                f"banded Cholesky factor of I - K at rho={op.rho}: not positive "
+                f"definite; the operator exceeds unit spectral radius"
+            ) from exc
+        # r within rounding of 1 (rho below ~3e-15 on the default grid) can
+        # make B singular; ||s R|| <= s N is then below 2e-15, and P = alpha I
+        factor = None
+    _factor_cache[op] = factor, route
+    return factor, route
 
 
 def _precondition(op: StroboOperator, half: np.ndarray) -> np.ndarray:
     """First half of P^{-1} b for the mirror-even b with b[:m] = half."""
-    factor, alpha, sq = _factorization(op)
+    factor, route = _factorization(op)
     if factor is None:
-        return half / alpha
+        return half / route[0]
     z = cho_solve_banded((factor, False), half, check_finite=False)
     if op.n % 2:
         z[-1] *= 2.0
+    if route is None:
+        return z
     # (b + s q B^{-1} b)/alpha; never B^{-1} T b, which loses two digits
+    alpha, _, sq = route
     return (half + sq * z) / alpha
 
 
-def _pcg(op: StroboOperator, half, res, bound, steps: int):
-    """Advance (I - K) half = b by PCG until bound(half) covers the residual res.
+def _pcg(op: StroboOperator, res: np.ndarray, bound, steps: int):
+    """PCG for (I - K) y = b from y = 0 until bound(y) covers the residual.
 
-    res is the residual b - (I - K) half on the mirror-even half, updated
-    recursively; inner products weight it by `_multiplicity`.  Returns the
-    iterate and the step count, which carries on from `steps` and is capped
-    at EIGEN_MAX_ITER.
+    res is b on the mirror-even half and becomes the residual, updated
+    recursively; inner products weight it by `_multiplicity`.  Returns y
+    and the step count, which carries on from `steps` and is capped at
+    EIGEN_MAX_ITER.
     """
     mult = _multiplicity(op.n)
+    half = np.zeros_like(res)
     p = rz = None
     while np.max(np.abs(res)) > bound(half):
         if steps == EIGEN_MAX_ITER:
@@ -259,18 +339,27 @@ def _resolvent_solve(op: StroboOperator, rhs: np.ndarray) -> np.ndarray:
     (Higham, Accuracy and Stability of Numerical Algorithms, Thm 7.1), with
     ||I - K||_inf taken as 1 - band[0] + 2 sum(band[1:]): exact once N > 2 bw,
     and at most 2.  Conjugate gradients on the mirror-even half, each step
-    one `even_matvec` and one tridiagonal solve with the exponential-frame
-    preconditioner P (`_factorization`).  Every law is unit-mean, so P
-    matches I - K at low frequency; for deterministic frames the symbol
-    ratio (1 - e^{-t})(1 + t)/t lies in [1, 1.30], so P^{-1}(I - K) has
-    condition number at most 1.30 (Chan & Ng, SIAM Rev. 38, 1996) and about
-    11 steps suffice; exponential frames, for which P is exact up to the
-    omitted band tail, take 1 to 2 (up to 4 with eta = 6).  PCG stops once its recursive residual
-    meets the bound; the true residual of the truncated band, `op.matvec`
-    on the full grid, is then checked against the same bound, and PCG
-    restarts once from it if it misses.  Non-positive curvature
-    p.(I - K)p <= 0 raises SolverError, EIGEN_MAX_ITER steps in all
-    ConvergenceError.  x is even, so an rhs whose odd part exceeds the
+    one `even_matvec` and one solve with the preconditioner P of
+    `_factorization`.  Where the symbol-ratio bound allows it
+    (`_laplace_route`), P is the exponential-frame operator, whose inverse
+    is tridiagonal: every law is unit-mean, so P matches I - K at low
+    frequency, and for deterministic frames the symbol ratio
+    (1 - e^{-t})(1 + t)/t lies in [1, 1.30], so P^{-1}(I - K) has condition
+    number at most 1.30 (Chan & Ng, SIAM Rev. 38, 1996) and about 11 steps
+    suffice; exponential frames, for which P is exact up to the omitted
+    band tail, take 1 to 2 (up to 4 with eta = 6), and two-point mixtures
+    within the bound LAPLACE_COND_MAX = 16 up to about 55.  Beyond it P is
+    I - K itself, factored with its band, and one step solves.  PCG stops
+    once its recursive
+    residual meets the bound; the true residual of the truncated band,
+    `op.matvec` on the full grid, is then checked against the same bound.
+    If it misses, PCG restarts once from zero on the even part of that
+    residual and adds the correction to x.  The correction is taken to half
+    the bound: the rounding of the full-grid product leaves an odd part in
+    the true residual, up to 0.11 of the bound for twopoint:0.000316,1,0.995
+    at rho = 60, which no even correction removes.  Non-positive
+    curvature p.(I - K)p <= 0 raises SolverError, EIGEN_MAX_ITER steps in
+    all ConvergenceError.  x is even, so an rhs whose odd part exceeds the
     bound is rejected with ValueError: no solve removes that part of the
     residual.
     """
@@ -280,22 +369,22 @@ def _resolvent_solve(op: StroboOperator, rhs: np.ndarray) -> np.ndarray:
     def bound(half):
         return RESIDUAL_TOL * (norm * np.max(np.abs(half)) + rhs_max)
 
-    res = _even_half(rhs)
-    half, steps = np.zeros_like(res), 0
+    half, steps = _pcg(op, _even_half(rhs), bound, 0)
+    odd = np.max(np.abs(rhs - rhs[::-1])) / 2.0
+    if odd > bound(half):
+        raise ValueError(
+            f"resolvent right-hand side is not mirror-even: its odd part "
+            f"{odd:.3e} exceeds the backward-error bound {bound(half):.3e}"
+        )
     for restart in (False, True):
-        half, steps = _pcg(op, half, res, bound, steps)
         x = _unfold(half, op.n)
-        if not restart:
-            odd = np.max(np.abs(rhs - rhs[::-1])) / 2.0
-            if odd > bound(half):
-                raise ValueError(
-                    f"resolvent right-hand side is not mirror-even: its odd part "
-                    f"{odd:.3e} exceeds the backward-error bound {bound(half):.3e}"
-                )
         residual = rhs - (x - op.matvec(x))
         if np.max(np.abs(residual)) <= bound(half):
             return x
-        res = _even_half(residual)
+        if not restart:
+            tol = 0.5 * bound(half)
+            correction, steps = _pcg(op, _even_half(residual), lambda _: tol, steps)
+            half = half + correction
     raise SolverError(
         f"PCG resolvent solve at rho={op.rho}: true residual "
         f"{np.max(np.abs(residual)):.3e} exceeds the backward-error bound "
@@ -331,8 +420,10 @@ def spectral_pair(op: StroboOperator, y0: float = 0.5):
     (LOPCG; Knyazev, SIAM J. Sci. Comput. 23, 2001), started from the
     half-sine profile (the wide-kernel limit mode): each step takes the
     Rayleigh-Ritz maximizer of K over the iterate v, its residual
-    preconditioned by the exponential-frame P of `_resolvent_solve`, and
-    the previous search direction.  The leading mode is even, so every
+    preconditioned by the P of `_resolvent_solve` (the exponential-frame
+    operator, or I - K itself beyond the symbol-ratio bound, where the
+    span holds the inverse-iteration step), and the previous search
+    direction.  The leading mode is even, so every
     vector lives on the half of ceil(N/2) entries, with the inner products
     of `_multiplicity`; the vector is unfolded once at the end.  Each step
     makes one `StroboOperator.even_matvec`, of the preconditioned residual;

@@ -20,7 +20,7 @@ from strobofp import (
     bulk_law,
     mean_frames,
 )
-from strobofp import cli, montecarlo
+from strobofp import cli, montecarlo, resolvent
 from strobofp.cli import RunConfig, main, parse_rho_range, read_csv, UsageError
 
 
@@ -357,6 +357,16 @@ class TestExitCodes:
         monkeypatch.setattr(montecarlo, "simulate_tau", fail)
         assert main(argv) == 2
         assert "budget" in capsys.readouterr().err
+
+    def test_factor_beyond_physical_memory_is_numerical_error(self, monkeypatch, capsys):
+        # a law beyond the symbol-ratio bound factors I - K with its band
+        def fail(*args, **kwargs):
+            raise AssertionError("no factor may be attempted beyond physical memory")
+
+        monkeypatch.setattr(resolvent, "_physical_memory", lambda: 1e4)
+        monkeypatch.setattr(resolvent, "cholesky_banded", fail)
+        assert main(["meantau", "--rho", "20", "--dist", "twopoint:1e-5,1,0.999"]) == 3
+        assert "physical memory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("dist", ["twopoint:inf,1,0.5", "twopoint:1,inf,0"])
     def test_non_finite_two_point_support_is_usage_error(self, dist, capsys):

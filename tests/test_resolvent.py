@@ -26,6 +26,7 @@ from strobofp import resolvent
 from strobofp.operator_core import DEFAULT_CUTOFF_ETA, StroboOperator
 from strobofp.resolvent import (
     EIGEN_TOL,
+    LAPLACE_COND_MAX,
     RESIDUAL_TOL,
     _factorization,
     _resolvent_solve,
@@ -220,6 +221,8 @@ class TestSpectralPair:
         (1.0, "twopoint:0.5,1.5,0.5"),
         (40.0, "jitter:0.5"),
         (20.0, "twopoint:0.001,1,0.99"),  # the widest band, 359, and ~30 steps
+        (20.0, "twopoint:0.0001,1,0.95"),  # symbol bound 13.5: ~50 steps
+        (20.0, "twopoint:1e-5,1,0.999"),  # symbol bound 58: I - K factored
     ])
     def test_matches_dense_eigensolver(self, rho, dist):
         # independent route: dense symmetric eigensolver on the same matrix
@@ -353,16 +356,49 @@ class TestMirrorFold:
     ])
     def test_factor_is_half_size(self, rho, n_grid):
         # the preconditioner's factor is tridiagonal on the even half, whatever
-        # the law and its band
+        # the band of a law within the symbol-ratio bound
         for dist in LAWS:
             op = law_op(rho, dist, n_grid)
             assert _factorization(op)[0].shape == (2, (op.n + 1) // 2)
 
+    @pytest.mark.parametrize("rho", [20.0, 100.0])
+    def test_wide_mixture_factors_i_minus_k(self, rho, monkeypatch):
+        # beyond the bound the preconditioner is I - K itself, factored on the
+        # half with its band, and PCG solves in one step
+        products = []
+        even_matvec = StroboOperator.even_matvec
+
+        def counted(self, half):
+            products.append(1)
+            return even_matvec(self, half)
+
+        monkeypatch.setattr(StroboOperator, "even_matvec", counted)
+        op = law_op(rho, "twopoint:1e-5,1,0.999")
+        m = (op.n + 1) // 2
+        factor, route = _factorization(op)
+        assert route is None
+        assert factor.shape == (min(op.bandwidth, m - 1) + 1, m)
+        _weight_resolvent(op)
+        assert len(products) == 1
+
+    def test_symbol_condition(self):
+        # deterministic frames: max (1 - e^{-t})(1 + t)/t = 1.2984 near t = 1.79,
+        # to the spacing of 400 log-spaced t; exponential frames have the
+        # Laplace symbol itself
+        assert resolvent._symbol_condition(op_for(20.0)) == pytest.approx(1.2984, abs=1e-3)
+        assert resolvent._symbol_condition(law_op(20.0, "exponential")) == 1.0
+        assert resolvent._symbol_condition(law_op(20.0, "twopoint:1e-5,1,0.999")) > LAPLACE_COND_MAX
+        # a vanishing rho puts every t beyond the kernel width: the ratio is 1,
+        # and t is capped before it overflows
+        for rho in (1e-20, 1e-200):
+            assert resolvent._symbol_condition(law_op(rho, "twopoint:1e-5,1,0.999")) == 1.0
+
     @pytest.mark.parametrize("rho", [0.05, 3.0, 40.0, 1000.0])
-    def test_exponential_preconditioner_is_exact(self, rho, monkeypatch):
-        # P is the exponential-frame I - K up to its omitted band tail: at the
-        # default cutoff the tail is below 2 eps (0 for a full band), and
-        # eta = 6 cuts it at ~1e-8 once the band is cut (rho >= 12.8)
+    def test_exponential_route_selection(self, rho, monkeypatch):
+        # exponential frames always take the Laplace route, and P is their
+        # I - K up to its omitted band tail: at the default cutoff the tail is
+        # below 2 eps (0 for a full band), and eta = 6 cuts it at ~1e-8 once
+        # the band is cut (rho >= 12.8)
         products = []
         even_matvec = StroboOperator.even_matvec
 
@@ -373,9 +409,27 @@ class TestMirrorFold:
         monkeypatch.setattr(StroboOperator, "even_matvec", counted)
         for eta, steps in ((DEFAULT_CUTOFF_ETA, 2), (6.0, 4)):
             op = law_op(rho, "exponential", eta=eta)
+            assert _factorization(op)[1] is not None
             products.clear()
             _weight_resolvent(op)
             assert 1 <= len(products) <= steps
+
+    def test_route_decided_once_per_operator(self, monkeypatch):
+        # a solve, a second start point and every eigen step read the route
+        # that the factorization cached; fresh operators, so nothing is cached
+        decisions = []
+        route = resolvent._laplace_route
+
+        def counted(op):
+            decisions.append(op.law.kind)
+            return route(op)
+
+        monkeypatch.setattr(resolvent, "_laplace_route", counted)
+        for dist in ("exponential", "deterministic", "twopoint:1e-5,1,0.999"):
+            op = law_op(100.0, dist)
+            exit_stats(op, 0.5)
+            mean_frames(op, 0.0)
+        assert decisions == ["exponential", "deterministic", "two-point"]
 
     def test_preconditioner_built_once_per_operator(self, monkeypatch):
         # a solve, a second start point and every eigen step use the factor
@@ -434,16 +488,35 @@ class TestWeightResolvent:
         # longer exact once the band is cut (rho >= 20 here)
         etas = (DEFAULT_CUTOFF_ETA, 6.0) if dist == "exponential" else (DEFAULT_CUTOFF_ETA,)
         for eta in etas:
-            op = law_op(rho, dist, eta=eta)
-            h = initial_vector(op, 0.5)
-            h = 0.5 * (h + h[::-1])
-            # ||I - K||_inf from the row sums: K >= 0 and its diagonal is below 1
-            norm = np.max(1.0 - 2.0 * op.band[0] + op.row_sums())
-            for rhs, x in ((op.weights, _weight_resolvent(op)),
-                           (h, _resolvent_solve(op, h))):
-                residual = np.max(np.abs(rhs - (x - op.matvec(x))))
-                scale = norm * np.max(np.abs(x)) + np.max(np.abs(rhs))
-                assert residual <= RESIDUAL_TOL * scale
+            assert_backward_error(law_op(rho, dist, eta=eta))
+
+    # the slowest law on the Laplace route (symbol bound 13.5, about 50
+    # steps), and two beyond LAPLACE_COND_MAX, which factor I - K;
+    # twopoint:1e-6,1,0.999 is wider still and supercritical on the
+    # default grid (TestFailureMessages).  At rho = 60 the first PCG run of
+    # twopoint:0.000316,1,0.995 leaves the even part of the true residual
+    # just under the bound, and the full-grid product adds an odd part of
+    # 0.11 of it: the restart must take the even part well below the bound
+    @pytest.mark.parametrize("rho, dist", [
+        *((rho, dist) for dist in ("twopoint:0.0001,1,0.95", "twopoint:1e-5,1,0.999",
+                                   "twopoint:1e-6,1,0.9999") for rho in (20.0, 100.0)),
+        (60.0, "twopoint:0.000316,1,0.995"),
+    ])
+    def test_backward_error_contract_widest_mixtures(self, rho, dist):
+        assert_backward_error(law_op(rho, dist))
+
+
+def assert_backward_error(op):
+    """The cached u and the even part of the centred h meet RESIDUAL_TOL."""
+    h = initial_vector(op, 0.5)
+    h = 0.5 * (h + h[::-1])
+    # ||I - K||_inf from the row sums: K >= 0 and its diagonal is below 1
+    norm = np.max(1.0 - 2.0 * op.band[0] + op.row_sums())
+    for rhs, x in ((op.weights, _weight_resolvent(op)),
+                   (h, _resolvent_solve(op, h))):
+        residual = np.max(np.abs(rhs - (x - op.matvec(x))))
+        scale = norm * np.max(np.abs(x)) + np.max(np.abs(rhs))
+        assert residual <= RESIDUAL_TOL * scale
 
 
 def supercritical_op():
@@ -495,6 +568,13 @@ class TestFailureMessages:
                 rf"LOPCG spectral_pair at rho=100\.0: eigen residual {_NUMBER} exceeds "
                 rf"the bound {_NUMBER} after 2 steps")):
             spectral_pair(op_for(100.0))
+
+    def test_banded_factor_not_positive_definite(self):
+        # beyond the symbol-ratio bound, and row sums up to 1.0026 from the
+        # narrow component's aliasing: the factor of I - K itself fails
+        with pytest.raises(SolverError, match=(
+                r"banded Cholesky factor of I - K at rho=20\.0: not positive definite")):
+            mean_frames(law_op(20.0, "twopoint:1e-6,1,0.999"), 0.5)
 
     def test_lopcg_eigenvalue_outside_unit_interval(self):
         with pytest.raises(SolverError, match=(
