@@ -13,9 +13,7 @@ from .asymptotics import (
     ZETA_HALF,
     boundary_law,
     bulk_law,
-    dirichlet_mean_exit,
     effective_exponent,
-    gap_expansion,
     loglog_window_points,
     mode_sum_survival,
 )
@@ -37,13 +35,11 @@ from .montecarlo import (
 from .operator_core import (
     DEFAULT_CUTOFF_ETA,
     FrameDistribution,
-    PhysicalParams,
     ProblemSpec,
     StroboOperator,
     build_averaged_operator,
     build_operator,
     default_grid_size,
-    gaussian_kernel,
 )
 from .resolvent import (
     ExitStats,
@@ -73,7 +69,6 @@ __all__ = [
     "GAP_BETA",
     "InsufficientDataError",
     "MCResult",
-    "PhysicalParams",
     "ProblemSpec",
     "REFERENCE_FITS",
     "ResolutionError",
@@ -87,14 +82,11 @@ __all__ = [
     "build_operator",
     "bulk_law",
     "default_grid_size",
-    "dirichlet_mean_exit",
     "effective_exponent",
     "exit_stats",
     "fit_boundary",
     "fit_bulk",
     "fit_gap",
-    "gap_expansion",
-    "gaussian_kernel",
     "initial_vector",
     "loglog_window_points",
     "mean_frames",

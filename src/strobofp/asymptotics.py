@@ -1,8 +1,7 @@
 """Closed-form reference laws for the frame-counted exit statistics.
 
-Boundary and bulk large-rho laws for E[tau], the continuous-monitoring
-benchmark, the spectral-gap expansion, sine-mode survival sums, and the
-finite-window effective exponent.  These are reference formulas: the banded
+Boundary and bulk large-rho laws for E[tau], sine-mode survival sums, and
+the finite-window effective exponent.  These are reference formulas: the banded
 resolvent pipeline is the numerical ground truth they are compared against.
 """
 
@@ -13,7 +12,6 @@ import math
 import numpy as np
 
 from .errors import InsufficientDataError
-from .operator_core import PhysicalParams
 
 # Riemann zeta at 1/2; only this single value is needed, hard-coded rather
 # than pulling in a zeta implementation.
@@ -43,18 +41,6 @@ def boundary_law(rho: float) -> float:
 def bulk_law(rho: float) -> float:
     """E[tau] for a centered start: rho^2/4 + 0.583014 rho + 0.573592."""
     return BULK_A * rho**2 + BULK_B * rho + BULK_C
-
-
-def dirichlet_mean_exit(x0: float, params: PhysicalParams) -> float:
-    """Continuously monitored mean exit time x0 (L - x0) / (2 D)."""
-    if not 0.0 <= x0 <= params.L:
-        raise ValueError(f"x0 must lie in [0, L]=[0, {params.L}], got {x0}")
-    return x0 * (params.L - x0) / (2.0 * params.D)
-
-
-def gap_expansion(rho: float) -> float:
-    """Reference expansion pi^2/(2 rho^2) + 2.332056/rho^3 for 1 - lambda0."""
-    return math.pi**2 / (2.0 * rho**2) + GAP_BETA / rho**3
 
 
 def mode_sum_survival(rho: float, n, start: str = "boundary", truncation_tol: float = 1e-12):

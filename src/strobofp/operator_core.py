@@ -53,45 +53,6 @@ def default_grid_size(rho: float) -> int:
     return max(MIN_GRID, int(math.ceil(points)))
 
 
-def gaussian_kernel(u, rho: float):
-    """One-frame displacement density (rho/sqrt(2*pi)) * exp(-rho^2 u^2 / 2).
-
-    Symmetric in u and normalized to unit mass over the real line.
-    """
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    u = np.asarray(u, dtype=float)
-    out = (rho / _SQRT_2PI) * np.exp(-0.5 * (rho * u) ** 2)
-    return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class PhysicalParams:
-    """Dimensionful description: interval length, noise scale, frame interval.
-
-    The diffusion constant is always the derived D = sigma^2/2; it is exposed
-    as a property so it can never be set inconsistently.
-    """
-
-    L: float
-    sigma: float
-    dt: float
-
-    def __post_init__(self):
-        for name in ("L", "sigma", "dt"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-
-    @property
-    def D(self) -> float:
-        return 0.5 * self.sigma**2
-
-    @property
-    def rho(self) -> float:
-        return self.L / (self.sigma * math.sqrt(self.dt))
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
     """Dimensionless problem instance and discretization controls.
@@ -307,29 +268,37 @@ def averaged_kernel(u: np.ndarray, rho: float, law: FrameDistribution, h: float)
 class StroboOperator:
     """Nystrom matrix of the one-frame operator in banded Toeplitz storage.
 
-    Entries are K[i, j] = band[|i - j|] for |i - j| <= bandwidth and zero
-    beyond; `band` already includes the uniform quadrature weight 1/N, and
-    `law` is the frame-interval law whose `averaged_kernel` it holds.  The
-    instance is immutable and safe to share across threads.
+    Entries are K[i, j] = band[|i - j|] for |i - j| <= bandwidth =
+    band.size - 1 and zero beyond, on the n-point midpoint grid y_i =
+    (i - 1/2)/n with the uniform quadrature weights 1/n; `band` already
+    includes that weight, and `law` is the frame-interval law whose
+    `averaged_kernel` it holds.  The grid and the weights follow from n, so
+    both are mirror-even by construction.  The instance is immutable and
+    safe to share across threads.
     """
 
     rho: float
-    grid: np.ndarray
-    weights: np.ndarray
+    n: int
     band: np.ndarray
-    bandwidth: int
     law: FrameDistribution
+    grid: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
     _sym_band: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        sym = np.concatenate([self.band[:0:-1], self.band])
-        object.__setattr__(self, "_sym_band", sym)
-        for arr in (self.grid, self.weights, self.band, sym):
+        arrays = {
+            "grid": (np.arange(1, self.n + 1) - 0.5) / self.n,
+            "weights": np.full(self.n, 1.0 / self.n),
+            "_sym_band": np.concatenate([self.band[:0:-1], self.band]),
+        }
+        for name, arr in arrays.items():
+            object.__setattr__(self, name, arr)
+        for arr in (self.band, *arrays.values()):
             arr.setflags(write=False)
 
     @property
-    def n(self) -> int:
-        return self.grid.size
+    def bandwidth(self) -> int:
+        return self.band.size - 1
 
     def matvec(self, vec: np.ndarray) -> np.ndarray:
         """Banded Toeplitz matrix-vector product via direct convolution."""
@@ -374,12 +343,10 @@ def laplace_band(op: StroboOperator) -> tuple[float, float]:
 
     With a = sqrt 2 rho and h = 1/N, s = sinh(ah/2) and r = e^{-ah}: the
     cell means of `_laplace_cell_mean` times h, so exponential frames have
-    band[d] = s r^d for 1 <= d <= bandwidth.  Every law is unit-mean and
-    shares the diffusion scale of that band, so the untruncated Laplace
-    operator P = (1 - band_0 + s) I - s R, R_ij = r^{|i-j|}, whose inverse
-    is tridiagonal, preconditions I - K for every law whose symbol ratio
-    to P stays within the bound of `resolvent`: for deterministic frames
-    that ratio, (1 - e^{-t})(1 + t)/t, lies in [1, 1.30].
+    band[d] = s r^d for 1 <= d <= bandwidth.  The untruncated Laplace
+    operator P = (1 - band_0 + s) I - s R, R_ij = r^{|i-j|}, is the
+    preconditioner of every law within the symbol-ratio bound that the
+    `resolvent` module docstring states.
     """
     ah = _SQRT_2 * op.rho / op.n
     return math.sinh(0.5 * ah), math.exp(-ah)
@@ -402,10 +369,6 @@ def _band_width(spec: ProblemSpec, law: FrameDistribution) -> int:
         s_max = float(np.max(law.width_nodes()[0]))
         reach = eta * s_max * n / rho
     return math.floor(min(reach, n - 1))
-
-
-def _midpoint_grid(n_grid: int) -> np.ndarray:
-    return (np.arange(1, n_grid + 1) - 0.5) / n_grid
 
 
 def _build(spec: ProblemSpec, law: FrameDistribution) -> StroboOperator:
@@ -431,10 +394,8 @@ def _build(spec: ProblemSpec, law: FrameDistribution) -> StroboOperator:
     offsets = np.arange(bw + 1) / n
     return StroboOperator(
         rho=spec.rho,
-        grid=_midpoint_grid(n),
-        weights=np.full(n, 1.0 / n),
+        n=n,
         band=averaged_kernel(offsets, spec.rho, law, 1.0 / n) / n,
-        bandwidth=bw,
         law=law,
     )
 

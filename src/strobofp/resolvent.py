@@ -10,41 +10,38 @@ normwise backward-error contract (`_resolvent_solve`).
 `spectral_pair` the geometric decay rate, stopped by
 ||K v - lambda0 v||_2 <= EIGEN_TOL * lambda0.
 
-Both are preconditioned Krylov iterations with a preconditioner P
-chosen once per operator (`_factorization`).  P is the exponential-frame
-(Laplace) operator I - K_L at the same rho and grid wherever the
-symbol-ratio bound allows it (`_laplace_route`).  Every law is unit-mean,
-so every law has the diffusion scale of P and matches it at low
-frequency; P^{-1} is tridiagonal (Kac, Murdock & Szego), so applying it
-costs O(N).  The ratio of the symbols of I - K and P bounds the condition
-number of P^{-1}(I - K) (Chan & Ng, SIAM Rev. 38, 1996): for
-deterministic frames it is (1 - e^{-t})(1 + t)/t, in [1, 1.30], and
-conjugate gradients (`_pcg`) solve in about 11 steps, stopped once the
-recursive residual meets the backward-error bound and then checked on the
-true residual; LOPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) finds the
-leading pair in about as many, stopped by the eigen residual above.
-Exponential frames, for which P is I - K up to the omitted band tail,
-take 1 to 4 PCG steps; wide two-point mixtures take more, about 55 at the
-largest bound admitted, LAPLACE_COND_MAX = 16.  Beyond it (for example
-twopoint:1e-5,1,0.999, bound 58) the steps would approach the cap, and
-P is I - K itself, factored with its band: PCG then takes one step and
-LOPCG about as many as inverse iteration.
-
 Everything that iterates with K works on the mirror-even half of the grid.
-The interval is symmetric, so the Toeplitz matrix K commutes with the
-reflection (J x)_i = x_{N-1-i} and the weights w are mirror-even, so u and
-the leading eigenvector are even, and S_n = w . K^{n-1} h depends only on
-the even part of h.  An even vector is carried as its first ceil(N/2)
-entries: a symmetric Toeplitz matrix folds into a banded block of that
-order (`_fold`; Cantoni & Butler, Linear Algebra Appl. 13, 1976), the
-tridiagonal inverse of P into a tridiagonal one, whose Cholesky factor is
-the one factor per operator (or that of the folded I - K), and K into
+The interval is symmetric and the grid and weights of a `StroboOperator`
+follow from N alone, so the Toeplitz matrix K commutes with the reflection
+(J x)_i = x_{N-1-i} and the weights w are mirror-even: u and the leading
+eigenvector are even, and S_n = w . K^{n-1} h depends only on the even
+part of h.  An even vector is carried as its first m = ceil(N/2) entries:
+a symmetric Toeplitz matrix folds into a banded block of order m (`_fold`;
+Cantoni & Butler, Linear Algebra Appl. 13, 1976), and K into
 `StroboOperator.even_matvec`, which makes every product of the survival
-recursion, of PCG and of LOPCG.  Sums, inner products and norms over the
-full grid weight each mirrored pair 2 and the middle node of odd N 1
-(`_multiplicity`).  Only the residual check of `_resolvent_solve`, a
-full-grid backward-error statement, is taken with the full product
-`op.matvec`.
+recursion, of PCG, of its residual check and of LOPCG.  Sums, inner
+products and norms over the full grid weight each mirrored pair 2 and the
+middle node of odd N 1 (`_multiplicity`); max norms are those of the half.
+
+The solve (`_resolvent_solve`) is preconditioned conjugate gradients, the
+eigensolver (`spectral_pair`) LOPCG (Knyazev, SIAM J. Sci. Comput. 23,
+2001), both with one preconditioner P chosen once per operator
+(`_factorization`).  P is the exponential-frame (Laplace) operator I - K_L
+at the same rho and grid wherever the symbol-ratio bound allows it
+(`_laplace_route`).  Every law is unit-mean, so every law has the
+diffusion scale of P and matches it at low frequency; P^{-1} is
+tridiagonal (Kac, Murdock & Szego), so applying it costs O(N), and it
+folds into a tridiagonal block on the half.  The ratio of the symbols of
+I - K and P bounds the condition number of P^{-1}(I - K) (Chan & Ng, SIAM
+Rev. 38, 1996): for deterministic frames it is (1 - e^{-t})(1 + t)/t, in
+[1, 1.30], and PCG solves in about 11 steps; LOPCG finds the leading pair
+in about as many.  Exponential frames, for which P is I - K up to the
+omitted band tail, take 1 to 4 PCG steps; wide two-point mixtures take
+more, about 55 at the largest bound admitted, LAPLACE_COND_MAX = 16.
+Beyond it (for example twopoint:1e-5,1,0.999, bound 58) the steps would
+approach the cap, and P is I - K itself, factored with its band on the
+half: PCG then takes one step and LOPCG about as many as inverse
+iteration.
 """
 
 from __future__ import annotations
@@ -140,12 +137,10 @@ def survival_sequence(op: StroboOperator, y0: float, n_max: int) -> SurvivalSeri
     depends only on the even part of h, whatever y0: h is folded once into
     the first half of (h + J h)/2, advanced by `StroboOperator.even_matvec`,
     and S_n is taken with weight 2 w_i on each mirrored pair and w_i on the
-    middle node of odd N.  Weights that are not mirror-even raise ValueError.
+    middle node of odd N.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if not np.array_equal(op.weights, op.weights[::-1]):
-        raise ValueError("survival_sequence needs mirror-even quadrature weights")
     mult = _multiplicity(op.n)
     weights = op.weights[: mult.size] * mult
     values = np.empty(n_max + 1)
@@ -293,23 +288,46 @@ def _precondition(op: StroboOperator, half: np.ndarray) -> np.ndarray:
     return (half + sq * z) / alpha
 
 
-def _pcg(op: StroboOperator, res: np.ndarray, bound, steps: int):
-    """PCG for (I - K) y = b from y = 0 until bound(y) covers the residual.
+def _resolvent_solve(op: StroboOperator, rhs: np.ndarray) -> np.ndarray:
+    """First half of x = (I - K)^{-1} b for the mirror-even b with b[:m] = rhs.
 
-    res is b on the mirror-even half and becomes the residual, updated
-    recursively; inner products weight it by `_multiplicity`.  Returns y
-    and the step count, which carries on from `steps` and is capped at
-    EIGEN_MAX_ITER.
+    x meets the normwise backward-error contract
+    ||b - (I - K) x||_inf <= RESIDUAL_TOL (||I - K||_inf ||x||_inf + ||b||_inf)
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 7.1), with
+    ||I - K||_inf taken as 1 - band[0] + 2 sum(band[1:]): exact once N > 2 bw,
+    and at most 2.  Conjugate gradients with the preconditioner of the
+    module docstring: each step one `even_matvec` and one solve with P.
+    Once the recursive residual meets the bound, the true residual is formed
+    with one more `even_matvec`.  If it misses, it replaces the recursive
+    residual and the search direction restarts from it (residual
+    replacement; van der Vorst & Ye, SIAM J. Sci. Comput. 22, 2000); a
+    second miss raises SolverError.  Non-positive curvature p.(I - K)p <= 0
+    raises SolverError, EIGEN_MAX_ITER steps in all ConvergenceError.
     """
     mult = _multiplicity(op.n)
-    half = np.zeros_like(res)
+    norm = 1.0 - op.band[0] + 2.0 * op.band[1:].sum()
+    rhs_max = np.max(np.abs(rhs))
+    x, res = np.zeros_like(rhs), rhs
     p = rz = None
-    while np.max(np.abs(res)) > bound(half):
+    steps, restarted = 0, False
+    while True:
+        bound = RESIDUAL_TOL * (norm * np.max(np.abs(x)) + rhs_max)
+        if np.max(np.abs(res)) <= bound:
+            res = rhs - (x - op.even_matvec(x))
+            if np.max(np.abs(res)) <= bound:
+                return x
+            if restarted:
+                raise SolverError(
+                    f"PCG resolvent solve at rho={op.rho}: true residual "
+                    f"{np.max(np.abs(res)):.3e} exceeds the backward-error bound "
+                    f"{bound:.3e} after {steps} steps and one restart"
+                )
+            p, restarted = None, True
         if steps == EIGEN_MAX_ITER:
             raise ConvergenceError(
                 f"PCG resolvent solve at rho={op.rho}: recursive residual "
                 f"{np.max(np.abs(res)):.3e} exceeds the backward-error bound "
-                f"{bound(half):.3e} after {steps} steps"
+                f"{bound:.3e} after {steps} steps"
             )
         z = _precondition(op, res)
         rz_next = float(mult @ (res * z))
@@ -321,82 +339,21 @@ def _pcg(op: StroboOperator, res: np.ndarray, bound, steps: int):
             raise SolverError(
                 f"PCG resolvent solve at rho={op.rho}: curvature p.(I - K)p = "
                 f"{curvature:.3e} <= 0 at step {steps + 1} with residual "
-                f"{np.max(np.abs(res)):.3e} against the bound {bound(half):.3e}; "
+                f"{np.max(np.abs(res)):.3e} against the bound {bound:.3e}; "
                 f"(I - K) is not positive definite, the operator exceeds unit "
                 f"spectral radius"
             )
         step = rz / curvature
-        half = half + step * p
+        x = x + step * p
         res = res - step * ap
         steps += 1
-    return half, steps
-
-
-def _resolvent_solve(op: StroboOperator, rhs: np.ndarray) -> np.ndarray:
-    """x = (I - K)^{-1} rhs with normwise backward error at most RESIDUAL_TOL.
-
-    ||rhs - (I - K) x||_inf <= RESIDUAL_TOL (||I - K||_inf ||x||_inf + ||rhs||_inf)
-    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 7.1), with
-    ||I - K||_inf taken as 1 - band[0] + 2 sum(band[1:]): exact once N > 2 bw,
-    and at most 2.  Conjugate gradients on the mirror-even half, each step
-    one `even_matvec` and one solve with the preconditioner P of
-    `_factorization`.  Where the symbol-ratio bound allows it
-    (`_laplace_route`), P is the exponential-frame operator, whose inverse
-    is tridiagonal: every law is unit-mean, so P matches I - K at low
-    frequency, and for deterministic frames the symbol ratio
-    (1 - e^{-t})(1 + t)/t lies in [1, 1.30], so P^{-1}(I - K) has condition
-    number at most 1.30 (Chan & Ng, SIAM Rev. 38, 1996) and about 11 steps
-    suffice; exponential frames, for which P is exact up to the omitted
-    band tail, take 1 to 2 (up to 4 with eta = 6), and two-point mixtures
-    within the bound LAPLACE_COND_MAX = 16 up to about 55.  Beyond it P is
-    I - K itself, factored with its band, and one step solves.  PCG stops
-    once its recursive
-    residual meets the bound; the true residual of the truncated band,
-    `op.matvec` on the full grid, is then checked against the same bound.
-    If it misses, PCG restarts once from zero on the even part of that
-    residual and adds the correction to x.  The correction is taken to half
-    the bound: the rounding of the full-grid product leaves an odd part in
-    the true residual, up to 0.11 of the bound for twopoint:0.000316,1,0.995
-    at rho = 60, which no even correction removes.  Non-positive
-    curvature p.(I - K)p <= 0 raises SolverError, EIGEN_MAX_ITER steps in
-    all ConvergenceError.  x is even, so an rhs whose odd part exceeds the
-    bound is rejected with ValueError: no solve removes that part of the
-    residual.
-    """
-    norm = 1.0 - op.band[0] + 2.0 * op.band[1:].sum()
-    rhs_max = np.max(np.abs(rhs))
-
-    def bound(half):
-        return RESIDUAL_TOL * (norm * np.max(np.abs(half)) + rhs_max)
-
-    half, steps = _pcg(op, _even_half(rhs), bound, 0)
-    odd = np.max(np.abs(rhs - rhs[::-1])) / 2.0
-    if odd > bound(half):
-        raise ValueError(
-            f"resolvent right-hand side is not mirror-even: its odd part "
-            f"{odd:.3e} exceeds the backward-error bound {bound(half):.3e}"
-        )
-    for restart in (False, True):
-        x = _unfold(half, op.n)
-        residual = rhs - (x - op.matvec(x))
-        if np.max(np.abs(residual)) <= bound(half):
-            return x
-        if not restart:
-            tol = 0.5 * bound(half)
-            correction, steps = _pcg(op, _even_half(residual), lambda _: tol, steps)
-            half = half + correction
-    raise SolverError(
-        f"PCG resolvent solve at rho={op.rho}: true residual "
-        f"{np.max(np.abs(residual)):.3e} exceeds the backward-error bound "
-        f"{bound(half):.3e} after {steps} steps and one restart"
-    )
 
 
 def _weight_resolvent(op: StroboOperator) -> np.ndarray:
-    """u = (I - K)^{-1} w, solved once per operator and cached."""
+    """First half of u = (I - K)^{-1} w, solved once per operator and cached."""
     u = _weight_resolvent_cache.get(op)
     if u is None:
-        u = _resolvent_solve(op, op.weights)
+        u = _resolvent_solve(op, op.weights[: (op.n + 1) // 2])
         u.setflags(write=False)
         _weight_resolvent_cache[op] = u
     return u
@@ -407,9 +364,11 @@ def mean_frames(op: StroboOperator, y0: float) -> ExitStats:
 
     M = w . (I - K)^{-1} h(y0) = h(y0) . u, since K is symmetric, with the
     cached u = (I - K)^{-1} w: every start point after the first costs one
-    kernel profile and one dot product.
+    kernel profile and one dot product.  u is even, so the dot product is
+    that of the even half of h with u, weighted by `_multiplicity`.
     """
-    M = float(initial_vector(op, y0) @ _weight_resolvent(op))
+    h = _even_half(initial_vector(op, y0))
+    M = float((_multiplicity(op.n) * h) @ _weight_resolvent(op))
     return ExitStats(M=M, mean_tau=1.0 + M)
 
 
@@ -420,10 +379,9 @@ def spectral_pair(op: StroboOperator, y0: float = 0.5):
     (LOPCG; Knyazev, SIAM J. Sci. Comput. 23, 2001), started from the
     half-sine profile (the wide-kernel limit mode): each step takes the
     Rayleigh-Ritz maximizer of K over the iterate v, its residual
-    preconditioned by the P of `_resolvent_solve` (the exponential-frame
-    operator, or I - K itself beyond the symbol-ratio bound, where the
-    span holds the inverse-iteration step), and the previous search
-    direction.  The leading mode is even, so every
+    preconditioned by the P of the module docstring (where P is I - K
+    itself, the span holds the inverse-iteration step), and the previous
+    search direction.  The leading mode is even, so every
     vector lives on the half of ceil(N/2) entries, with the inner products
     of `_multiplicity`; the vector is unfolded once at the end.  Each step
     makes one `StroboOperator.even_matvec`, of the preconditioned residual;

@@ -13,12 +13,9 @@ from strobofp import (
     BULK_B,
     GAP_BETA,
     InsufficientDataError,
-    PhysicalParams,
     boundary_law,
     bulk_law,
-    dirichlet_mean_exit,
     effective_exponent,
-    gap_expansion,
     loglog_window_points,
     mode_sum_survival,
 )
@@ -57,38 +54,6 @@ class TestBulkLaw:
 
     def test_leading_term(self):
         assert bulk_law(1e6) / 1e12 == pytest.approx(0.25, rel=1e-5)
-
-
-class TestDirichlet:
-    def test_boundary_start_vanishes(self):
-        p = PhysicalParams(L=3.0, sigma=1.0, dt=1.0)
-        assert dirichlet_mean_exit(0.0, p) == 0.0
-        assert dirichlet_mean_exit(3.0, p) == 0.0
-
-    def test_midpoint_maximum(self):
-        p = PhysicalParams(L=2.0, sigma=1.0, dt=1.0)
-        assert dirichlet_mean_exit(1.0, p) == pytest.approx(p.L**2 / (8.0 * p.D))
-        grid = np.linspace(0.0, 2.0, 41)
-        values = [dirichlet_mean_exit(x, p) for x in grid]
-        assert np.argmax(values) == 20
-
-    def test_mirror_symmetry(self):
-        p = PhysicalParams(L=5.0, sigma=0.7, dt=0.3)
-        assert dirichlet_mean_exit(1.2, p) == pytest.approx(dirichlet_mean_exit(3.8, p))
-
-    def test_domain_error(self):
-        p = PhysicalParams(L=1.0, sigma=1.0, dt=1.0)
-        with pytest.raises(ValueError):
-            dirichlet_mean_exit(1.5, p)
-
-
-class TestGapExpansion:
-    def test_reference_point(self):
-        assert gap_expansion(50.0) == pytest.approx(0.0019926, abs=1e-7)
-
-    def test_leading_order(self):
-        ratio = gap_expansion(1e5) / (math.pi**2 / (2.0 * 1e10))
-        assert ratio == pytest.approx(1.0, abs=1e-4)
 
 
 def _mode_sum_per_n(rho, n, start, tol=1e-12):

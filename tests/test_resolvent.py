@@ -1,6 +1,5 @@
 """Resolvent solves, survival sequences and the leading spectral pair."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 from scipy.special import ndtr
 
 from strobofp import (
+    GAP_BETA,
     ConvergenceError,
     FrameDistribution,
     ProblemSpec,
@@ -15,7 +15,6 @@ from strobofp import (
     build_averaged_operator,
     build_operator,
     exit_stats,
-    gap_expansion,
     initial_vector,
     mean_frames,
     neumann_partial_sum,
@@ -60,12 +59,12 @@ class TestInitialVector:
 
     def test_exponential_profile_is_exactly_even(self):
         # every offset y_i - 1/2 on N = 64 is exact, so the centred profile
-        # must have no odd part and pass the solver's evenness check
+        # has no odd part: its first half carries all of it to the solver
         op = build_averaged_operator(ProblemSpec(rho=0.05), FrameDistribution.exponential())
         h = initial_vector(op, 0.5)
         assert np.array_equal(h, h[::-1])
-        x = _resolvent_solve(op, h)
-        assert np.array_equal(x, x[::-1])
+        x = np.linalg.solve(np.eye(op.n) - op.toarray(), h)
+        assert _resolvent_solve(op, h[:32]) == pytest.approx(x[:32], rel=1e-12, abs=0.0)
 
     def test_rejects_start_outside_interval(self):
         with pytest.raises(ValueError):
@@ -126,22 +125,15 @@ class TestMeanFrames:
     def test_residual_contract(self):
         op = op_for(200.0)
         h = initial_vector(op, 0.5)
-        x = _resolvent_solve(op, h)
+        x = unfold(_resolvent_solve(op, h[: (op.n + 1) // 2]), op.n)
         residual = np.max(np.abs(x - op.matvec(x) - h))
         assert residual < 1e-10
 
     def test_supercritical_operator_raises(self):
         # a hand-built band with row sums above 1 must be rejected
-        n, bw = 64, 8
+        bw = 8
         band = np.full(bw + 1, 1.2 / (2 * bw + 1))
-        bad = StroboOperator(
-            rho=1.0,
-            grid=(np.arange(1, n + 1) - 0.5) / n,
-            weights=np.full(n, 1.0 / n),
-            band=band,
-            bandwidth=bw,
-            law=FrameDistribution.deterministic(),
-        )
+        bad = StroboOperator(rho=1.0, n=64, band=band, law=FrameDistribution.deterministic())
         with pytest.raises(SolverError):
             mean_frames(bad, 0.5)
 
@@ -193,7 +185,8 @@ class TestSpectralPair:
         for rho in (20.0, 50.0, 120.0):
             lam, _, _ = spectral_pair(op_for(rho))
             gap = 1.0 - lam
-            assert abs(gap_expansion(rho) - gap) / gap <= 10.0 / rho
+            expansion = math.pi**2 / (2.0 * rho**2) + GAP_BETA / rho**3
+            assert abs(expansion - gap) / gap <= 10.0 / rho
 
     def test_gap_quarter_scaling(self):
         g1 = 1.0 - spectral_pair(op_for(60.0))[0]
@@ -316,15 +309,9 @@ class TestMirrorFold:
         with pytest.raises(ValueError, match="even half"):
             op.even_matvec(np.ones(op.n))
 
-    def test_survival_rejects_non_even_weights(self):
-        op = op_for(5.0)
-        skewed = dataclasses.replace(op, weights=op.weights * np.linspace(0.9, 1.1, op.n))
-        with pytest.raises(ValueError, match="mirror-even"):
-            survival_sequence(skewed, 0.5, 3)
-
     def test_survival_and_eigen_steps_make_no_full_grid_product(self, monkeypatch):
-        # every product of the survival recursion and of inverse iteration is
-        # a half-grid one; the resolvent keeps its full-grid residual products
+        # every product of the survival recursion, of the resolvent solve and
+        # its residual check, and of the eigensolver is a half-grid one
         calls = []
         matvec = StroboOperator.matvec
 
@@ -336,9 +323,9 @@ class TestMirrorFold:
         op = op_for(100.0)
         survival_sequence(op, 0.5, 2000)
         spectral_pair(op)
-        assert calls == []
         mean_frames(op, 0.5)
-        assert 1 <= len(calls) <= 2
+        exit_stats(op_for(100.0), 0.0)
+        assert calls == []
 
     @pytest.mark.parametrize("rho, n_grid, dist", [
         (3.0, 65, "deterministic"),
@@ -378,8 +365,9 @@ class TestMirrorFold:
         factor, route = _factorization(op)
         assert route is None
         assert factor.shape == (min(op.bandwidth, m - 1) + 1, m)
+        # the step and the true residual
         _weight_resolvent(op)
-        assert len(products) == 1
+        assert len(products) == 2
 
     def test_symbol_condition(self):
         # deterministic frames: max (1 - e^{-t})(1 + t)/t = 1.2984 near t = 1.79,
@@ -398,7 +386,9 @@ class TestMirrorFold:
         # exponential frames always take the Laplace route, and P is their
         # I - K up to its omitted band tail: at the default cutoff the tail is
         # below 2 eps (0 for a full band), and eta = 6 cuts it at ~1e-8 once
-        # the band is cut (rho >= 12.8)
+        # the band is cut (rho >= 12.8).  Products per solve, at the default
+        # cutoff and at eta = 6: the PCG steps and the true residual
+        exact = {0.05: (2, 2), 3.0: (2, 2), 40.0: (3, 3), 1000.0: (3, 4)}[rho]
         products = []
         even_matvec = StroboOperator.even_matvec
 
@@ -407,12 +397,12 @@ class TestMirrorFold:
             return even_matvec(self, half)
 
         monkeypatch.setattr(StroboOperator, "even_matvec", counted)
-        for eta, steps in ((DEFAULT_CUTOFF_ETA, 2), (6.0, 4)):
+        for eta, count in zip((DEFAULT_CUTOFF_ETA, 6.0), exact):
             op = law_op(rho, "exponential", eta=eta)
             assert _factorization(op)[1] is not None
             products.clear()
             _weight_resolvent(op)
-            assert 1 <= len(products) <= steps
+            assert len(products) == count
 
     def test_route_decided_once_per_operator(self, monkeypatch):
         # a solve, a second start point and every eigen step read the route
@@ -447,11 +437,6 @@ class TestMirrorFold:
             exit_stats(op, 0.5)
             mean_frames(op, 0.0)
         assert shapes == [(2, 900)] * len(LAWS)
-
-    def test_solve_rejects_non_palindromic_rhs(self):
-        op = op_for(20.0)
-        with pytest.raises(ValueError, match="mirror-even"):
-            _resolvent_solve(op, initial_vector(op, 0.3))
 
 
 class TestWeightResolvent:
@@ -493,10 +478,9 @@ class TestWeightResolvent:
     # the slowest law on the Laplace route (symbol bound 13.5, about 50
     # steps), and two beyond LAPLACE_COND_MAX, which factor I - K;
     # twopoint:1e-6,1,0.999 is wider still and supercritical on the
-    # default grid (TestFailureMessages).  At rho = 60 the first PCG run of
-    # twopoint:0.000316,1,0.995 leaves the even part of the true residual
-    # just under the bound, and the full-grid product adds an odd part of
-    # 0.11 of it: the restart must take the even part well below the bound
+    # default grid (TestFailureMessages).  At rho = 60 the first true
+    # residual of twopoint:0.000316,1,0.995 misses the bound: the solve
+    # meets it through one residual replacement
     @pytest.mark.parametrize("rho, dist", [
         *((rho, dist) for dist in ("twopoint:0.0001,1,0.95", "twopoint:1e-5,1,0.999",
                                    "twopoint:1e-6,1,0.9999") for rho in (20.0, 100.0)),
@@ -505,6 +489,31 @@ class TestWeightResolvent:
     def test_backward_error_contract_widest_mixtures(self, rho, dist):
         assert_backward_error(law_op(rho, dist))
 
+    def test_residual_replacement_recovers_a_drifted_product(self, monkeypatch):
+        # the first step's product off by 1e-9 leaves the recursive residual
+        # 1e-9 from the true one: the first true residual misses, replaces
+        # it, and the second, after more steps, meets the contract
+        calls, checks, step = [], [], []
+        precondition, even_matvec = resolvent._precondition, StroboOperator.even_matvec
+
+        def preconditioned(op, res):
+            step.append(1)
+            return precondition(op, res)
+
+        def drifted(self, half):
+            calls.append(1)
+            if not (step and step.pop()):
+                checks.append(1)  # follows no preconditioner solve: a true residual
+            out = even_matvec(self, half)
+            return out + 1e-9 if len(calls) == 1 else out
+
+        monkeypatch.setattr(resolvent, "_precondition", preconditioned)
+        monkeypatch.setattr(StroboOperator, "even_matvec", drifted)
+        op = op_for(100.0)
+        _weight_resolvent(op)
+        assert len(checks) == 2
+        assert_backward_error(op)
+
 
 def assert_backward_error(op):
     """The cached u and the even part of the centred h meet RESIDUAL_TOL."""
@@ -512,8 +521,9 @@ def assert_backward_error(op):
     h = 0.5 * (h + h[::-1])
     # ||I - K||_inf from the row sums: K >= 0 and its diagonal is below 1
     norm = np.max(1.0 - 2.0 * op.band[0] + op.row_sums())
-    for rhs, x in ((op.weights, _weight_resolvent(op)),
-                   (h, _resolvent_solve(op, h))):
+    m = (op.n + 1) // 2
+    for rhs, x in ((op.weights, unfold(_weight_resolvent(op), op.n)),
+                   (h, unfold(_resolvent_solve(op, h[:m]), op.n))):
         residual = np.max(np.abs(rhs - (x - op.matvec(x))))
         scale = norm * np.max(np.abs(x)) + np.max(np.abs(rhs))
         assert residual <= RESIDUAL_TOL * scale
@@ -521,15 +531,9 @@ def assert_backward_error(op):
 
 def supercritical_op():
     """A hand-built band with row sums 1.2: I - K is indefinite."""
-    n, bw = 64, 8
-    return StroboOperator(
-        rho=1.0,
-        grid=(np.arange(1, n + 1) - 0.5) / n,
-        weights=np.full(n, 1.0 / n),
-        band=np.full(bw + 1, 1.2 / (2 * bw + 1)),
-        bandwidth=bw,
-        law=FrameDistribution.deterministic(),
-    )
+    bw = 8
+    return StroboOperator(rho=1.0, n=64, band=np.full(bw + 1, 1.2 / (2 * bw + 1)),
+                          law=FrameDistribution.deterministic())
 
 
 # every failure names its routine and rho, its step count, and the residual
@@ -542,7 +546,7 @@ class TestFailureMessages:
         with pytest.raises(SolverError, match=(
                 rf"PCG resolvent solve at rho=1\.0: curvature p\.\(I - K\)p = {_NUMBER} "
                 rf"<= 0 at step \d+ with residual {_NUMBER} against the bound {_NUMBER}")):
-            _resolvent_solve(supercritical_op(), np.full(64, 1.0 / 64))
+            _resolvent_solve(supercritical_op(), np.full(32, 1.0 / 64))
 
     def test_pcg_step_cap(self, monkeypatch):
         monkeypatch.setattr(resolvent, "EIGEN_MAX_ITER", 2)
@@ -552,11 +556,23 @@ class TestFailureMessages:
             mean_frames(op_for(100.0), 0.5)
 
     def test_pcg_true_residual_after_restart(self, monkeypatch):
-        # a full-grid product with fresh noise of 1e-9 on every call: the
-        # true residual misses the bound however far PCG goes
-        matvec, rng = StroboOperator.matvec, np.random.default_rng(5)
-        monkeypatch.setattr(StroboOperator, "matvec",
-                            lambda self, vec: matvec(self, vec) + 1e-9 * rng.random(vec.size))
+        # fresh noise of 1e-9 on every true-residual product, the product
+        # that follows no preconditioner solve: the true residual misses the
+        # bound however far PCG goes
+        step = []
+        precondition, even_matvec = resolvent._precondition, StroboOperator.even_matvec
+        rng = np.random.default_rng(5)
+
+        def preconditioned(op, res):
+            step.append(1)
+            return precondition(op, res)
+
+        def noisy(self, half):
+            out = even_matvec(self, half)
+            return out if step and step.pop() else out + 1e-9 * rng.random(half.size)
+
+        monkeypatch.setattr(resolvent, "_precondition", preconditioned)
+        monkeypatch.setattr(StroboOperator, "even_matvec", noisy)
         with pytest.raises(SolverError, match=(
                 rf"PCG resolvent solve at rho=100\.0: true residual {_NUMBER} exceeds the "
                 rf"backward-error bound {_NUMBER} after \d+ steps and one restart")):
