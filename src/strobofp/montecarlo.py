@@ -17,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from ._threads import worker_count
 from .operator_core import FrameDistribution, ProblemSpec, build_averaged_operator
@@ -110,7 +111,7 @@ def simulate_tau(
         """Taus of chunk c, its trials moved together a frame at a time;
         trials still inside after n_cap frames keep tau = 0."""
         key = np.array([seed & _UINT64_MASK, c], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
+        gen = Generator(Philox(key=key))
         n = min(CHUNK, n_trials - c * CHUNK)
         taus = np.zeros(n, dtype=np.int64)
         alive = np.arange(n)

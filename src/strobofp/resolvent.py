@@ -29,19 +29,22 @@ eigensolver (`spectral_pair`) LOPCG (Knyazev, SIAM J. Sci. Comput. 23,
 (`_factorization`).  P is the exponential-frame (Laplace) operator I - K_L
 at the same rho and grid wherever the symbol-ratio bound allows it
 (`_laplace_route`).  Every law is unit-mean, so every law has the
-diffusion scale of P and matches it at low frequency; P^{-1} is
-tridiagonal (Kac, Murdock & Szego), so applying it costs O(N), and it
-folds into a tridiagonal block on the half.  The ratio of the symbols of
-I - K and P bounds the condition number of P^{-1}(I - K) (Chan & Ng, SIAM
-Rev. 38, 1996): for deterministic frames it is (1 - e^{-t})(1 + t)/t, in
-[1, 1.30], and PCG solves in about 11 steps; LOPCG finds the leading pair
-in about as many.  Exponential frames, for which P is I - K up to the
-omitted band tail, take 1 to 4 PCG steps; wide two-point mixtures take
+diffusion scale of P and matches it at low frequency.  P^{-1} has a
+closed form: it is cosh(ah/2)^{-1} (I + 4 sinh^2(ah/2) L^{-1}) with L the
+second-difference matrix whose Green's function is explicit (Meurant,
+SIAM J. Matrix Anal. Appl. 13, 1992), and on the half it takes two
+cumulative sums (`_precondition`): O(N) and NumPy only, with no factor.
+The ratio of the symbols of I - K and P bounds the condition number of
+P^{-1}(I - K) (Chan & Ng, SIAM Rev. 38, 1996): for deterministic frames
+it is (1 - e^{-t})(1 + t)/t, in [1, 1.30], and PCG solves in about 11
+steps; LOPCG finds the leading pair in about as many.  Exponential
+frames, for which P is I - K up to the omitted band tail, take one PCG
+step (up to 3 with the band cut at eta = 6); wide two-point mixtures take
 more, about 55 at the largest bound admitted, LAPLACE_COND_MAX = 16.
 Beyond it (for example twopoint:1e-5,1,0.999, bound 58) the steps would
 approach the cap, and P is I - K itself, factored with its band on the
-half: PCG then takes one step and LOPCG about as many as inverse
-iteration.
+half by SciPy's banded Cholesky, which only these laws import: PCG then
+takes one step and LOPCG about as many as inverse iteration.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, LinAlgError
 
 from .errors import ConvergenceError, SolverError
 from .operator_core import StroboOperator, averaged_kernel, laplace_band
@@ -69,7 +71,7 @@ EIGEN_MAX_ITER = 100
 # about 0.5 sqrt(k) ln(2/eps) steps, about 70 at k = 16: inside EIGEN_MAX_ITER.
 LAPLACE_COND_MAX = 16.0
 
-# Per operator: the preconditioner's (factor, Laplace route), and u = (I - K)^{-1} w.
+# Per operator: the preconditioner's (factor, Laplace coefficients), and u = (I - K)^{-1} w.
 _factor_cache = weakref.WeakKeyDictionary()
 _weight_resolvent_cache = weakref.WeakKeyDictionary()
 
@@ -197,20 +199,21 @@ def _symbol_condition(op: StroboOperator) -> float:
 
 
 def _laplace_route(op: StroboOperator):
-    """(alpha, r, s q) of the exponential-frame preconditioner P, or None.
+    """(alpha, t, 4 s^2) of the closed-form P^{-1} of `_precondition`, or None.
 
     P = alpha I - s R is the untruncated Laplace operator at the same rho
-    and grid (`laplace_band`), with alpha = 1 - band_0 + s = cosh(ah/2) of
-    that band and R_ij = r^{|i-j|}; q = 1 - r^2.  It is taken when the
-    symbol-ratio bound of `_symbol_condition` is at most LAPLACE_COND_MAX;
-    None leaves the banded factor of I - K itself as the preconditioner.
+    and grid (`laplace_band`), with s = sinh(ah/2), alpha = 1 - band_0 + s
+    = cosh(ah/2) of that band, R_ij = r^{|i-j|} and r = e^{-ah};
+    t = 1 - r = 2 s/(alpha + s), which keeps its digits however small ah
+    is.  It is taken when the symbol-ratio bound of `_symbol_condition` is
+    at most LAPLACE_COND_MAX; None leaves the banded factor of I - K itself
+    as the preconditioner.
     """
     if _symbol_condition(op) > LAPLACE_COND_MAX:
         return None
-    s, r = laplace_band(op)
-    # cosh(ah/2) = sqrt(1 + sinh^2); q from the rounded r that T holds,
-    # since 1 - r is exact for r >= 1/2
-    return math.hypot(1.0, s), r, s * (1.0 - r) * (1.0 + r)
+    s, _ = laplace_band(op)
+    alpha = math.hypot(1.0, s)
+    return alpha, 2.0 * s / (alpha + s), 4.0 * s * s
 
 
 def _physical_memory() -> float:
@@ -221,71 +224,97 @@ def _physical_memory() -> float:
         return math.inf
 
 
+def cholesky_banded(ab: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of the SPD matrix in upper banded storage `ab`.
+
+    SciPy's LAPACK wrapper, imported on the first call: only laws beyond
+    the symbol-ratio bound factor a band, so no other run loads SciPy.
+    """
+    from scipy.linalg import cholesky_banded as factor
+
+    return factor(ab)
+
+
+def cho_solve_banded(cb, b: np.ndarray) -> np.ndarray:
+    """Solve with the factor `cb = (factor, lower)` of `cholesky_banded` (SciPy, lazy).
+
+    The factor comes from a finite band, and b from the solvers here, so
+    the finiteness check is skipped.
+    """
+    from scipy.linalg import cho_solve_banded as solve
+
+    return solve(cb, b, check_finite=False)
+
+
 def _factorization(op: StroboOperator) -> tuple:
     """(factor, Laplace route) of the preconditioner on the mirror-even half, cached.
 
     The route (`_laplace_route`) is decided here, once per operator.  On
-    the Laplace route R^{-1} = T/q with T = tridiag(-r, 1 + r^2, -r) but 1
-    in both corners (Kac, Murdock & Szego, J. Rational Mech. Anal. 2,
-    1953), hence P^{-1} b = (b + s q B^{-1} b)/alpha with the tridiagonal
-    SPD B = alpha T - s q I, and the factor is that of G = `_fold` of B.
-    Otherwise the preconditioner is I - K itself and the factor that of
-    its fold, of bandwidth min(bw, m - 1).  With E = I except for a 2 at
-    the middle node of odd N, A z = b on the even subspace becomes
-    G y = b[:m] with z[:m] = E y, and G is positive definite whenever A is.
+    the Laplace route P^{-1} is applied in closed form (`_precondition`)
+    from the route's three coefficients, and there is no factor (None).
+    Otherwise the route is None and the preconditioner is I - K itself:
+    the factor is the banded Cholesky factor of its fold, of bandwidth
+    min(bw, m - 1).  With E = I except for a 2 at the middle node of odd N,
+    A z = b on the even subspace becomes G y = b[:m] with z[:m] = E y, and
+    G is positive definite whenever A is.
     """
     cached = _factor_cache.get(op)
     if cached is not None:
         return cached
-    n, m = op.n, (op.n + 1) // 2
     route = _laplace_route(op)
-    b = 1 if route is not None else min(op.bandwidth, m - 1)
-    # the banded storage and the factor LAPACK returns beside it
-    need = 2 * 8.0 * (b + 1) * m
-    if need > _physical_memory():
-        raise MemoryError(
-            f"the Cholesky factor of N={n}, bandwidth {b} needs {need / 2**30:.3g} GiB, "
-            f"more than the physical memory"
-        )
-    if route is not None:
-        # B is Toeplitz but for its corners, alpha r^2 less; N >= 5 (at
-        # least 4 grid steps of kernel core) keeps the corner out of the fold
-        alpha, r, sq = route
-        ab = _fold(np.array([alpha * (1.0 + r * r) - sq, -alpha * r]), n)
-        ab[1, 0] = alpha - sq
-    else:
+    factor = None
+    if route is None:
+        n, m = op.n, (op.n + 1) // 2
+        b = min(op.bandwidth, m - 1)
+        # the banded storage and the factor LAPACK returns beside it
+        need = 2 * 8.0 * (b + 1) * m
+        if need > _physical_memory():
+            raise MemoryError(
+                f"the Cholesky factor of N={n}, bandwidth {b} needs {need / 2**30:.3g} GiB, "
+                f"more than the physical memory"
+            )
         ab = _fold(-op.band, n)
         ab[b] += 1.0
         if n % 2:
             ab[b, -1] += 1.0
-    try:
-        factor = cholesky_banded(ab)
-    except LinAlgError as exc:
-        if route is None:
+        try:
+            factor = cholesky_banded(ab)
+        except np.linalg.LinAlgError as exc:
             raise SolverError(
                 f"banded Cholesky factor of I - K at rho={op.rho}: not positive "
                 f"definite; the operator exceeds unit spectral radius"
             ) from exc
-        # r within rounding of 1 (rho below ~3e-15 on the default grid) can
-        # make B singular; ||s R|| <= s N is then below 2e-15, and P = alpha I
-        factor = None
     _factor_cache[op] = factor, route
     return factor, route
 
 
 def _precondition(op: StroboOperator, half: np.ndarray) -> np.ndarray:
-    """First half of P^{-1} b for the mirror-even b with b[:m] = half."""
+    """First half of P^{-1} b for the mirror-even b with b[:m] = half.
+
+    On the Laplace route R^{-1} = T/q with T = tridiag(-r, 1 + r^2, -r) but
+    1 in both corners and q = 1 - r^2 (Kac, Murdock & Szego, J. Rational
+    Mech. Anal. 2, 1953).  Since alpha (1 - r)^2 = s q, alpha T - s q I is
+    alpha r L with L = tridiag(-1, 2, -1) but 1 + t in both corners, and
+    P^{-1} = (I + 4 s^2 L^{-1})/alpha.  L^{-1}_ij = u_i v_j / D for i <= j,
+    with u_i = 1 + i t, v_j = u_{N-1-j} and D = t (2 + (N-1) t) (Meurant,
+    SIAM J. Matrix Anal. Appl. 13, 1992).  u and v are linear and b is
+    even, so with the tails c_k = sum_{j>=k} b_j over the half (the middle
+    node of odd N counted 1/2), 4 s^2 (L^{-1} b)_i = t c_0 +
+    4 s^2 (c_0 + ... + c_i): two cumulative sums, of positive terms when b
+    is positive.  A vanishing rho makes s^2 underflow and t c_0 negligible
+    beside b, and P^{-1} is 1/alpha.
+    """
     factor, route = _factorization(op)
-    if factor is None:
-        return half / route[0]
-    z = cho_solve_banded((factor, False), half, check_finite=False)
-    if op.n % 2:
-        z[-1] *= 2.0
     if route is None:
+        z = cho_solve_banded((factor, False), half)
+        if op.n % 2:
+            z[-1] *= 2.0
         return z
-    # (b + s q B^{-1} b)/alpha; never B^{-1} T b, which loses two digits
-    alpha, _, sq = route
-    return (half + sq * z) / alpha
+    alpha, t, s2 = route
+    tails = np.cumsum(half[::-1])[::-1]
+    if op.n % 2:
+        tails -= 0.5 * half[-1]
+    return (half + t * tails[0] + s2 * np.cumsum(tails)) / alpha
 
 
 def _resolvent_solve(op: StroboOperator, rhs: np.ndarray) -> np.ndarray:
@@ -395,7 +424,13 @@ def spectral_pair(op: StroboOperator, y0: float = 0.5):
     mult = _multiplicity(op.n)
 
     def norm(z):
-        return math.sqrt(mult @ (z * z))
+        # scaled by max|z|: squares of entries below ~1e-154 underflow
+        # (rho -> 0 scales K, and every residual, with rho)
+        scale = np.max(np.abs(z))
+        if scale == 0.0:
+            return 0.0
+        z = z / scale
+        return scale * math.sqrt(mult @ (z * z))
 
     def orthonormalize(z, image, basis, images):
         """z and its image K z, made orthogonal to `basis` and then unit."""
@@ -412,7 +447,8 @@ def spectral_pair(op: StroboOperator, y0: float = 0.5):
     steps = 0
     while True:
         lam = float(mult @ (vec * image))
-        residual = norm(image - lam * vec)
+        res = image - lam * vec
+        residual = norm(res)
         if residual <= EIGEN_TOL * lam:
             if fresh:
                 break
@@ -425,8 +461,10 @@ def spectral_pair(op: StroboOperator, y0: float = 0.5):
                 f"{residual:.3e} exceeds the bound {EIGEN_TOL * lam:.3e} after {steps} steps"
             )
         steps += 1
-        # the preconditioned residual; its image is the step's one product
-        w = _precondition(op, image - lam * vec)
+        # the preconditioned unit residual; its image is the step's one
+        # product, of a vector of order 1 (at tiny rho K times a vector of
+        # the residual's size underflows)
+        w = _precondition(op, res / residual)
         w, kw = orthonormalize(w, op.even_matvec(w), [vec], [image])
         basis, images = [vec, w], [image, kw]
         if direction is not None:

@@ -40,6 +40,50 @@ def test_cli_import_leaves_scipy_special_unloaded():
     assert out.strip() == "[False, False]"
 
 
+# Run in a fresh interpreter: `mc` first, against the modules `import
+# strobofp.cli` loaded, then commands with laws within the symbol-ratio
+# bound, then a law beyond it, which alone imports SciPy.
+_STARTUP_SCRIPT = """
+import contextlib, io, json, sys
+import strobofp.cli as cli
+
+def numpy_modules():
+    return {m for m in sys.modules if m.split(".")[0] == "numpy"}
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+out = sys.argv[1]
+report = {"rc": []}
+with contextlib.redirect_stdout(io.StringIO()):
+    before = numpy_modules()
+    report["rc"].append(cli.main(["mc", "--rho", "2", "--trials", "1000"]))
+    report["mc_numpy"] = sorted(numpy_modules() - before)
+    for argv in (["meantau", "--rho", "20", "--out", out + "/m.csv"],
+                 ["fit", "--which", "bulk", "--dist", "exponential",
+                  "--rho-range", "20:80:10", "--out", out + "/f.json"],
+                 ["survival", "--rho", "20", "--n-max", "50", "--out", out + "/s.csv"]):
+        report["rc"].append(cli.main(argv))
+    report["scipy"] = scipy_modules()
+    report["beyond_bound_rc"] = cli.main(["meantau", "--rho", "20", "--dist",
+                                          "twopoint:1e-5,1,0.999", "--out", out + "/w.csv"])
+print(json.dumps(report))
+"""
+
+
+def test_commands_within_the_bound_load_no_scipy(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT, str(tmp_path)], env=env,
+                         check=True, capture_output=True, text=True, timeout=120).stdout
+    report = json.loads(out)
+    assert report["rc"] == [0, 0, 0, 0]
+    assert report["mc_numpy"] == []
+    assert report["scipy"] == []
+    assert report["beyond_bound_rc"] == 0
+
+
 # Every flag each subcommand registers; each is read by that subcommand's handler.
 FLAG_SETS = {
     "meantau": {"--rho", "--rho-range", "--y0", "--dist", "--n-grid", "--eta", "--out",

@@ -258,7 +258,7 @@ class TestAveragedOperator:
             exact = np.where(k == 0, -np.expm1(-0.5 * a / n),
                              -0.5 * np.exp(-a * lo) * np.expm1(-a / n))
             assert np.max(np.abs(op.band - exact) / exact) < 1e-12, rho
-            # the geometric form the resolvent's tridiagonal inverse relies on
+            # the geometric form the resolvent's closed-form preconditioner relies on
             s, r = laplace_band(op)
             assert np.max(np.abs(op.band[1:] - s * r ** k[1:]) / exact[1:]) < 1e-12, rho
 

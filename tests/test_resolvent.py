@@ -140,13 +140,14 @@ class TestMeanFrames:
     @pytest.mark.parametrize("dist, mass", [("deterministic", 1.0 / math.sqrt(2.0 * math.pi)),
                                             ("exponential", 1.0 / math.sqrt(2.0))])
     def test_vanishing_rho(self, dist, mass):
-        # r = e^{-ah} rounds to 1 and B is singular: P falls back to alpha I.
-        # K is then the kernel peak rho*mass spread evenly, so S_1, M and
-        # lambda0 all equal it to rounding
-        op = law_op(1e-20, dist)
-        assert _factorization(op)[0] is None
-        assert mean_frames(op, 0.5).M == pytest.approx(1e-20 * mass, rel=1e-12)
-        assert spectral_pair(op)[0] == pytest.approx(1e-20 * mass, rel=1e-12)
+        # K is the kernel peak rho*mass spread evenly, so S_1, M and lambda0
+        # all equal it to rounding; P^{-1} tends to 1/alpha.  Below rho ~
+        # 1e-154 the squares of the eigen residual's entries underflow, and
+        # an unscaled norm reads it as 0 at the half-sine start
+        for rho in (1e-20, 1e-200, 1e-300):
+            op = law_op(rho, dist)
+            assert mean_frames(op, 0.5).M == pytest.approx(rho * mass, rel=1e-12, abs=0.0)
+            assert spectral_pair(op)[0] == pytest.approx(rho * mass, rel=1e-12, abs=0.0)
 
     def test_banded_solve_matches_dense_solver(self):
         # independent route: dense numpy solve of (I - K) x = h on the
@@ -342,11 +343,44 @@ class TestMirrorFold:
         (0.05, None), (20.0, None), (3.0, 65), (20.0, 235),
     ])
     def test_factor_is_half_size(self, rho, n_grid):
-        # the preconditioner's factor is tridiagonal on the even half, whatever
-        # the band of a law within the symbol-ratio bound
+        # within the symbol-ratio bound the preconditioner keeps no factor,
+        # only the three coefficients of its closed form, whatever the band of
+        # the law, and maps the even half to the even half
         for dist in LAWS:
             op = law_op(rho, dist, n_grid)
-            assert _factorization(op)[0].shape == (2, (op.n + 1) // 2)
+            factor, route = _factorization(op)
+            assert factor is None
+            assert len(route) == 3 and all(isinstance(c, float) for c in route)
+            m = (op.n + 1) // 2
+            assert resolvent._precondition(op, np.ones(m)).shape == (m,)
+
+    # a coarse grid near the 4-step minimum of the resolution rule (N >= 9.4
+    # at rho = 20) and the default grid, each with even and odd N
+    @pytest.mark.parametrize("rho, n_grid", [
+        (20.0, 10), (20.0, 11), (20.0, None), (20.0, 361), (0.3, None), (3.0, 65),
+    ])
+    def test_closed_form_matches_dense_solve(self, rho, n_grid):
+        # P = cosh(ah/2) I - sinh(ah/2) R with R_ij = e^{-ah|i-j|}, solved densely
+        op = law_op(rho, "deterministic", n_grid)
+        n, m = op.n, (op.n + 1) // 2
+        x = 0.5 * math.sqrt(2.0) * rho / n
+        offsets = np.arange(n)
+        dense = (math.cosh(x) * np.eye(n)
+                 - math.sinh(x) * np.exp(-2.0 * x * np.abs(offsets[:, None] - offsets)))
+        rng = np.random.default_rng(7)
+        for half in (op.weights[:m], rng.standard_normal(m)):
+            exact = np.linalg.solve(dense, unfold(half, n))[:m]
+            got = resolvent._precondition(op, half)
+            assert np.max(np.abs(got - exact)) < 1e-12 * np.max(np.abs(exact))
+
+    def test_closed_form_at_vanishing_rho(self):
+        # sinh^2(ah/2) underflows: P^{-1} b is b / alpha, finite
+        op = law_op(1e-300, "deterministic")
+        half = op.weights[: (op.n + 1) // 2]
+        alpha = _factorization(op)[1][0]
+        got = resolvent._precondition(op, half)
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, half / alpha)
 
     @pytest.mark.parametrize("rho", [20.0, 100.0])
     def test_wide_mixture_factors_i_minus_k(self, rho, monkeypatch):
@@ -387,8 +421,9 @@ class TestMirrorFold:
         # I - K up to its omitted band tail: at the default cutoff the tail is
         # below 2 eps (0 for a full band), and eta = 6 cuts it at ~1e-8 once
         # the band is cut (rho >= 12.8).  Products per solve, at the default
-        # cutoff and at eta = 6: the PCG steps and the true residual
-        exact = {0.05: (2, 2), 3.0: (2, 2), 40.0: (3, 3), 1000.0: (3, 4)}[rho]
+        # cutoff and at eta = 6: the PCG steps and the true residual; at the
+        # default cutoff one step meets the bound
+        exact = {0.05: (2, 2), 3.0: (2, 2), 40.0: (2, 3), 1000.0: (2, 4)}[rho]
         products = []
         even_matvec = StroboOperator.even_matvec
 
@@ -422,33 +457,38 @@ class TestMirrorFold:
         assert decisions == ["exponential", "deterministic", "two-point"]
 
     def test_preconditioner_built_once_per_operator(self, monkeypatch):
-        # a solve, a second start point and every eigen step use the factor
-        # the first solve cached; fresh operators, so nothing is cached
-        shapes = []
-        factor = resolvent.cholesky_banded
+        # a solve, a second start point and every eigen step apply the closed
+        # form from the coefficients the first solve cached, and no law within
+        # the bound factors a band; fresh operators, so nothing is cached
+        built = []
+        band = resolvent.laplace_band
 
-        def counted(ab):
-            shapes.append(ab.shape)
-            return factor(ab)
+        def counted(op):
+            built.append(op.n)
+            return band(op)
 
-        monkeypatch.setattr(resolvent, "cholesky_banded", counted)
+        def fail(ab):
+            raise AssertionError("no law within the symbol-ratio bound factors a band")
+
+        monkeypatch.setattr(resolvent, "laplace_band", counted)
+        monkeypatch.setattr(resolvent, "cholesky_banded", fail)
         for dist in LAWS:
             op = law_op(100.0, dist)
             exit_stats(op, 0.5)
             mean_frames(op, 0.0)
-        assert shapes == [(2, 900)] * len(LAWS)
+        assert built == [1800] * len(LAWS)
 
 
 class TestWeightResolvent:
     def test_one_solve_serves_every_start(self, monkeypatch):
         calls = []
-        solve = resolvent.cho_solve_banded
+        precondition = resolvent._precondition
 
-        def counted(*args, **kwargs):
+        def counted(op, half):
             calls.append(1)
-            return solve(*args, **kwargs)
+            return precondition(op, half)
 
-        monkeypatch.setattr(resolvent, "cho_solve_banded", counted)
+        monkeypatch.setattr(resolvent, "_precondition", counted)
         # one preconditioner apply per PCG step of the first solve, none after
         for dist in LAWS:
             calls.clear()
