@@ -203,6 +203,8 @@ def cmd_survival(cfg: RunConfig) -> int:
     mu = FrameDistribution.parse(cfg.dist)
     if cfg.modesum and cfg.y0 not in (0.0, 0.5, 1.0):
         raise UsageError("--modesum needs y0 in {0, 0.5, 1}")
+    if cfg.n_max < 1:
+        raise UsageError(f"--n-max must be >= 1, got {cfg.n_max}")
     series = survival_sequence(_operator(cfg, cfg.rho, mu), cfg.y0, cfg.n_max)
     columns = ["n", "S_n"]
     rows = [[n, s] for n, s in enumerate(series.values)]

@@ -44,6 +44,10 @@ MIN_GRID = 64
 # Gauss-Legendre nodes over the width scale of uniform jitter.
 JITTER_ORDER = 64
 
+# Grid steps per width of a Gaussian component beyond which its point samples
+# alias less than eps of its mass: 2 e^{-2 pi^2 x^2} <= eps at x = 1.364.
+ALIAS_STEPS = math.sqrt(math.log(2.0 / np.finfo(float).eps) / (2.0 * math.pi**2))
+
 
 def default_grid_size(rho: float) -> int:
     """Grid points prescribed by the resolution rule N = max(64, ceil(18*rho))."""
@@ -69,6 +73,9 @@ class ProblemSpec:
     def __post_init__(self):
         if not 0.0 < self.rho < math.inf:
             raise ValueError(f"rho must be positive and finite, got {self.rho}")
+        # a Python float: grid rules divide by rho, and a NumPy scalar would
+        # warn where a subnormal rho overflows the quotient
+        object.__setattr__(self, "rho", float(self.rho))
         if not 0.0 <= self.y0 <= 1.0:
             raise ValueError(f"y0 must lie in [0, 1], got {self.y0}")
         if not 6.0 <= self.cutoff_eta < math.inf:
@@ -372,32 +379,60 @@ def _band_width(spec: ProblemSpec, law: FrameDistribution) -> int:
 
 
 def _build(spec: ProblemSpec, law: FrameDistribution) -> StroboOperator:
-    n = spec.n_grid
+    """The operator of `build_averaged_operator`, refused where the grid cannot carry it.
+
+    ResolutionError, naming the grid size needed, where the band spans
+    fewer than 4 grid steps, where the narrowest Gaussian component does,
+    and where the narrowest component aliases the operator past unit
+    spectral radius.  Point samples of a Gaussian of width x grid steps sum
+    to its mass times 1 + 2 e^{-2 pi^2 x^2} + ... (Poisson summation), so a
+    narrow component can lift the row sums above 1.  Below ALIAS_STEPS
+    steps, where that excess is not negligible, the operator is refused if
+    the Rayleigh quotient of the half-sine profile reaches 1: that proves
+    its leading eigenvalue is at least 1, and then S_n grows without bound
+    and I - K has no positive-definite solve.  Row sums above 1 alone are
+    admitted: where the leak of the wider components outweighs the excess,
+    the leading eigenvalue stays below 1.
+    """
+    n, rho = spec.n_grid, spec.rho
     bw = _band_width(spec, law)
     if bw < 4:
         raise ResolutionError(
             f"n_grid={n} resolves the kernel core with only {bw} grid steps "
-            f"at rho={spec.rho}; need at least 4 (resolution rule: "
-            f"N >= {default_grid_size(spec.rho)})"
+            f"at rho={rho}; need at least 4 (resolution rule: "
+            f"N >= {default_grid_size(rho)})"
         )
+    s_min = math.inf
     if law.kind != "exponential":
         # the narrowest Gaussian component needs the same 4 steps as the widest
         s_min = float(np.min(law.width_nodes()[0]))
-        steps = spec.cutoff_eta * s_min * n / spec.rho
+        steps = spec.cutoff_eta * s_min * n / rho
         if steps < 4:
-            need = 4.0 * float(spec.rho) / (spec.cutoff_eta * s_min) if s_min else math.inf
+            need = 4.0 * rho / (spec.cutoff_eta * s_min) if s_min else math.inf
             raise ResolutionError(
                 f"n_grid={n} resolves the narrowest interval component (width "
-                f"scale {s_min:.3g}) with only {math.floor(steps)} grid steps at rho={spec.rho}; "
+                f"scale {s_min:.3g}) with only {math.floor(steps)} grid steps at rho={rho}; "
                 f"need at least 4 (N >= {np.ceil(need):.4g})"
             )
     offsets = np.arange(bw + 1) / n
-    return StroboOperator(
-        rho=spec.rho,
+    op = StroboOperator(
+        rho=rho,
         n=n,
-        band=averaged_kernel(offsets, spec.rho, law, 1.0 / n) / n,
+        band=averaged_kernel(offsets, rho, law, 1.0 / n) / n,
         law=law,
     )
+    if s_min * n / rho < ALIAS_STEPS:
+        probe = np.sin(np.pi * op.grid)
+        quotient = probe @ op.matvec(probe) / (probe @ probe)
+        if quotient >= 1.0:
+            raise ResolutionError(
+                f"n_grid={n} aliases the narrowest interval component (width scale "
+                f"{s_min:.3g}, {s_min * n / rho:.3g} grid steps wide) at rho={rho}: "
+                f"the half-sine Rayleigh quotient {quotient:.6f} shows the operator "
+                f"exceeds unit spectral radius; need at least {ALIAS_STEPS:.3g} grid steps "
+                f"(N >= {math.ceil(ALIAS_STEPS * rho / s_min)})"
+            )
+    return op
 
 
 def build_operator(spec: ProblemSpec) -> StroboOperator:

@@ -10,6 +10,19 @@ normwise backward-error contract (`_resolvent_solve`).
 `spectral_pair` the geometric decay rate, stopped by
 ||K v - lambda0 v||_2 <= EIGEN_TOL * lambda0.
 
+`survival_sequence` makes one product per frame only up to a switch point
+n0, first ceil(rho), and only where n_max > n0 + EIGEN_MAX_ITER.  There
+it projects the state x = K^{n0-1} h on k Lanczos vectors and takes
+S_{n0+j} = sum_i c_i (w . y_i) theta_i^j from the Ritz pairs: past the
+transient S_n is carried by a few leading modes.  The tail is accepted
+when the a posteriori bound ||w|| lambda_bar^{j-1} sum_i |c_i| r_i
+min(j, d_i), with the Ritz residuals r_i, lambda_bar = theta_max + r_top
+and d_i = lambda_bar/(lambda_bar - |theta_i|), is at most
+SURVIVAL_TAIL_TOL * S_{n0+j} for every j (`_lanczos_tail`); k grows by
+TAIL_CHECK_STEPS up to EIGEN_MAX_ITER.  Otherwise the recursion carries on
+from the same state and the next try is at 2 n0.  A sequence of n_max
+frames costs about n0 + k products instead of n_max.
+
 Everything that iterates with K works on the mirror-even half of the grid.
 The interval is symmetric and the grid and weights of a `StroboOperator`
 follow from N alone, so the Toeplitz matrix K commutes with the reflection
@@ -70,6 +83,10 @@ EIGEN_MAX_ITER = 100
 # preconditioner is used.  CG's bound 2((sqrt k - 1)/(sqrt k + 1))^j asks
 # about 0.5 sqrt(k) ln(2/eps) steps, about 70 at k = 16: inside EIGEN_MAX_ITER.
 LAPLACE_COND_MAX = 16.0
+# Bound on the Krylov truncation error of each survival value taken from the
+# Lanczos tail, relative to that value, and the Lanczos steps between checks.
+SURVIVAL_TAIL_TOL = 1e-13
+TAIL_CHECK_STEPS = 10
 
 # Per operator: the preconditioner's (factor, Laplace coefficients), and u = (I - K)^{-1} w.
 _factor_cache = weakref.WeakKeyDictionary()
@@ -132,6 +149,19 @@ def _unfold(half: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([half, half[n - half.size - 1 :: -1]])
 
 
+def _even_norm(z: np.ndarray, mult: np.ndarray) -> float:
+    """Full-grid 2-norm of the mirror-even vector whose half is z.
+
+    Scaled by max|z|: squares of entries below ~1e-154 underflow (rho -> 0
+    scales K, and every residual, with rho; late survival states are tiny).
+    """
+    scale = np.max(np.abs(z))
+    if scale == 0.0:
+        return 0.0
+    z = z / scale
+    return scale * math.sqrt(mult @ (z * z))
+
+
 def survival_sequence(op: StroboOperator, y0: float, n_max: int) -> SurvivalSeries:
     """S_0 = 1 and S_n = w . K^{n-1} h for n = 1..n_max.
 
@@ -140,6 +170,17 @@ def survival_sequence(op: StroboOperator, y0: float, n_max: int) -> SurvivalSeri
     the first half of (h + J h)/2, advanced by `StroboOperator.even_matvec`,
     and S_n is taken with weight 2 w_i on each mirrored pair and w_i on the
     middle node of odd N.
+
+    The recursion runs up to a switch point n0, first ceil(rho); there the
+    rest of the sequence is tried from k Lanczos steps from the state
+    x = K^{n0-1} h (`_lanczos_tail`), k = 10, 20, .. up to EIGEN_MAX_ITER.
+    The tail S_{n0+j} = sum_i c_i (w . y_i) theta_i^j is taken when its a
+    posteriori bound ||w|| lambda_bar^{j-1} sum_i |c_i| r_i min(j, d_i)
+    is at most SURVIVAL_TAIL_TOL * S_{n0+j} at every j; otherwise the
+    recursion carries on from the same state and the next try is at 2 n0.  A try is made only while
+    n_max > n0 + EIGEN_MAX_ITER, so a sequence too short for the tail to
+    pay is the plain recursion, bit for bit, and S_n for n <= ceil(rho)
+    always is.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -148,11 +189,136 @@ def survival_sequence(op: StroboOperator, y0: float, n_max: int) -> SurvivalSeri
     values = np.empty(n_max + 1)
     values[0] = 1.0
     vec = _even_half(initial_vector(op, y0))
+    n0 = math.ceil(op.rho)
     for n in range(1, n_max + 1):
         values[n] = weights @ vec
-        if n < n_max:
-            vec = op.even_matvec(vec)
+        if n == n_max:
+            break
+        if n == n0 and n_max > n0 + EIGEN_MAX_ITER:
+            if _lanczos_tail(op, vec, weights, values[n0 + 1 :]):
+                break
+            n0 *= 2
+        vec = op.even_matvec(vec)
     return SurvivalSeries(rho=op.rho, y0=y0, values=values)
+
+
+def _lanczos_tail(op: StroboOperator, x: np.ndarray, weights: np.ndarray,
+                  tail: np.ndarray) -> bool:
+    """Write S_{n0+j} = w . K^j x for j = 1..tail.size into `tail`; True if the bound holds.
+
+    Lanczos on the half with the inner product of `_multiplicity` and full
+    reorthogonalization, from q_1 = x/||x||: K Q_k = Q_k T_k + beta_k q_{k+1} e_k^T
+    (Saad, Numerical Methods for Large Eigenvalue Problems, 2011, ch. 6).
+    With T_k = U diag(theta) U^T and the Ritz vectors y_i = Q_k u_i,
+    x = sum_i c_i y_i exactly, with c_i = ||x|| u_{1,i}, so
+    S_{n0+j} = sum_i c_i (w . y_i) theta_i^j up to the residuals
+    r_i = ||K y_i - theta_i y_i|| = beta_k |u_{k,i}| (Golub & Meurant,
+    Matrices, Moments and Quadrature with Applications, 2010).  K^j y_i -
+    theta_i^j y_i telescopes into the terms K^{j-1-l} (K - theta_i) y_i
+    theta_i^l, l < j, of norm at most lambda_bar^{j-1-l} |theta_i|^l r_i,
+    so with lambda_bar >= ||K||
+        |error_j| <= ||w|| lambda_bar^{j-1} sum_i |c_i| r_i min(j, d_i),
+    d_i = lambda_bar/(lambda_bar - |theta_i|): the j-fold growth is the
+    top pair's alone.  lambda_bar = theta_max + r_top bounds ||K|| once the
+    top Ritz pair approximates the leading eigenpair, which the power steps
+    before n0 see to (the kernels' symbols are positive, so ||K|| is the
+    leading eigenvalue).  The tail is accepted when the bound is at
+    most SURVIVAL_TAIL_TOL * S_{n0+j} for every j.  The bound is checked
+    every TAIL_CHECK_STEPS steps, up to EIGEN_MAX_ITER steps or the order
+    of the half, first at the last frame alone.  Once that holds, one more
+    product makes theta_max the Rayleigh quotient of its Ritz vector, which
+    puts it within about an ulp of the eigenvalue (the eigenvalue of T_k
+    can be several off), so rounding adds about j eps relative to
+    S_{n0+j}, as the recursion's own drift does.  theta_max >= 1 proves the
+    leading eigenvalue >= 1 and raises SolverError.  Memory: the k Lanczos
+    vectors and the tail.
+    """
+    mult = _multiplicity(op.n)
+    size = _even_norm(x, mult)
+    if size == 0.0:
+        tail[:] = 0.0
+        return True
+    cap = min(EIGEN_MAX_ITER, x.size)
+    basis = np.empty((cap + 1, x.size))
+    basis[0] = x / size
+    alpha, beta = np.zeros(cap), np.zeros(cap)
+    for k in range(1, cap + 1):
+        z = op.even_matvec(basis[k - 1])
+        alpha[k - 1] = mult @ (basis[k - 1] * z)
+        z -= alpha[k - 1] * basis[k - 1]
+        if k > 1:
+            z -= beta[k - 2] * basis[k - 2]
+        for _ in range(2):  # twice is enough (Parlett, The Symmetric Eigenvalue Problem)
+            z -= (basis[:k] @ (mult * z)) @ basis[:k]
+        beta[k - 1] = _even_norm(z, mult)
+        last_step = k == cap or beta[k - 1] == 0.0
+        if not last_step:
+            basis[k] = z / beta[k - 1]
+            if k % TAIL_CHECK_STEPS:
+                continue
+        theta, u = np.linalg.eigh(np.diag(alpha[:k]) + np.diag(beta[: k - 1], -1))
+        if theta[-1] >= 1.0:
+            raise SolverError(
+                f"Lanczos survival tail at rho={op.rho}: Ritz value {float(theta[-1])} >= 1 "
+                f"after {k} steps; the operator exceeds unit spectral radius"
+            )
+        coef = size * u[0]
+        residuals = beta[k - 1] * np.abs(u[-1])
+        lam_bar = theta[-1] + residuals[-1]
+        # ||w|| = 1/sqrt(N) for the uniform weights
+        errors = np.abs(coef) * residuals / math.sqrt(op.n)
+        amplitudes = coef * ((basis[:k] @ weights) @ u)
+        if _last_frame_bound_holds(theta, amplitudes, errors, lam_bar, tail.size):
+            # theta_max + y.(K y - theta_max y)/y.y: the Rayleigh quotient of
+            # the top Ritz vector, as a correction that a plain dot sums well
+            top = u[:, -1] @ basis[:k]
+            resid = op.even_matvec(top) - theta[-1] * top
+            theta[-1] += (mult @ (top * resid)) / (mult @ (top * top))
+            if _ritz_tail(theta, amplitudes, errors, lam_bar, tail):
+                return True
+        if last_step:
+            return False
+
+
+def _reach(theta: np.ndarray, lam_bar: float) -> np.ndarray:
+    """d_i = lambda_bar/(lambda_bar - |theta_i|) of the bound in `_lanczos_tail` (inf at lambda_bar)."""
+    return np.divide(lam_bar, lam_bar - np.abs(theta), out=np.full(theta.size, np.inf),
+                     where=np.abs(theta) < lam_bar)
+
+
+def _last_frame_bound_holds(theta: np.ndarray, amplitudes: np.ndarray, errors: np.ndarray,
+                            lam_bar: float, last: int) -> bool:
+    """The bound of `_lanczos_tail` at j = `last` alone, from the k Ritz pairs.
+
+    errors_i = ||w|| |c_i| r_i.  The bound grows against S_{n0+j} with j,
+    so the last frame is where a tail that fails usually fails first.
+    """
+    if lam_bar >= 1.0:
+        return False
+    bound = (errors @ np.minimum(last, _reach(theta, lam_bar))) * lam_bar ** (last - 1)
+    return bound <= SURVIVAL_TAIL_TOL * (amplitudes @ theta**last)
+
+
+def _ritz_tail(theta: np.ndarray, amplitudes: np.ndarray, errors: np.ndarray,
+               lam_bar: float, tail: np.ndarray) -> bool:
+    """Fill `tail` with sum_i amplitudes_i theta_i^j; True if the bound holds at every j.
+
+    One Ritz pair at a time, so that memory stays that of the tail.  Each
+    theta_i^j is formed only while it is a normal float: beyond, it would
+    add less than amplitude_i * 2.2e-308, and powers in the subnormal range
+    are slow.
+    """
+    steps = np.arange(1, tail.size + 1)
+    tiny = np.finfo(float).tiny
+    live = np.log(tiny) / np.log(np.maximum(np.abs(theta), tiny))
+    tail[:] = 0.0
+    bound = np.zeros(tail.size)
+    for amp, th, frames, error, reach in zip(amplitudes, theta, live, errors,
+                                             _reach(theta, lam_bar)):
+        frames = min(tail.size, int(frames))
+        tail[:frames] += amp * th ** steps[:frames]
+        bound += error * np.minimum(steps, reach)
+    return bool(np.all(bound * lam_bar ** (steps - 1) <= SURVIVAL_TAIL_TOL * tail))
 
 
 def _fold(col: np.ndarray, n: int) -> np.ndarray:
@@ -423,32 +589,23 @@ def spectral_pair(op: StroboOperator, y0: float = 0.5):
     """
     mult = _multiplicity(op.n)
 
-    def norm(z):
-        # scaled by max|z|: squares of entries below ~1e-154 underflow
-        # (rho -> 0 scales K, and every residual, with rho)
-        scale = np.max(np.abs(z))
-        if scale == 0.0:
-            return 0.0
-        z = z / scale
-        return scale * math.sqrt(mult @ (z * z))
-
     def orthonormalize(z, image, basis, images):
         """z and its image K z, made orthogonal to `basis` and then unit."""
         for u, ku in zip(basis, images):
             c = mult @ (u * z)
             z, image = z - c * u, image - c * ku
-        size = norm(z)
+        size = _even_norm(z, mult)
         return z / size, image / size
 
     vec = np.sin(np.pi * op.grid[: mult.size])
-    vec /= norm(vec)
+    vec /= _even_norm(vec, mult)
     image, fresh = op.even_matvec(vec), True
     direction = direction_image = None
     steps = 0
     while True:
         lam = float(mult @ (vec * image))
         res = image - lam * vec
-        residual = norm(res)
+        residual = _even_norm(res, mult)
         if residual <= EIGEN_TOL * lam:
             if fresh:
                 break
@@ -476,7 +633,7 @@ def spectral_pair(op: StroboOperator, y0: float = 0.5):
         coef = np.linalg.eigh(0.5 * (ritz + ritz.T))[1][:, -1]
         direction, direction_image = coef[1:] @ basis[1:], coef[1:] @ images[1:]
         vec, image = coef @ basis, coef @ images
-        size = norm(vec)
+        size = _even_norm(vec, mult)
         vec, image, fresh = vec / size, image / size, False
     if not 0.0 < lam < 1.0:
         raise SolverError(

@@ -492,6 +492,45 @@ class TestExitCodes:
         assert main(argv) == 2
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["survival", "--rho", "40", "--dist", "twopoint:0.0001,1,0.9", "--n-max", "3000"],
+        ["meantau", "--rho", "40", "--dist", "twopoint:0.0001,1,0.9"],
+        ["spectrum", "--rho", "20", "--dist", "twopoint:1e-6,1,0.999"],
+    ])
+    def test_supercritical_aliasing_refused_before_any_solve(self, argv, monkeypatch, capsys):
+        # survival used to exit 0 here with S_3000 = 4.98
+        def fail(*args, **kwargs):
+            raise AssertionError("no solve may start on a supercritical operator")
+
+        for name in ("survival_sequence", "exit_stats", "spectral_pair"):
+            monkeypatch.setattr(cli, name, fail)
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "aliases the narrowest interval component" in err and "(N >= " in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--rho", "1e-310"],
+        ["meantau", "--rho", "1e-310"],
+        ["survival", "--rho", "1e-310", "--n-max", "5"],
+        ["spectrum", "--rho", "5e-324"],
+    ])
+    def test_subnormal_rho_exits_cleanly(self, argv, capsys):
+        # the grid rule divides by rho: no float overflow may escape as a warning
+        code = main(argv)
+        assert code in (0, 3)
+        out, err = capsys.readouterr()
+        assert (code == 0 and out) or "numerical failure" in err
+
+    @pytest.mark.parametrize("n_max", ["0", "-5"])
+    def test_bad_n_max_refused_before_any_work(self, n_max, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("no operator may be built for a bad --n-max")
+
+        monkeypatch.setattr(cli, "build_averaged_operator", fail)
+        assert main(["survival", "--rho", "1000", "--n-max", n_max]) == 2
+        assert "--n-max must be >= 1" in capsys.readouterr().err
+
     def test_unresolved_kernel_is_numerical_error(self):
         assert main(["meantau", "--rho", "100", "--n-grid", "40"]) == 3
 

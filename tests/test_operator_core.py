@@ -1,6 +1,7 @@
 """Kernel, grid and operator-construction behavior."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -302,3 +303,33 @@ class TestAveragedOperator:
             build_averaged_operator(ProblemSpec(rho=5.0, n_grid=166), mu)
         op = build_averaged_operator(ProblemSpec(rho=5.0, n_grid=167), mu)
         assert np.all(op.row_sums() <= 1.0)
+
+    @pytest.mark.parametrize("rho, dist", [
+        (40.0, "twopoint:0.0001,1,0.9"),  # row sums up to 1.0030, leading eigenvalue 1.00046
+        (100.0, "twopoint:0.0001,1,0.9"),  # 1.0030 and 1.0026
+        (20.0, "twopoint:1e-6,1,0.999"),  # 1.0026 and 1.0026
+    ])
+    def test_supercritical_aliasing_refused_with_the_grid_it_needs(self, rho, dist):
+        # the narrow component's point samples alias: its mass exceeds 1 by
+        # about 2 e^{-2 pi^2 (s N/rho)^2}, and the operator by more than it leaks
+        mu = FrameDistribution.parse(dist)
+        with pytest.raises(ResolutionError, match=(
+                r"aliases the narrowest interval component .* exceeds unit spectral "
+                r"radius; .*\(N >= \d+\)")) as refused:
+            build_averaged_operator(ProblemSpec(rho=rho), mu)
+        need = int(re.search(r"N >= (\d+)", str(refused.value)).group(1))
+        op = build_averaged_operator(ProblemSpec(rho=rho, n_grid=need), mu)
+        assert mean_frames(op, 0.5).M > 0.0
+
+    @pytest.mark.parametrize("rho, dist", [
+        (20.0, "twopoint:0.0001,1,0.95"),  # row sums up to 0.99875
+        (20.0, "twopoint:1e-5,1,0.999"),  # 0.99925
+        # aliasing lifts the row sums above 1, but the leak keeps the
+        # leading eigenvalue below it: 0.9976, 0.99956 and 0.9945
+        (40.0, "twopoint:0.0001,1,0.95"),
+        (100.0, "twopoint:0.0001,1,0.95"),
+        (20.0, "twopoint:0.0001,1,0.9"),
+    ])
+    def test_subcritical_aliasing_admitted(self, rho, dist):
+        op = build_averaged_operator(ProblemSpec(rho=rho), FrameDistribution.parse(dist))
+        assert op.n == default_grid_size(rho)

@@ -22,8 +22,14 @@ from strobofp import (
     survival_sequence,
 )
 from strobofp import resolvent
-from strobofp.operator_core import DEFAULT_CUTOFF_ETA, StroboOperator
+from strobofp.operator_core import (
+    DEFAULT_CUTOFF_ETA,
+    StroboOperator,
+    _band_width,
+    averaged_kernel,
+)
 from strobofp.resolvent import (
+    EIGEN_MAX_ITER,
     EIGEN_TOL,
     LAPLACE_COND_MAX,
     RESIDUAL_TOL,
@@ -99,6 +105,104 @@ class TestSurvivalSequence:
     def test_rejects_bad_nmax(self):
         with pytest.raises(ValueError):
             survival_sequence(op_for(2.0), 0.5, 0)
+
+
+def plain_recursion(op, y0, n_max):
+    """S_0..S_nmax by one half-grid product per frame, as survival_sequence makes its head."""
+    m = (op.n + 1) // 2
+    weights = op.weights[:m] * np.where(np.arange(m) < op.n // 2, 2.0, 1.0)
+    h = initial_vector(op, y0)
+    vec = 0.5 * (h[:m] + h[::-1][:m])
+    values = [1.0]
+    for n in range(1, n_max + 1):
+        values.append(weights @ vec)
+        if n < n_max:
+            vec = op.even_matvec(vec)
+    return np.array(values)
+
+
+def count_even_products(monkeypatch):
+    """A list that grows by one entry per StroboOperator.even_matvec call."""
+    calls = []
+    even_matvec = StroboOperator.even_matvec
+
+    def counted(self, half):
+        calls.append(1)
+        return even_matvec(self, half)
+
+    monkeypatch.setattr(StroboOperator, "even_matvec", counted)
+    return calls
+
+
+class TestSurvivalTail:
+    @pytest.mark.parametrize("rho, y0", [(20.0, 0.5), (40.0, 0.0), (100.0, 0.5)])
+    def test_head_is_the_plain_recursion(self, rho, y0):
+        # the switch point n0 is at least ceil(rho): the frames before it
+        # are the recursion's, bit for bit
+        op = op_for(rho)
+        n0 = math.ceil(rho)
+        values = survival_sequence(op, y0, 20 * n0).values
+        assert np.array_equal(values[: n0 + 1], plain_recursion(op, y0, n0))
+
+    @pytest.mark.parametrize("y0", [0.5, 0.0])
+    @pytest.mark.parametrize("dist", ["deterministic", "exponential", "twopoint:0.5,1.5,0.5"])
+    @pytest.mark.parametrize("rho", [20.0, 40.0])
+    def test_tail_matches_dense_spectral_sum(self, rho, dist, y0):
+        # S_n = sum_i (w . v_i)(v_i . h) lambda_i^{n-1} from a dense eigh, out
+        # to n = 10 rho^2, where S_n has fallen to about e^{-49}; at every n
+        # up to about 200, past the switch and the Lanczos steps, and at
+        # geometrically spaced n beyond
+        op = law_op(rho, dist)
+        n_max = int(10 * rho * rho)
+        lam, vecs = np.linalg.eigh(op.toarray())
+        amplitudes = (op.weights @ vecs) * (initial_vector(op, y0) @ vecs)
+        ns = np.unique(np.geomspace(1, n_max, 2000).round().astype(int))
+        expected = (amplitudes * lam ** (ns[:, None] - 1)).sum(axis=1)
+        values = survival_sequence(op, y0, n_max).values
+        assert values[ns] == pytest.approx(expected, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("y0", [0.5, 0.0])
+    def test_tail_matches_the_recursion_at_large_rho(self, y0):
+        # beyond a dense solve: the recursion, whose drift is about 7e-17 n,
+        # is the reference; ten Lanczos steps are too few here, and the bound
+        # asks for about forty
+        op = op_for(100.0)
+        values = survival_sequence(op, y0, 2000).values
+        assert values == pytest.approx(plain_recursion(op, y0, 2000), rel=1e-11, abs=0.0)
+
+    def test_products_stop_at_the_tail(self, monkeypatch):
+        # recursion to n0 = 100, then a few tens of Lanczos steps, not 1999 products
+        calls = count_even_products(monkeypatch)
+        survival_sequence(op_for(100.0), 0.5, 2000)
+        assert len(calls) <= 200
+
+    def test_short_sequence_makes_no_try(self, monkeypatch):
+        # n_max <= n0 + EIGEN_MAX_ITER: one product per frame, nothing else
+        calls = count_even_products(monkeypatch)
+        survival_sequence(op_for(100.0), 0.5, 200)
+        assert len(calls) == 199
+
+    def test_missed_bound_carries_on_with_the_recursion(self, monkeypatch):
+        # every try refused: the tries at n0 = 20, 40, 80 and 160 leave the
+        # sequence exactly the recursion's
+        tries = []
+
+        def refuse(*args):
+            tries.append(1)
+            return False
+
+        monkeypatch.setattr(resolvent, "_last_frame_bound_holds", refuse)
+        op = op_for(20.0)
+        values = survival_sequence(op, 0.5, 300).values
+        assert np.array_equal(values, plain_recursion(op, 0.5, 300))
+        assert len(tries) == 4 * EIGEN_MAX_ITER // resolvent.TAIL_CHECK_STEPS
+
+    def test_supercritical_operator_raises(self):
+        # row sums 1.2: the top Ritz value proves an eigenvalue above 1
+        with pytest.raises(SolverError, match=(
+                rf"Lanczos survival tail at rho=1\.0: Ritz value {_NUMBER} >= 1 after "
+                rf"\d+ steps; the operator exceeds unit spectral radius")):
+            survival_sequence(supercritical_op(), 0.5, 200)
 
 
 class TestMeanFrames:
@@ -250,6 +354,14 @@ def law_op(rho, dist, n_grid=None, eta=DEFAULT_CUTOFF_ETA):
     return build_averaged_operator(spec, mu)
 
 
+def assembled_op(rho, dist, n_grid=None):
+    """The operator of `law_op`, assembled from its band without the build's refusals."""
+    spec, mu = ProblemSpec(rho=rho, n_grid=n_grid), FrameDistribution.parse(dist)
+    n = spec.n_grid
+    band = averaged_kernel(np.arange(_band_width(spec, mu) + 1) / n, spec.rho, mu, 1.0 / n) / n
+    return StroboOperator(rho=spec.rho, n=n, band=band, law=mu)
+
+
 LAWS = ["deterministic", "exponential", "jitter:0.5", "twopoint:0.5,1.5,0.5"]
 
 
@@ -360,8 +472,10 @@ class TestMirrorFold:
         (20.0, 10), (20.0, 11), (20.0, None), (20.0, 361), (0.3, None), (3.0, 65),
     ])
     def test_closed_form_matches_dense_solve(self, rho, n_grid):
-        # P = cosh(ah/2) I - sinh(ah/2) R with R_ij = e^{-ah|i-j|}, solved densely
-        op = law_op(rho, "deterministic", n_grid)
+        # P = cosh(ah/2) I - sinh(ah/2) R with R_ij = e^{-ah|i-j|}, solved densely.
+        # P depends on rho and N alone; at N = 10 the kernel, 0.5 grid steps
+        # wide, aliases past unit spectral radius and the build refuses it
+        op = assembled_op(rho, "deterministic", n_grid)
         n, m = op.n, (op.n + 1) // 2
         x = 0.5 * math.sqrt(2.0) * rho / n
         offsets = np.arange(n)
@@ -517,8 +631,8 @@ class TestWeightResolvent:
 
     # the slowest law on the Laplace route (symbol bound 13.5, about 50
     # steps), and two beyond LAPLACE_COND_MAX, which factor I - K;
-    # twopoint:1e-6,1,0.999 is wider still and supercritical on the
-    # default grid (TestFailureMessages).  At rho = 60 the first true
+    # twopoint:1e-6,1,0.999 is wider still and aliases past unit spectral
+    # radius on the default grid, which the build refuses.  At rho = 60 the first true
     # residual of twopoint:0.000316,1,0.995 misses the bound: the solve
     # meets it through one residual replacement
     @pytest.mark.parametrize("rho, dist", [
@@ -627,10 +741,11 @@ class TestFailureMessages:
 
     def test_banded_factor_not_positive_definite(self):
         # beyond the symbol-ratio bound, and row sums up to 1.0026 from the
-        # narrow component's aliasing: the factor of I - K itself fails
+        # narrow component's aliasing (which the build refuses): the factor
+        # of I - K itself fails
         with pytest.raises(SolverError, match=(
                 r"banded Cholesky factor of I - K at rho=20\.0: not positive definite")):
-            mean_frames(law_op(20.0, "twopoint:1e-6,1,0.999"), 0.5)
+            mean_frames(assembled_op(20.0, "twopoint:1e-6,1,0.999"), 0.5)
 
     def test_lopcg_eigenvalue_outside_unit_interval(self):
         with pytest.raises(SolverError, match=(
