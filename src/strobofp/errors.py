@@ -11,7 +11,7 @@ class SolverError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """PCG or LOPCG missed its residual bound within its step cap."""
+    """PCG or Davidson missed its residual bound within its step cap."""
 
 
 class FitError(ValueError):

@@ -33,7 +33,9 @@ FRAME_BUDGET = 1e10
 
 
 def _check_frame_budget(rho: float, n_trials: int) -> None:
-    """Refuse a run whose n_trials * (1 + rho^2) exceeds FRAME_BUDGET."""
+    """Refuse a run of no trials, or one whose n_trials * (1 + rho^2) exceeds FRAME_BUDGET."""
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     frames = n_trials * (1.0 + rho * rho)
     if not frames <= FRAME_BUDGET:
         raise ValueError(
@@ -93,8 +95,6 @@ def simulate_tau(
     is reproducible bit for bit for any worker count (the STROBOFP_THREADS
     environment variable, else one per CPU).
     """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if not (rho > 0.0 and np.isfinite(rho * rho)):
         # rho^2 sets the frame cap, so it must be finite as well
         raise ValueError(f"rho must be positive with a finite square, got {rho}")
@@ -209,7 +209,7 @@ def self_averaging_check(
     operator); the report carries both values and a z-score with a 3-sigma
     pass mark.  The reference is solved on the grid and band cutoff of
     `spec` before the simulation runs, so a failing solve costs no trials,
-    and a run over FRAME_BUDGET is refused before either.
+    and a run of no trials or over FRAME_BUDGET is refused before either.
     """
     _check_frame_budget(spec.rho, n_trials)
     reference = mean_frames(build_averaged_operator(spec, mu), spec.y0).mean_tau

@@ -162,10 +162,6 @@ class FrameDistribution:
     # -- moments -----------------------------------------------------------
 
     @property
-    def mean(self) -> float:
-        return 1.0
-
-    @property
     def variance(self) -> float:
         if self.kind == "two-point":
             u1, u2, p = self.params

@@ -32,16 +32,22 @@ part of h.  An even vector is carried as its first m = ceil(N/2) entries:
 a symmetric Toeplitz matrix folds into a banded block of order m (`_fold`;
 Cantoni & Butler, Linear Algebra Appl. 13, 1976), and K into
 `StroboOperator.even_matvec`, which makes every product of the survival
-recursion, of PCG, of its residual check and of LOPCG.  Sums, inner
-products and norms over the full grid weight each mirrored pair 2 and the
-middle node of odd N 1 (`_multiplicity`); max norms are those of the half.
+recursion and its Lanczos tail, of PCG, of its residual check and of the
+eigensolver.  Sums, inner products and norms over the full grid weight
+each mirrored pair 2 and the middle node of odd N 1 (`_multiplicity`); max
+norms are those of the half.
+
+The eigensolver and the survival tail grow one orthonormal basis V on the
+half (`_extend`) and fill the lower triangle of V^T K V, all that `eigh`
+reads, one row per product: the tail adds the image of its last vector,
+the eigensolver its preconditioned residual.
 
 The solve (`_resolvent_solve`) is preconditioned conjugate gradients, the
-eigensolver (`spectral_pair`) LOPCG (Knyazev, SIAM J. Sci. Comput. 23,
-2001), both with one preconditioner P chosen once per operator
-(`_factorization`).  P is the exponential-frame (Laplace) operator I - K_L
-at the same rho and grid wherever the symbol-ratio bound allows it
-(`_laplace_route`).  Every law is unit-mean, so every law has the
+eigensolver (`spectral_pair`) preconditioned Davidson (Davidson,
+J. Comput. Phys. 17, 1975), both with one preconditioner P chosen once per
+operator (`_factorization`).  P is the exponential-frame (Laplace)
+operator I - K_L at the same rho and grid wherever the symbol-ratio bound
+allows it (`_laplace_route`).  Every law is unit-mean, so every law has the
 diffusion scale of P and matches it at low frequency.  P^{-1} has a
 closed form: it is cosh(ah/2)^{-1} (I + 4 sinh^2(ah/2) L^{-1}) with L the
 second-difference matrix whose Green's function is explicit (Meurant,
@@ -50,14 +56,14 @@ cumulative sums (`_precondition`): O(N) and NumPy only, with no factor.
 The ratio of the symbols of I - K and P bounds the condition number of
 P^{-1}(I - K) (Chan & Ng, SIAM Rev. 38, 1996): for deterministic frames
 it is (1 - e^{-t})(1 + t)/t, in [1, 1.30], and PCG solves in about 11
-steps; LOPCG finds the leading pair in about as many.  Exponential
+steps; Davidson finds the leading pair in 8 to 10.  Exponential
 frames, for which P is I - K up to the omitted band tail, take one PCG
 step (up to 3 with the band cut at eta = 6); wide two-point mixtures take
 more, about 55 at the largest bound admitted, LAPLACE_COND_MAX = 16.
 Beyond it (for example twopoint:1e-5,1,0.999, bound 58) the steps would
 approach the cap, and P is I - K itself, factored with its band on the
 half by SciPy's banded Cholesky, which only these laws import: PCG then
-takes one step and LOPCG about as many as inverse iteration.
+takes one step and Davidson 5 to 9.
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ from .operator_core import StroboOperator, averaged_kernel, laplace_band
 # ||b - (I-K)x||_inf / (||I-K||_inf ||x||_inf + ||b||_inf).
 RESIDUAL_TOL = 8.0 * np.finfo(float).eps
 # Contractual bound on ||K v - lambda v||_2 / lambda for the unit eigenvector
-# returned by spectral_pair, and the step cap of its LOPCG and of each PCG solve.
+# returned by spectral_pair, and the step cap of its Davidson and of each PCG solve.
 EIGEN_TOL = 1e-13
 EIGEN_MAX_ITER = 100
 # Largest symbol-ratio bound on cond(P^{-1}(I - K)) for which the Laplace
@@ -202,13 +208,31 @@ def survival_sequence(op: StroboOperator, y0: float, n_max: int) -> SurvivalSeri
     return SurvivalSeries(rho=op.rho, y0=y0, values=values)
 
 
+def _extend(basis: np.ndarray, k: int, z: np.ndarray, mult: np.ndarray) -> tuple:
+    """Store z, made orthonormal to basis[:k], as basis[k]; (its size, basis[:k] . z).
+
+    Two classical Gram-Schmidt passes in the inner product of `_multiplicity`
+    (twice is enough: Parlett, The Symmetric Eigenvalue Problem); the size
+    is taken after both, and basis[k] is left as it was when it is 0.
+    """
+    coef = basis[:k] @ (mult * z)
+    z = z - coef @ basis[:k]
+    z -= (basis[:k] @ (mult * z)) @ basis[:k]
+    size = _even_norm(z, mult)
+    if size > 0.0:
+        basis[k] = z / size
+    return size, coef
+
+
 def _lanczos_tail(op: StroboOperator, x: np.ndarray, weights: np.ndarray,
                   tail: np.ndarray) -> bool:
     """Write S_{n0+j} = w . K^j x for j = 1..tail.size into `tail`; True if the bound holds.
 
-    Lanczos on the half with the inner product of `_multiplicity` and full
-    reorthogonalization, from q_1 = x/||x||: K Q_k = Q_k T_k + beta_k q_{k+1} e_k^T
-    (Saad, Numerical Methods for Large Eigenvalue Problems, 2011, ch. 6).
+    Lanczos on the half from q_1 = x/||x||, each K q_k made orthonormal to
+    Q_k by `_extend` (full reorthogonalization): K Q_k = Q_k T_k +
+    beta_k q_{k+1} e_k^T (Saad, Numerical Methods for Large Eigenvalue
+    Problems, 2011, ch. 6), with row k of T_k = Q_k^T K Q_k from the first
+    Gram-Schmidt pass and beta_k the size left after both.
     With T_k = U diag(theta) U^T and the Ritz vectors y_i = Q_k u_i,
     x = sum_i c_i y_i exactly, with c_i = ||x|| u_{1,i}, so
     S_{n0+j} = sum_i c_i (w . y_i) theta_i^j up to the residuals
@@ -234,36 +258,26 @@ def _lanczos_tail(op: StroboOperator, x: np.ndarray, weights: np.ndarray,
     vectors and the tail.
     """
     mult = _multiplicity(op.n)
-    size = _even_norm(x, mult)
+    cap = min(EIGEN_MAX_ITER, x.size)
+    basis = np.empty((cap + 1, x.size))
+    ritz = np.zeros((cap, cap))
+    size, _ = _extend(basis, 0, x, mult)
     if size == 0.0:
         tail[:] = 0.0
         return True
-    cap = min(EIGEN_MAX_ITER, x.size)
-    basis = np.empty((cap + 1, x.size))
-    basis[0] = x / size
-    alpha, beta = np.zeros(cap), np.zeros(cap)
     for k in range(1, cap + 1):
-        z = op.even_matvec(basis[k - 1])
-        alpha[k - 1] = mult @ (basis[k - 1] * z)
-        z -= alpha[k - 1] * basis[k - 1]
-        if k > 1:
-            z -= beta[k - 2] * basis[k - 2]
-        for _ in range(2):  # twice is enough (Parlett, The Symmetric Eigenvalue Problem)
-            z -= (basis[:k] @ (mult * z)) @ basis[:k]
-        beta[k - 1] = _even_norm(z, mult)
-        last_step = k == cap or beta[k - 1] == 0.0
-        if not last_step:
-            basis[k] = z / beta[k - 1]
-            if k % TAIL_CHECK_STEPS:
-                continue
-        theta, u = np.linalg.eigh(np.diag(alpha[:k]) + np.diag(beta[: k - 1], -1))
+        beta, ritz[k - 1, :k] = _extend(basis, k, op.even_matvec(basis[k - 1]), mult)
+        last_step = k == cap or beta == 0.0
+        if not last_step and k % TAIL_CHECK_STEPS:
+            continue
+        theta, u = np.linalg.eigh(ritz[:k, :k])
         if theta[-1] >= 1.0:
             raise SolverError(
                 f"Lanczos survival tail at rho={op.rho}: Ritz value {float(theta[-1])} >= 1 "
                 f"after {k} steps; the operator exceeds unit spectral radius"
             )
         coef = size * u[0]
-        residuals = beta[k - 1] * np.abs(u[-1])
+        residuals = beta * np.abs(u[-1])
         lam_bar = theta[-1] + residuals[-1]
         # ||w|| = 1/sqrt(N) for the uniform weights
         errors = np.abs(coef) * residuals / math.sqrt(op.n)
@@ -567,78 +581,61 @@ def mean_frames(op: StroboOperator, y0: float) -> ExitStats:
     return ExitStats(M=M, mean_tau=1.0 + M)
 
 
+def _eigen_residual(vec: np.ndarray, image: np.ndarray, mult: np.ndarray) -> tuple:
+    """(lambda, K v - lambda v, its norm) for the half v of a unit vector and its image K v."""
+    lam = float(mult @ (vec * image))
+    res = image - lam * vec
+    return lam, res, _even_norm(res, mult)
+
+
 def spectral_pair(op: StroboOperator, y0: float = 0.5):
     """Leading eigenvalue, eigenvector and overlap amplitude of K.
 
-    Locally optimal preconditioned conjugate gradients with block size 1
-    (LOPCG; Knyazev, SIAM J. Sci. Comput. 23, 2001), started from the
-    half-sine profile (the wide-kernel limit mode): each step takes the
-    Rayleigh-Ritz maximizer of K over the iterate v, its residual
-    preconditioned by the P of the module docstring (where P is I - K
-    itself, the span holds the inverse-iteration step), and the previous
-    search direction.  The leading mode is even, so every
+    Preconditioned Davidson (Davidson, J. Comput. Phys. 17, 1975) from the
+    half-sine profile (the wide-kernel limit mode).  The basis V grows by
+    one vector a step, the preconditioned unit residual P^{-1} r/||r|| of
+    the top Ritz pair of V^T K V, with the P of the module docstring (where
+    P is I - K itself, the span holds the inverse-iteration step), made
+    orthonormal to V by `_extend`.  The leading mode is even, so every
     vector lives on the half of ceil(N/2) entries, with the inner products
     of `_multiplicity`; the vector is unfolded once at the end.  Each step
-    makes one `StroboOperator.even_matvec`, of the preconditioned residual;
-    the images of v and of the search direction are carried along
-    linearly.  Stops once ||K v - lambda0 v||_2 <= EIGEN_TOL * lambda0 for
-    the unit vector v and its Rayleigh quotient lambda0, confirmed with a
-    fresh product of v.  EIGEN_MAX_ITER steps raise ConvergenceError.
-    `a0_est` is normalized so that S_n ~ a0_est * lambda0^n for large n with
-    the start point `y0`.
+    makes one `StroboOperator.even_matvec`, of the new basis vector, kept
+    beside it for the residual and the new row of V^T K V.  Stops once
+    ||K v - lambda0 v||_2 <= EIGEN_TOL * lambda0 for the top Ritz vector v
+    and its Rayleigh quotient lambda0, confirmed with a fresh product of v.
+    A basis of EIGEN_MAX_ITER + 1 vectors or of the order of the half
+    without that raises ConvergenceError.  `a0_est` is normalized so that
+    S_n ~ a0_est * lambda0^n for large n with the start point `y0`.
     """
     mult = _multiplicity(op.n)
-
-    def orthonormalize(z, image, basis, images):
-        """z and its image K z, made orthogonal to `basis` and then unit."""
-        for u, ku in zip(basis, images):
-            c = mult @ (u * z)
-            z, image = z - c * u, image - c * ku
-        size = _even_norm(z, mult)
-        return z / size, image / size
-
-    vec = np.sin(np.pi * op.grid[: mult.size])
-    vec /= _even_norm(vec, mult)
-    image, fresh = op.even_matvec(vec), True
-    direction = direction_image = None
-    steps = 0
-    while True:
-        lam = float(mult @ (vec * image))
-        res = image - lam * vec
-        residual = _even_norm(res, mult)
+    cap = min(EIGEN_MAX_ITER + 1, mult.size)
+    basis, images = np.zeros((cap, mult.size)), np.zeros((cap, mult.size))
+    ritz = np.zeros((cap, cap))
+    z = np.sin(np.pi * op.grid[: mult.size])
+    for k in range(1, cap + 1):
+        _extend(basis, k - 1, z, mult)
+        images[k - 1] = op.even_matvec(basis[k - 1])
+        ritz[k - 1, :k] = basis[:k] @ (mult * images[k - 1])
+        coef = np.linalg.eigh(ritz[:k, :k])[1][:, -1]
+        vec = coef @ basis[:k]
+        lam, res, residual = _eigen_residual(vec, coef @ images[:k], mult)
         if residual <= EIGEN_TOL * lam:
-            if fresh:
+            # the image holds rounding from every column: confirm
+            lam, res, residual = _eigen_residual(vec, op.even_matvec(vec), mult)
+            if residual <= EIGEN_TOL * lam:
                 break
-            # the carried image holds rounding from every step: confirm
-            image, fresh = op.even_matvec(vec), True
-            continue
-        if steps == EIGEN_MAX_ITER:
-            raise ConvergenceError(
-                f"LOPCG spectral_pair at rho={op.rho}: eigen residual "
-                f"{residual:.3e} exceeds the bound {EIGEN_TOL * lam:.3e} after {steps} steps"
-            )
-        steps += 1
-        # the preconditioned unit residual; its image is the step's one
-        # product, of a vector of order 1 (at tiny rho K times a vector of
-        # the residual's size underflows)
-        w = _precondition(op, res / residual)
-        w, kw = orthonormalize(w, op.even_matvec(w), [vec], [image])
-        basis, images = [vec, w], [image, kw]
-        if direction is not None:
-            p, kp = orthonormalize(direction, direction_image, basis, images)
-            basis.append(p)
-            images.append(kp)
-        basis, images = np.array(basis), np.array(images)
-        ritz = (basis * mult) @ images.T
-        coef = np.linalg.eigh(0.5 * (ritz + ritz.T))[1][:, -1]
-        direction, direction_image = coef[1:] @ basis[1:], coef[1:] @ images[1:]
-        vec, image = coef @ basis, coef @ images
-        size = _even_norm(vec, mult)
-        vec, image, fresh = vec / size, image / size, False
+        # the preconditioned unit residual: at tiny rho K times a vector of
+        # the residual's size underflows
+        z = _precondition(op, res / residual)
+    else:
+        raise ConvergenceError(
+            f"Davidson spectral_pair at rho={op.rho}: eigen residual "
+            f"{residual:.3e} exceeds the bound {EIGEN_TOL * lam:.3e} after {k - 1} steps"
+        )
     if not 0.0 < lam < 1.0:
         raise SolverError(
-            f"LOPCG spectral_pair at rho={op.rho}: leading eigenvalue {lam} outside "
-            f"(0, 1) after {steps} steps, eigen residual {residual:.3e} against the "
+            f"Davidson spectral_pair at rho={op.rho}: leading eigenvalue {lam} outside "
+            f"(0, 1) after {k - 1} steps, eigen residual {residual:.3e} against the "
             f"bound {EIGEN_TOL * lam:.3e}"
         )
     vec = _unfold(vec, op.n)

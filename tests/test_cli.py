@@ -402,6 +402,16 @@ class TestExitCodes:
         assert main(argv) == 2
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_no_trials_refused_before_any_work(self, trials, monkeypatch, capsys):
+        # the N = 18000 reference solve at rho = 1000 would come first
+        def fail(*args, **kwargs):
+            raise AssertionError("no operator may be built for a bad --trials")
+
+        monkeypatch.setattr(montecarlo, "build_averaged_operator", fail)
+        assert main(["mc", "--rho", "1000", "--trials", trials]) == 2
+        assert "n_trials must be >= 1" in capsys.readouterr().err
+
     def test_factor_beyond_physical_memory_is_numerical_error(self, monkeypatch, capsys):
         # a law beyond the symbol-ratio bound factors I - K with its band
         def fail(*args, **kwargs):

@@ -333,6 +333,20 @@ class TestSpectralPair:
         assert abs(lam - np.linalg.eigvalsh(op.toarray())[-1]) <= 1e-14
         assert np.linalg.norm(op.matvec(vec) - lam * vec) <= EIGEN_TOL * lam
 
+    @pytest.mark.parametrize("rho, dist", [
+        (3500.0, "deterministic"),
+        (5000.0, "deterministic"),
+        (4000.0, "jitter:0.5"),
+    ])
+    def test_large_rho_step_count(self, rho, dist, monkeypatch):
+        # beyond rho ~ 1000 the residual sits near the bound for a few steps:
+        # the pair must still be found in the 9 to 11 products of nearby rho
+        op = law_op(rho, dist)
+        calls = count_even_products(monkeypatch)
+        lam, vec, _ = spectral_pair(op)
+        assert len(calls) <= 12
+        assert np.linalg.norm(op.matvec(vec) - lam * vec) <= EIGEN_TOL * lam
+
     def test_large_rho_bulk_amplitude(self):
         # N = 7200 is beyond a dense solve; the bulk mode's overlap amplitude
         # tends to 4/pi as rho grows
@@ -615,7 +629,7 @@ class TestWeightResolvent:
             assert len(calls) == first
 
     # jitter:0.5 adds a smooth mixture, twopoint:0.001,1,0.99 the widest band
-    # (1459) and the most PCG and LOPCG steps (up to 34)
+    # (1459) and the most PCG and Davidson steps (up to 34)
     @pytest.mark.parametrize("dist", ["deterministic", "exponential", "jitter:0.5",
                                       "twopoint:0.001,1,0.99"])
     @pytest.mark.parametrize("rho", [0.05, 20.0, 200.0, 1000.0, 3000.0])
@@ -735,7 +749,7 @@ class TestFailureMessages:
     def test_lopcg_step_cap(self, monkeypatch):
         monkeypatch.setattr(resolvent, "EIGEN_MAX_ITER", 2)
         with pytest.raises(ConvergenceError, match=(
-                rf"LOPCG spectral_pair at rho=100\.0: eigen residual {_NUMBER} exceeds "
+                rf"Davidson spectral_pair at rho=100\.0: eigen residual {_NUMBER} exceeds "
                 rf"the bound {_NUMBER} after 2 steps")):
             spectral_pair(op_for(100.0))
 
@@ -749,7 +763,7 @@ class TestFailureMessages:
 
     def test_lopcg_eigenvalue_outside_unit_interval(self):
         with pytest.raises(SolverError, match=(
-                rf"LOPCG spectral_pair at rho=1\.0: leading eigenvalue {_NUMBER} outside "
+                rf"Davidson spectral_pair at rho=1\.0: leading eigenvalue {_NUMBER} outside "
                 rf"\(0, 1\) after \d+ steps, eigen residual {_NUMBER} against the "
                 rf"bound {_NUMBER}")):
             spectral_pair(supercritical_op())
