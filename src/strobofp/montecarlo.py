@@ -6,9 +6,12 @@ records the first frame index at which x leaves (0, 1).  Trials run in
 chunks of CHUNK: chunk c holds trials [c*CHUNK, (c+1)*CHUNK) and draws from
 the counter-based stream Generator(Philox(key=[seed, c])).  On each frame
 the chunk draws standard_normal(n_alive), then, for random frame intervals,
-mu.sample_intervals(gen, n_alive); a trial leaves the arrays on the frame
-it exits.  Results are bit-identical for any worker count or scheduling
-order, but a k-trial run is not a prefix of a longer one.
+mu.sample_intervals(gen, n_alive), both in trial order; a trial leaves the
+positions array on the frame it exits.  A chunk keeps only those positions
+and how many trials exit on each frame, so memory is O(CHUNK + largest tau)
+per worker whatever n_trials is.  Results are bit-identical for any worker
+count or scheduling order, but a k-trial run is not a prefix of a longer
+one.
 """
 
 from __future__ import annotations
@@ -23,17 +26,21 @@ from ._threads import worker_count
 from .operator_core import FrameDistribution, ProblemSpec, build_averaged_operator
 from .resolvent import mean_frames
 
-_UINT64_MASK = 0xFFFFFFFFFFFFFFFF
 # Trials per random stream; part of the stream layout, so changing it
 # changes every seeded result.
 CHUNK = 65_536
 # Most frames a run may simulate, counted as n_trials * (1 + rho^2), the
-# scale of _hard_cap: about ten minutes at 50-130 ns per frame.
+# scale of _hard_cap: five to eight minutes at the 30-50 ns per trial-frame
+# of the benchmark's mc commands (2 CPUs).
 FRAME_BUDGET = 1e10
 
 
-def _check_frame_budget(rho: float, n_trials: int) -> None:
-    """Refuse a run of no trials, or one whose n_trials * (1 + rho^2) exceeds FRAME_BUDGET."""
+def _check_run(rho: float, n_trials: int, seed: int) -> None:
+    """Refuse a seed outside [0, 2^64), a run of no trials, or one whose
+    n_trials * (1 + rho^2) exceeds FRAME_BUDGET."""
+    if not 0 <= seed < 2**64:
+        # the seed is the first word of each chunk's uint64 Philox key
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     frames = n_trials * (1.0 + rho * rho)
@@ -100,52 +107,57 @@ def simulate_tau(
         raise ValueError(f"rho must be positive with a finite square, got {rho}")
     if not 0.0 <= y0 <= 1.0:
         raise ValueError(f"y0 must lie in [0, 1], got {y0}")
-    _check_frame_budget(rho, n_trials)
+    _check_run(rho, n_trials, seed)
     if mu is None:
         mu = FrameDistribution.deterministic()
     n_cap = _hard_cap(rho)
     n_chunks = -(-n_trials // CHUNK)
     deterministic = mu.kind == "deterministic"
 
-    def run_chunk(c: int) -> np.ndarray:
-        """Taus of chunk c, its trials moved together a frame at a time;
-        trials still inside after n_cap frames keep tau = 0."""
-        key = np.array([seed & _UINT64_MASK, c], dtype=np.uint64)
-        gen = Generator(Philox(key=key))
-        n = min(CHUNK, n_trials - c * CHUNK)
-        taus = np.zeros(n, dtype=np.int64)
-        alive = np.arange(n)
-        x = np.full(n, float(y0))
-        for frame in range(1, n_cap + 1):
-            steps = gen.standard_normal(alive.size)
+    def run_chunk(c: int) -> tuple[list[int], int]:
+        """Exit counts of chunk c per frame, its trials moved together a
+        frame at a time, and the number still inside after n_cap frames."""
+        gen = Generator(Philox(key=np.array([seed, c], dtype=np.uint64)))
+        k = min(CHUNK, n_trials - c * CHUNK)
+        x = np.full(k, float(y0))
+        steps, inside, below = np.empty(k), np.empty(k, dtype=bool), np.empty(k, dtype=bool)
+        exits = []
+        for _ in range(n_cap):
+            gen.standard_normal(out=steps)
             if not deterministic:
-                steps *= np.sqrt(mu.sample_intervals(gen, alive.size))
-            x += steps / rho
-            inside = (x > 0.0) & (x < 1.0)
-            if not inside.all():
-                taus[alive[~inside]] = frame
-                alive, x = alive[inside], x[inside]
-                if not alive.size:
+                v = mu.sample_intervals(gen, k)
+                steps *= np.sqrt(v, out=v)
+            np.divide(steps, rho, out=steps)
+            x += steps
+            np.greater(x, 0.0, out=inside)
+            inside &= np.less(x, 1.0, out=below)
+            stay = int(np.count_nonzero(inside))
+            exits.append(k - stay)
+            if stay < k:
+                x, k = x[inside], stay
+                if not k:
                     break
-        return taus
+                steps, inside, below = steps[:k], inside[:k], below[:k]
+        return exits, k
 
+    counts, overflow = np.zeros(0, dtype=np.int64), 0
     with ThreadPoolExecutor(max_workers=worker_count(n_chunks)) as pool:
-        taus = np.concatenate(list(pool.map(run_chunk, range(n_chunks))))
-
-    overflow = int(np.count_nonzero(taus == 0))
-    completed = taus[taus > 0]
-    if completed.size:
-        mean_tau = float(completed.mean())
-        std_error = (
-            float(completed.std(ddof=1) / np.sqrt(completed.size))
-            if completed.size > 1
-            else float("nan")
-        )
-        histogram = np.bincount(completed)[1:]
-    else:
-        mean_tau = float("nan")
-        std_error = float("nan")
-        histogram = np.zeros(0, dtype=np.int64)
+        # summed as they arrive, so memory does not grow with the chunk count
+        for exits, stay in pool.map(run_chunk, range(n_chunks)):
+            if len(exits) > counts.size:
+                counts = np.pad(counts, (0, len(exits) - counts.size))
+            counts[:len(exits)] += exits
+            overflow += stay
+    histogram = np.trim_zeros(counts, "b")
+    completed = n_trials - overflow
+    mean_tau = std_error = float("nan")
+    if completed:
+        taus = np.arange(1, histogram.size + 1)
+        # the integer sum is exact, so the mean is rounded once
+        mean_tau = int(histogram @ taus) / completed
+        if completed > 1:
+            var = float(histogram @ (taus - mean_tau) ** 2) / (completed - 1)
+            std_error = float(np.sqrt(var) / np.sqrt(completed))
     return MCResult(
         mean_tau=mean_tau,
         std_error=std_error,
@@ -209,9 +221,10 @@ def self_averaging_check(
     operator); the report carries both values and a z-score with a 3-sigma
     pass mark.  The reference is solved on the grid and band cutoff of
     `spec` before the simulation runs, so a failing solve costs no trials,
-    and a run of no trials or over FRAME_BUDGET is refused before either.
+    and a seed outside [0, 2^64), a run of no trials or one over
+    FRAME_BUDGET is refused before either.
     """
-    _check_frame_budget(spec.rho, n_trials)
+    _check_run(spec.rho, n_trials, seed)
     reference = mean_frames(build_averaged_operator(spec, mu), spec.y0).mean_tau
     mc = simulate_tau(spec.rho, spec.y0, n_trials, seed, mu=mu)
     z, passed = z_test(mc.mean_tau, mc.std_error, reference)

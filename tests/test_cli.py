@@ -313,6 +313,22 @@ class TestMC:
         assert "numerical failure" in capsys.readouterr().err
         assert calls == []
 
+    def test_every_trial_overflowing_gives_nulls(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_hard_cap", lambda rho: 1)
+        out = tmp_path / "mc.json"
+        assert main(["mc", "--rho", "20", "--trials", "400", "--seed", "5",
+                     "--out", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        assert payload["mc"]["mean_tau"] is None
+        assert payload["mc"]["std_error"] is None
+        assert payload["mc"]["overflow"] == 400
+        assert payload["z_score"] is None
+        assert payload["passed"] is False
+
     def test_seeded_reruns_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["mc", "--rho", "4", "--trials", "2000", "--seed", "11"]
@@ -411,6 +427,15 @@ class TestExitCodes:
         monkeypatch.setattr(montecarlo, "build_averaged_operator", fail)
         assert main(["mc", "--rho", "1000", "--trials", trials]) == 2
         assert "n_trials must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [str(2**64), "-1"])
+    def test_seed_outside_uint64_refused_before_any_work(self, seed, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("no operator may be built for a bad --seed")
+
+        monkeypatch.setattr(montecarlo, "build_averaged_operator", fail)
+        assert main(["mc", "--rho", "1000", "--trials", "10", "--seed", seed]) == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_factor_beyond_physical_memory_is_numerical_error(self, monkeypatch, capsys):
         # a law beyond the symbol-ratio bound factors I - K with its band

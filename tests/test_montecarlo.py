@@ -1,6 +1,7 @@
 """Monte Carlo oracle: reproducibility, distributional sanity, aggregation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,31 @@ class TestReproducibility:
         a = simulate_tau(3.0, 0.4, 1000, seed=7)
         b = simulate_tau(3.0, 0.4, 1000, seed=8)
         assert not np.array_equal(a.histogram, b.histogram)
+
+    # Exact results at the stream layout of the module docstring (Philox key
+    # [seed, chunk], CHUNK trials per key, normals then intervals per frame
+    # over the surviving trials in order): any change to that layout alters
+    # every seeded result, and these values with it.
+    @pytest.mark.parametrize("kwargs, histogram, mean_tau", [
+        (dict(rho=2.0, y0=0.5, n_trials=mc_mod.CHUNK + 1000, seed=11),
+         [21064, 17249, 10882, 6595, 4055, 2603, 1533, 966, 606, 347, 232, 151, 94, 61,
+          35, 23, 16, 8, 6, 6, 1, 0, 0, 1, 2],
+         2.794607430563905),
+        (dict(rho=3.0, y0=0.5, n_trials=2000, seed=5, mu=FrameDistribution.exponential()),
+         [237, 321, 277, 222, 213, 175, 117, 86, 72, 68, 51, 30, 23, 13, 22, 17, 13, 9, 6,
+          6, 5, 5, 3, 1, 2, 1, 1, 0, 1, 1, 0, 0, 2],
+         5.3525),
+        (dict(rho=3.0, y0=0.3, n_trials=2000, seed=9,
+              mu=FrameDistribution.two_point(0.5, 1.5, 0.5)),
+         [395, 354, 317, 199, 178, 138, 100, 83, 75, 41, 24, 26, 18, 14, 4, 12, 2, 9, 4, 1,
+          1, 3, 0, 2],
+         4.351),
+    ])
+    def test_stream_layout_pinned(self, kwargs, histogram, mean_tau):
+        result = simulate_tau(**kwargs)
+        assert result.histogram.tolist() == histogram
+        assert result.mean_tau == mean_tau
+        assert result.overflow == 0
 
     def test_env_variable_controls_workers(self, monkeypatch):
         seen = []
@@ -132,6 +158,22 @@ class TestOverflowPolicy:
         assert result.histogram.sum() + result.overflow == 400
         assert result.histogram.size <= 3
 
+    def test_every_trial_overflows(self, monkeypatch):
+        monkeypatch.setattr(mc_mod, "_hard_cap", lambda rho: 1)
+        result = simulate_tau(20.0, 0.5, 400, seed=5)
+        assert result.histogram.size == 0
+        assert math.isnan(result.mean_tau) and math.isnan(result.std_error)
+        assert result.overflow == result.n_trials == 400
+
+    def test_one_completed_trial_has_no_std_error(self, monkeypatch):
+        # seed 0 at a one-frame cap: one trial exits on frame 1, three overflow
+        monkeypatch.setattr(mc_mod, "_hard_cap", lambda rho: 1)
+        result = simulate_tau(20.0, 0.05, 4, seed=0)
+        assert result.histogram.tolist() == [1]
+        assert result.overflow == 3
+        assert result.mean_tau == 1.0
+        assert math.isnan(result.std_error)
+
     def test_no_overflow_in_contract_range(self):
         # cap is 1000(1+rho^2); observed maxima sit orders of magnitude lower
         big = simulate_tau(2.0, 0.5, 1_000_000, seed=8)
@@ -163,6 +205,29 @@ class TestFrameBudget:
             self_averaging_check(ProblemSpec(rho=1e6), FrameDistribution.deterministic(),
                                  10, seed=1)
 
+    @pytest.mark.parametrize("seed", [2**64, -1])
+    def test_self_averaging_refuses_bad_seed_before_the_reference(self, monkeypatch, seed):
+        def fail(*args, **kwargs):
+            raise AssertionError("no operator may be built for a bad seed")
+
+        monkeypatch.setattr(mc_mod, "build_averaged_operator", fail)
+        with pytest.raises(ValueError, match="seed"):
+            self_averaging_check(ProblemSpec(rho=5.0), FrameDistribution.deterministic(),
+                                 10, seed=seed)
+
+
+class TestMemory:
+    def test_peak_memory_flat_in_trial_count(self, monkeypatch):
+        # one worker keeps O(CHUNK + largest tau) arrays, whatever n_trials is
+        monkeypatch.setenv("STROBOFP_THREADS", "1")
+        tracemalloc.start()
+        try:
+            simulate_tau(2.0, 0.5, 10**6, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
 
 class TestValidation:
     @pytest.mark.parametrize("kwargs", [
@@ -173,6 +238,17 @@ class TestValidation:
     def test_preconditions(self, kwargs):
         with pytest.raises(ValueError):
             simulate_tau(**kwargs)
+
+    @pytest.mark.parametrize("seed", [2**64, -1])
+    def test_seed_outside_uint64_refused(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            simulate_tau(2.0, 0.5, 10, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_ends_run(self, seed):
+        result = simulate_tau(2.0, 0.5, 10, seed=seed)
+        assert result.seed == seed
+        assert result.histogram.sum() == 10
 
 
 class TestSelfAveraging:
