@@ -73,6 +73,12 @@ class ProblemSpec:
     def __post_init__(self):
         if not 0.0 < self.rho < math.inf:
             raise ValueError(f"rho must be positive and finite, got {self.rho}")
+        if self.rho < np.finfo(float).tiny:
+            # subnormal floats carry too few digits for the eigen bound EIGEN_TOL
+            raise ValueError(
+                f"rho must be at least the smallest normal float "
+                f"{np.finfo(float).tiny:.17g}, got {self.rho}"
+            )
         # a Python float: grid rules divide by rho, and a NumPy scalar would
         # warn where a subnormal rho overflows the quotient
         object.__setattr__(self, "rho", float(self.rho))

@@ -28,10 +28,9 @@ The interval is symmetric and the grid and weights of a `StroboOperator`
 follow from N alone, so the Toeplitz matrix K commutes with the reflection
 (J x)_i = x_{N-1-i} and the weights w are mirror-even: u and the leading
 eigenvector are even, and S_n = w . K^{n-1} h depends only on the even
-part of h.  An even vector is carried as its first m = ceil(N/2) entries:
-a symmetric Toeplitz matrix folds into a banded block of order m (`_fold`;
-Cantoni & Butler, Linear Algebra Appl. 13, 1976), and K into
-`StroboOperator.even_matvec`, which makes every product of the survival
+part of h.  An even vector is carried as its first m = ceil(N/2) entries,
+and K folds into `StroboOperator.even_matvec` (Cantoni & Butler, Linear
+Algebra Appl. 13, 1976), which makes every product of the survival
 recursion and its Lanczos tail, of PCG, of its residual check and of the
 eigensolver.  Sums, inner products and norms over the full grid weight
 each mirrored pair 2 and the middle node of odd N 1 (`_multiplicity`); max
@@ -45,31 +44,34 @@ the eigensolver its preconditioned residual.
 The solve (`_resolvent_solve`) is preconditioned conjugate gradients, the
 eigensolver (`spectral_pair`) preconditioned Davidson (Davidson,
 J. Comput. Phys. 17, 1975), both with one preconditioner P chosen once per
-operator (`_factorization`).  P is the exponential-frame (Laplace)
-operator I - K_L at the same rho and grid wherever the symbol-ratio bound
-allows it (`_laplace_route`).  Every law is unit-mean, so every law has the
-diffusion scale of P and matches it at low frequency.  P^{-1} has a
-closed form: it is cosh(ah/2)^{-1} (I + 4 sinh^2(ah/2) L^{-1}) with L the
-second-difference matrix whose Green's function is explicit (Meurant,
-SIAM J. Matrix Anal. Appl. 13, 1992), and on the half it takes two
-cumulative sums (`_precondition`): O(N) and NumPy only, with no factor.
+operator (`_factorization`), and both NumPy only.  P is the
+exponential-frame (Laplace) operator I - K_L at the same rho and grid
+wherever the symbol-ratio bound allows it (`_laplace_route`).  Every law
+is unit-mean, so every law has the diffusion scale of P and matches it at
+low frequency.  P^{-1} has a closed form: it is cosh(ah/2)^{-1}
+(I + 4 sinh^2(ah/2) L^{-1}) with L the second-difference matrix whose
+Green's function is explicit (Meurant, SIAM J. Matrix Anal. Appl. 13,
+1992), and on the half it takes two cumulative sums (`_precondition`).
 The ratio of the symbols of I - K and P bounds the condition number of
 P^{-1}(I - K) (Chan & Ng, SIAM Rev. 38, 1996): for deterministic frames
-it is (1 - e^{-t})(1 + t)/t, in [1, 1.30], and PCG solves in about 11
-steps; Davidson finds the leading pair in 8 to 10.  Exponential
-frames, for which P is I - K up to the omitted band tail, take one PCG
-step (up to 3 with the band cut at eta = 6); wide two-point mixtures take
-more, about 55 at the largest bound admitted, LAPLACE_COND_MAX = 16.
-Beyond it (for example twopoint:1e-5,1,0.999, bound 58) the steps would
-approach the cap, and P is I - K itself, factored with its band on the
-half by SciPy's banded Cholesky, which only these laws import: PCG then
-takes one step and Davidson 5 to 9.
+it is (1 - e^{-t})(1 + t)/t, in [1, 1.30], and PCG solves in 10 to 12
+steps; Davidson finds the leading pair in 8 to 10.  Exponential frames,
+for which P is I - K up to the omitted band tail, take one PCG step (up
+to 3 with the band cut at eta = 6).  Beyond LAPLACE_COND_MAX = 2 (two-point
+mixtures such as twopoint:0.0001,1,0.95, bound 13.5, where P would take up
+to 53 steps) P is the sine-transform (tau) matrix of I - K: I - K plus
+the images of K at the two walls, which the midpoint sines sin(k pi y_i)
+diagonalize (Bini & Capovani, Linear Algebra Appl. 52/53, 1983; Serra
+Capizzano, Math. Comp. 68, 1999).  Its eigenvalues come from one FFT of
+the band, and an apply on the half takes two complex FFTs of length N
+(`_sine_transform`): PCG then takes 5 to 8 steps and Davidson 6 to 11 (14
+at rho = 5).  Within the bound the Laplace apply is the cheaper of the two
+(16-33 against 48-190 microseconds for N = 360 to 3600, one thread).
 """
 
 from __future__ import annotations
 
 import math
-import os
 import weakref
 from dataclasses import dataclass
 
@@ -86,15 +88,16 @@ RESIDUAL_TOL = 8.0 * np.finfo(float).eps
 EIGEN_TOL = 1e-13
 EIGEN_MAX_ITER = 100
 # Largest symbol-ratio bound on cond(P^{-1}(I - K)) for which the Laplace
-# preconditioner is used.  CG's bound 2((sqrt k - 1)/(sqrt k + 1))^j asks
-# about 0.5 sqrt(k) ln(2/eps) steps, about 70 at k = 16: inside EIGEN_MAX_ITER.
-LAPLACE_COND_MAX = 16.0
+# preconditioner is used; beyond it the sine transform saves more steps than
+# its dearer apply costs (measured: Laplace wins or ties up to 1.30, the sine
+# transform wins from 2.14).
+LAPLACE_COND_MAX = 2.0
 # Bound on the Krylov truncation error of each survival value taken from the
 # Lanczos tail, relative to that value, and the Lanczos steps between checks.
 SURVIVAL_TAIL_TOL = 1e-13
 TAIL_CHECK_STEPS = 10
 
-# Per operator: the preconditioner's (factor, Laplace coefficients), and u = (I - K)^{-1} w.
+# Per operator: the preconditioner's (sine transform, Laplace coefficients), and u = (I - K)^{-1} w.
 _factor_cache = weakref.WeakKeyDictionary()
 _weight_resolvent_cache = weakref.WeakKeyDictionary()
 
@@ -335,26 +338,6 @@ def _ritz_tail(theta: np.ndarray, amplitudes: np.ndarray, errors: np.ndarray,
     return bool(np.all(bound * lam_bar ** (steps - 1) <= SURVIVAL_TAIL_TOL * tail))
 
 
-def _fold(col: np.ndarray, n: int) -> np.ndarray:
-    """Upper banded storage of the mirror-even block of a symmetric Toeplitz matrix.
-
-    The matrix A has order n and first column `col`, zero beyond it.  For a
-    mirror-even x, (A x)_i with i < m = ceil(n/2) is sum_j G_ij x_j over
-    j < m, with G_ij = A_ij + A_{i,n-1-j}: the Toeplitz band plus a Hankel
-    mirror term, which lies inside the band only in the last columns,
-    j >= (n - bw) // 2.  For odd n the middle node is its own mirror, so G
-    counts its column twice.  Row b - d holds entry (j - d, j) in column j,
-    with bandwidth b = min(bw, m - 1).
-    """
-    bw, m = col.size - 1, (n + 1) // 2
-    b = min(bw, m - 1)
-    ab = np.repeat(col[b::-1, None], m, axis=1)
-    c0 = max(0, (n - bw) // 2)
-    mirror = n - 1 + np.arange(b, -1, -1)[:, None] - 2 * np.arange(c0, m)
-    ab[:, c0:] += np.where(mirror <= bw, col[np.minimum(mirror, bw)], 0.0)
-    return ab
-
-
 def _symbol_condition(op: StroboOperator) -> float:
     """Bound on the condition number of P^{-1}(I - K) from the ratio of their symbols.
 
@@ -365,7 +348,9 @@ def _symbol_condition(op: StroboOperator) -> float:
     and to 1 as t -> inf; the bound is max f / min f over 400 log-spaced t
     from the interval's lowest mode, xi = pi, to the grid's Nyquist
     frequency, xi = pi N.  Aliasing and the band cut are left out.
-    Exponential frames have the Laplace symbol itself: 1.
+    Exponential frames have the Laplace symbol itself: 1.  `_laplace_route`
+    compares it with LAPLACE_COND_MAX to choose between the Laplace and the
+    sine-transform preconditioner.
     """
     if op.law.kind == "exponential":
         return 1.0
@@ -386,8 +371,8 @@ def _laplace_route(op: StroboOperator):
     = cosh(ah/2) of that band, R_ij = r^{|i-j|} and r = e^{-ah};
     t = 1 - r = 2 s/(alpha + s), which keeps its digits however small ah
     is.  It is taken when the symbol-ratio bound of `_symbol_condition` is
-    at most LAPLACE_COND_MAX; None leaves the banded factor of I - K itself
-    as the preconditioner.
+    at most LAPLACE_COND_MAX; None leaves the sine transform
+    (`_sine_transform`) as the preconditioner.
     """
     if _symbol_condition(op) > LAPLACE_COND_MAX:
         return None
@@ -396,19 +381,37 @@ def _laplace_route(op: StroboOperator):
     return alpha, 2.0 * s / (alpha + s), 4.0 * s * s
 
 
-def _physical_memory() -> float:
-    """Bytes of physical memory, or inf where the platform does not say."""
-    try:
-        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
-    except (AttributeError, OSError, ValueError):
-        return math.inf
+def _sine_transform(op: StroboOperator) -> tuple:
+    """(lambda, shift, twiddle) of the sine-transform P^{-1} of `_precondition`.
+
+    P = I - K + H, with H_ij = band[i+j+1] + band[2N-1-i-j] (zero beyond
+    the band) the images of K at the walls, is diagonalized by
+    s_k(i) = sin(k pi y_i), k = 1..N, with eigenvalues lambda_k =
+    1 - band_0 - 2 sum_d band_d cos(k pi d/N), all from one rfft of the
+    band zero-padded to 2N.  An even vector has only odd-k coefficients, so
+    the m = ceil(N/2) of odd k = 2l + 1 are kept, with shift_j = e^{-i pi j/N}
+    and twiddle_l = e^{-i pi k/(2N)}.  A lambda_k <= 0, where the band's
+    symbol reaches 1, raises SolverError.
+    """
+    n, m = op.n, (op.n + 1) // 2
+    lam = 1.0 - (2.0 * np.fft.rfft(op.band, 2 * n).real[1::2] - op.band[0])
+    if not np.all(lam > 0.0):
+        k = int(np.argmin(lam))
+        raise SolverError(
+            f"sine-transform preconditioner of I - K at rho={op.rho}: eigenvalue "
+            f"{lam[k]:.3e} <= 0 at k={2 * k + 1}; the band's symbol reaches 1, as it "
+            f"does where aliasing lifts the operator past unit spectral radius"
+        )
+    shift = np.exp(-1j * np.pi / n * np.arange(n))
+    twiddle = np.exp(-0.5j * np.pi / n * (2 * np.arange(m) + 1))
+    return lam, shift, twiddle
 
 
 def cholesky_banded(ab: np.ndarray) -> np.ndarray:
     """Upper Cholesky factor of the SPD matrix in upper banded storage `ab`.
 
-    SciPy's LAPACK wrapper, imported on the first call: only laws beyond
-    the symbol-ratio bound factor a band, so no other run loads SciPy.
+    SciPy's LAPACK wrapper, imported on the first call.  No solver here
+    calls it; the benchmark's trace table still names it.
     """
     from scipy.linalg import cholesky_banded as factor
 
@@ -418,8 +421,8 @@ def cholesky_banded(ab: np.ndarray) -> np.ndarray:
 def cho_solve_banded(cb, b: np.ndarray) -> np.ndarray:
     """Solve with the factor `cb = (factor, lower)` of `cholesky_banded` (SciPy, lazy).
 
-    The factor comes from a finite band, and b from the solvers here, so
-    the finiteness check is skipped.
+    The finiteness check is skipped.  No solver here calls it; the
+    benchmark's trace table still names it.
     """
     from scipy.linalg import cho_solve_banded as solve
 
@@ -427,45 +430,20 @@ def cho_solve_banded(cb, b: np.ndarray) -> np.ndarray:
 
 
 def _factorization(op: StroboOperator) -> tuple:
-    """(factor, Laplace route) of the preconditioner on the mirror-even half, cached.
+    """(sine transform, Laplace route) of the preconditioner on the mirror-even half, cached.
 
     The route (`_laplace_route`) is decided here, once per operator.  On
     the Laplace route P^{-1} is applied in closed form (`_precondition`)
-    from the route's three coefficients, and there is no factor (None).
-    Otherwise the route is None and the preconditioner is I - K itself:
-    the factor is the banded Cholesky factor of its fold, of bandwidth
-    min(bw, m - 1).  With E = I except for a 2 at the middle node of odd N,
-    A z = b on the even subspace becomes G y = b[:m] with z[:m] = E y, and
-    G is positive definite whenever A is.
+    from the route's three coefficients, and the sine transform is None.
+    Otherwise the route is None and the preconditioner is the sine
+    transform of `_sine_transform`, from its cached eigenvalues.
     """
     cached = _factor_cache.get(op)
-    if cached is not None:
-        return cached
-    route = _laplace_route(op)
-    factor = None
-    if route is None:
-        n, m = op.n, (op.n + 1) // 2
-        b = min(op.bandwidth, m - 1)
-        # the banded storage and the factor LAPACK returns beside it
-        need = 2 * 8.0 * (b + 1) * m
-        if need > _physical_memory():
-            raise MemoryError(
-                f"the Cholesky factor of N={n}, bandwidth {b} needs {need / 2**30:.3g} GiB, "
-                f"more than the physical memory"
-            )
-        ab = _fold(-op.band, n)
-        ab[b] += 1.0
-        if n % 2:
-            ab[b, -1] += 1.0
-        try:
-            factor = cholesky_banded(ab)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(
-                f"banded Cholesky factor of I - K at rho={op.rho}: not positive "
-                f"definite; the operator exceeds unit spectral radius"
-            ) from exc
-    _factor_cache[op] = factor, route
-    return factor, route
+    if cached is None:
+        route = _laplace_route(op)
+        cached = (None if route is not None else _sine_transform(op)), route
+        _factor_cache[op] = cached
+    return cached
 
 
 def _precondition(op: StroboOperator, half: np.ndarray) -> np.ndarray:
@@ -483,13 +461,22 @@ def _precondition(op: StroboOperator, half: np.ndarray) -> np.ndarray:
     4 s^2 (c_0 + ... + c_i): two cumulative sums, of positive terms when b
     is positive.  A vanishing rho makes s^2 underflow and t c_0 negligible
     beside b, and P^{-1} is 1/alpha.
+
+    Otherwise P^{-1} b = sum_k s_k (s_k . b)/(lambda_k ||s_k||^2) over odd
+    k = 2l + 1, with ||s_k||^2 = N/2 but N for k = N.  With the shift and
+    twiddle of `_sine_transform`, s_k . b = -Im(twiddle_l FFT(shift b)_l)
+    over the full even b, and sum_l d_l s_k(i) = Im(conj(shift_i) N
+    IFFT(d conj(twiddle))_i): two complex FFTs of length N, with the
+    factor -2/N of every d_l taken out of the sum.
     """
-    factor, route = _factorization(op)
+    sine, route = _factorization(op)
     if route is None:
-        z = cho_solve_banded((factor, False), half)
+        lam, shift, twiddle = sine
+        m = half.size
+        coef = (twiddle * np.fft.fft(shift * _unfold(half, op.n))[:m]).imag / lam
         if op.n % 2:
-            z[-1] *= 2.0
-        return z
+            coef[-1] *= 0.5
+        return -2.0 * (shift[:m].conj() * np.fft.ifft(coef * twiddle.conj(), op.n)[:m]).imag
     alpha, t, s2 = route
     tails = np.cumsum(half[::-1])[::-1]
     if op.n % 2:

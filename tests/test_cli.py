@@ -20,8 +20,9 @@ from strobofp import (
     bulk_law,
     mean_frames,
 )
-from strobofp import cli, montecarlo, resolvent
+from strobofp import cli, montecarlo
 from strobofp.cli import RunConfig, main, parse_rho_range, read_csv, UsageError
+from strobofp.operator_core import StroboOperator
 
 
 def run(tmp_path, *argv):
@@ -42,7 +43,8 @@ def test_cli_import_leaves_scipy_special_unloaded():
 
 # Run in a fresh interpreter: `mc` first, against the modules `import
 # strobofp.cli` loaded, then commands with laws within the symbol-ratio
-# bound, then a law beyond it, which alone imports SciPy.
+# bound, then a law beyond it, which alone reaches numpy.fft.  No command
+# imports SciPy.
 _STARTUP_SCRIPT = """
 import contextlib, io, json, sys
 import strobofp.cli as cli
@@ -65,8 +67,11 @@ with contextlib.redirect_stdout(io.StringIO()):
                  ["survival", "--rho", "20", "--n-max", "50", "--out", out + "/s.csv"]):
         report["rc"].append(cli.main(argv))
     report["scipy"] = scipy_modules()
+    report["fft"] = "numpy.fft" in sys.modules
     report["beyond_bound_rc"] = cli.main(["meantau", "--rho", "20", "--dist",
                                           "twopoint:1e-5,1,0.999", "--out", out + "/w.csv"])
+    report["beyond_bound_scipy"] = scipy_modules()
+    report["beyond_bound_fft"] = "numpy.fft" in sys.modules
 print(json.dumps(report))
 """
 
@@ -81,7 +86,10 @@ def test_commands_within_the_bound_load_no_scipy(tmp_path):
     assert report["rc"] == [0, 0, 0, 0]
     assert report["mc_numpy"] == []
     assert report["scipy"] == []
+    assert not report["fft"]
     assert report["beyond_bound_rc"] == 0
+    assert report["beyond_bound_scipy"] == []
+    assert report["beyond_bound_fft"]
 
 
 # Every flag each subcommand registers; each is read by that subcommand's handler.
@@ -437,15 +445,14 @@ class TestExitCodes:
         assert main(["mc", "--rho", "1000", "--trials", "10", "--seed", seed]) == 2
         assert "seed" in capsys.readouterr().err
 
-    def test_factor_beyond_physical_memory_is_numerical_error(self, monkeypatch, capsys):
-        # a law beyond the symbol-ratio bound factors I - K with its band
-        def fail(*args, **kwargs):
-            raise AssertionError("no factor may be attempted beyond physical memory")
+    def test_memory_error_in_the_solve_is_numerical_error(self, monkeypatch, capsys):
+        def exhausted(self, half):
+            raise MemoryError("no room for the product")
 
-        monkeypatch.setattr(resolvent, "_physical_memory", lambda: 1e4)
-        monkeypatch.setattr(resolvent, "cholesky_banded", fail)
+        monkeypatch.setattr(StroboOperator, "even_matvec", exhausted)
         assert main(["meantau", "--rho", "20", "--dist", "twopoint:1e-5,1,0.999"]) == 3
-        assert "physical memory" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "no room for the product" in err
 
     @pytest.mark.parametrize("dist", ["twopoint:inf,1,0.5", "twopoint:1,inf,0"])
     def test_non_finite_two_point_support_is_usage_error(self, dist, capsys):
@@ -550,12 +557,25 @@ class TestExitCodes:
         ["survival", "--rho", "1e-310", "--n-max", "5"],
         ["spectrum", "--rho", "5e-324"],
     ])
-    def test_subnormal_rho_exits_cleanly(self, argv, capsys):
-        # the grid rule divides by rho: no float overflow may escape as a warning
-        code = main(argv)
-        assert code in (0, 3)
+    def test_subnormal_rho_exits_cleanly(self, argv, monkeypatch, capsys):
+        # subnormal floats carry fewer digits than the eigen bound asks for:
+        # refused as a usage error before any build, naming the smallest
+        # normal float
+        def fail(*args, **kwargs):
+            raise AssertionError("no operator may be built at a subnormal rho")
+
+        monkeypatch.setattr(cli, "build_averaged_operator", fail)
+        assert main(argv) == 2
         out, err = capsys.readouterr()
-        assert (code == 0 and out) or "numerical failure" in err
+        assert out == ""
+        assert "usage error" in err and "smallest normal float 2.2250738585072014e-308" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["spectrum", "meantau"])
+    @pytest.mark.parametrize("rho", ["2.3e-308", "1e-307", "1e-300"])
+    def test_smallest_normal_rho_runs(self, command, rho, capsys):
+        assert main([command, "--rho", rho]) == 0
+        assert capsys.readouterr().out
 
     @pytest.mark.parametrize("n_max", ["0", "-5"])
     def test_bad_n_max_refused_before_any_work(self, n_max, monkeypatch, capsys):

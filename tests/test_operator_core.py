@@ -16,7 +16,7 @@ from strobofp import (
     default_grid_size,
     mean_frames,
 )
-from strobofp.operator_core import _band_width, averaged_kernel, laplace_band
+from strobofp.operator_core import MIN_GRID, _band_width, averaged_kernel, laplace_band
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -78,6 +78,14 @@ class TestProblemSpec:
     def test_invalid_inputs(self, kwargs):
         with pytest.raises(ValueError):
             ProblemSpec(**kwargs)
+
+    @pytest.mark.parametrize("rho", [1e-310, 5e-324, np.nextafter(np.finfo(float).tiny, 0.0)])
+    def test_subnormal_rho_names_the_bound(self, rho):
+        with pytest.raises(ValueError, match=r"smallest normal float 2\.2250738585072014e-308"):
+            ProblemSpec(rho=rho)
+
+    def test_smallest_normal_rho_admitted(self):
+        assert ProblemSpec(rho=np.finfo(float).tiny).n_grid == MIN_GRID
 
 
 class TestBuildOperator:

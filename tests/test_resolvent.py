@@ -469,13 +469,13 @@ class TestMirrorFold:
         (0.05, None), (20.0, None), (3.0, 65), (20.0, 235),
     ])
     def test_factor_is_half_size(self, rho, n_grid):
-        # within the symbol-ratio bound the preconditioner keeps no factor,
-        # only the three coefficients of its closed form, whatever the band of
-        # the law, and maps the even half to the even half
+        # within the symbol-ratio bound the preconditioner keeps no sine
+        # transform, only the three coefficients of its closed form, whatever
+        # the band of the law, and maps the even half to the even half
         for dist in LAWS:
             op = law_op(rho, dist, n_grid)
-            factor, route = _factorization(op)
-            assert factor is None
+            sine, route = _factorization(op)
+            assert sine is None
             assert len(route) == 3 and all(isinstance(c, float) for c in route)
             m = (op.n + 1) // 2
             assert resolvent._precondition(op, np.ones(m)).shape == (m,)
@@ -511,9 +511,9 @@ class TestMirrorFold:
         assert np.array_equal(got, half / alpha)
 
     @pytest.mark.parametrize("rho", [20.0, 100.0])
-    def test_wide_mixture_factors_i_minus_k(self, rho, monkeypatch):
-        # beyond the bound the preconditioner is I - K itself, factored on the
-        # half with its band, and PCG solves in one step
+    def test_wide_mixture_takes_the_sine_transform(self, rho, monkeypatch):
+        # beyond the bound the preconditioner is the sine transform, which
+        # keeps the m odd-k eigenvalues, and PCG solves in 6 and 7 steps
         products = []
         even_matvec = StroboOperator.even_matvec
 
@@ -524,12 +524,39 @@ class TestMirrorFold:
         monkeypatch.setattr(StroboOperator, "even_matvec", counted)
         op = law_op(rho, "twopoint:1e-5,1,0.999")
         m = (op.n + 1) // 2
-        factor, route = _factorization(op)
+        sine, route = _factorization(op)
         assert route is None
-        assert factor.shape == (min(op.bandwidth, m - 1) + 1, m)
-        # the step and the true residual
+        assert [a.shape for a in sine] == [(m,), (op.n,), (m,)]
+        # the steps and the true residual
         _weight_resolvent(op)
-        assert len(products) == 2
+        assert len(products) == {20.0: 7, 100.0: 8}[rho]
+
+    # even and odd N, and N = 2 * 617 and 5 * 13 * 19 with large prime factors
+    @pytest.mark.parametrize("n_grid", [360, 361, 1234, 1235])
+    def test_sine_transform_matches_dense_solve(self, n_grid):
+        # P = I - K + H with the image charges H_ij = band[i+j+1] +
+        # band[2N-1-i-j] of K at the walls, solved densely; the band of this
+        # law spans the whole grid, so H is full
+        op = law_op(20.0, "twopoint:1e-5,1,0.999", n_grid)
+        assert _factorization(op)[1] is None
+        n, m = op.n, (op.n + 1) // 2
+        band = np.zeros(2 * n + 1)
+        band[: op.band.size] = op.band
+        i = np.arange(n)
+        dense = (np.eye(n) - op.toarray() + band[i[:, None] + i + 1]
+                 + band[2 * n - 1 - i[:, None] - i])
+        rng = np.random.default_rng(7)
+        for half in (op.weights[:m], rng.standard_normal(m)):
+            exact = np.linalg.solve(dense, unfold(half, n))[:m]
+            got = resolvent._precondition(op, half)
+            assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
+        # the eigenvalues the apply divides by are those of P on the even subspace
+        even = np.zeros((n, m))
+        even[i[:m], i[:m]] = even[n - 1 - i[:m], i[:m]] = 1.0
+        even /= np.linalg.norm(even, axis=0)
+        lam = _factorization(op)[0][0]
+        assert np.sort(lam) == pytest.approx(np.linalg.eigvalsh(even.T @ dense @ even),
+                                             rel=0.0, abs=1e-13)
 
     def test_symbol_condition(self):
         # deterministic frames: max (1 - e^{-t})(1 + t)/t = 1.2984 near t = 1.79,
@@ -595,11 +622,11 @@ class TestMirrorFold:
             built.append(op.n)
             return band(op)
 
-        def fail(ab):
-            raise AssertionError("no law within the symbol-ratio bound factors a band")
+        def fail(op):
+            raise AssertionError("no law within the symbol-ratio bound takes the sine transform")
 
         monkeypatch.setattr(resolvent, "laplace_band", counted)
-        monkeypatch.setattr(resolvent, "cholesky_banded", fail)
+        monkeypatch.setattr(resolvent, "_sine_transform", fail)
         for dist in LAWS:
             op = law_op(100.0, dist)
             exit_stats(op, 0.5)
@@ -629,7 +656,7 @@ class TestWeightResolvent:
             assert len(calls) == first
 
     # jitter:0.5 adds a smooth mixture, twopoint:0.001,1,0.99 the widest band
-    # (1459) and the most PCG and Davidson steps (up to 34)
+    # (1459) and the sine-transform preconditioner (up to 8 PCG steps)
     @pytest.mark.parametrize("dist", ["deterministic", "exponential", "jitter:0.5",
                                       "twopoint:0.001,1,0.99"])
     @pytest.mark.parametrize("rho", [0.05, 20.0, 200.0, 1000.0, 3000.0])
@@ -643,12 +670,10 @@ class TestWeightResolvent:
         for eta in etas:
             assert_backward_error(law_op(rho, dist, eta=eta))
 
-    # the slowest law on the Laplace route (symbol bound 13.5, about 50
-    # steps), and two beyond LAPLACE_COND_MAX, which factor I - K;
-    # twopoint:1e-6,1,0.999 is wider still and aliases past unit spectral
-    # radius on the default grid, which the build refuses.  At rho = 60 the first true
-    # residual of twopoint:0.000316,1,0.995 misses the bound: the solve
-    # meets it through one residual replacement
+    # the widest two-point laws the default grid admits, all beyond
+    # LAPLACE_COND_MAX and preconditioned by the sine transform (symbol
+    # bounds 10.3 to 83); twopoint:1e-6,1,0.999 is wider still and aliases
+    # past unit spectral radius on the default grid, which the build refuses
     @pytest.mark.parametrize("rho, dist", [
         *((rho, dist) for dist in ("twopoint:0.0001,1,0.95", "twopoint:1e-5,1,0.999",
                                    "twopoint:1e-6,1,0.9999") for rho in (20.0, 100.0)),
@@ -753,12 +778,13 @@ class TestFailureMessages:
                 rf"the bound {_NUMBER} after 2 steps")):
             spectral_pair(op_for(100.0))
 
-    def test_banded_factor_not_positive_definite(self):
+    def test_sine_preconditioner_not_positive_definite(self):
         # beyond the symbol-ratio bound, and row sums up to 1.0026 from the
-        # narrow component's aliasing (which the build refuses): the factor
-        # of I - K itself fails
+        # narrow component's aliasing (which the build refuses): the band's
+        # symbol exceeds 1, so a sine-transform eigenvalue is negative
         with pytest.raises(SolverError, match=(
-                r"banded Cholesky factor of I - K at rho=20\.0: not positive definite")):
+                rf"sine-transform preconditioner of I - K at rho=20\.0: eigenvalue "
+                rf"{_NUMBER} <= 0 at k=\d+")):
             mean_frames(assembled_op(20.0, "twopoint:1e-6,1,0.999"), 0.5)
 
     def test_lopcg_eigenvalue_outside_unit_interval(self):
