@@ -1,4 +1,6 @@
-"""Worker-pool helper; STROBOFP_THREADS caps sweep and trial parallelism."""
+"""Worker pool for Monte Carlo chunks, its size set by STROBOFP_THREADS.  CLI
+sweeps are serial: their short GIL-bound NumPy solves ran 1.4-1.7x slower
+in threads on 2 CPUs, where `simulate_tau`'s long chunks gain."""
 
 from __future__ import annotations
 
@@ -14,10 +16,11 @@ def worker_count(n_items: int) -> int:
 
 
 def parallel_map(fn, items):
-    """Order-preserving map over independent work items."""
-    items = list(items)
+    """Yield fn(item) for each of the sequence `items` in order: in the caller's
+    thread as asked for, none ahead, with one worker; else from a pool."""
     workers = worker_count(len(items))
-    if workers <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
+    if workers == 1:
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        yield from pool.map(fn, items)

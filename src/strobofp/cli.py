@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics
-from ._threads import parallel_map
 from .errors import ConvergenceError, FitError, ResolutionError, SolverError
 from .fitting import REFERENCE_FITS, check_window, fit_boundary, fit_bulk, fit_gap
 from .montecarlo import self_averaging_check, write_histogram_csv
@@ -88,8 +87,12 @@ def parse_rho_range(text: str) -> tuple:
 
 
 def _range_values(rng: tuple) -> np.ndarray:
+    """lo + k step up to hi + step/2: lo always, and at most a million points."""
     lo, hi, step = rng
-    return np.arange(lo, hi + 0.5 * step, step)
+    span = (hi - lo) / step
+    if not span < 1e6:
+        raise UsageError(f"range {lo:g}:{hi:g}:{step:g} gives {span + 1:.3g} points, over 1e6")
+    return lo + step * np.arange(math.floor(span + 0.5) + 1)
 
 
 def _resolve_rhos(cfg: RunConfig) -> np.ndarray:
@@ -107,8 +110,8 @@ def _operator(cfg: RunConfig, rho: float, mu: FrameDistribution):
 
 
 def _sweep(cfg: RunConfig, rhos, mu: FrameDistribution, per_op):
-    """Rows (rho, *per_op(operator)) in the order of `rhos`, one operator each."""
-    return parallel_map(lambda rho: (rho, *per_op(_operator(cfg, rho, mu))), rhos)
+    """Rows (rho, *per_op(operator)), one rho after another (`_threads` says why)."""
+    return [(rho, *per_op(_operator(cfg, rho, mu))) for rho in rhos]
 
 
 def _nan_to_none(obj):
@@ -134,14 +137,16 @@ def _write_text(out: str, text: str) -> None:
 
 
 def _check_output_paths(cfg: RunConfig) -> None:
-    """Refuse an --out or --hist-out file that cannot be written, before any work.
+    """Refuse, before any work, an --out or --hist-out file that cannot be
+    written, and a --hist-out that is stdout or the --out file.
 
     `figures` takes --out as a directory and creates it as its first step.
     """
-    paths = [cfg.hist_out]
-    if cfg.command != "figures" and cfg.out != "-":
-        paths.append(cfg.out)
-    for path in filter(None, paths):
+    out = None if cfg.command == "figures" or cfg.out == "-" else cfg.out
+    if cfg.hist_out == "-" or cfg.hist_out and out and (
+            Path(cfg.hist_out).resolve() == Path(out).resolve()):
+        raise UsageError(f"--hist-out {cfg.hist_out} must be a file other than --out")
+    for path in filter(None, (cfg.hist_out, out)):
         target = Path(path)
         parent = target.parent
         if target.is_dir() or not parent.is_dir() or not os.access(parent, os.W_OK):

@@ -8,21 +8,21 @@ the counter-based stream Generator(Philox(key=[seed, c])).  On each frame
 the chunk draws standard_normal(n_alive), then, for random frame intervals,
 mu.sample_intervals(gen, n_alive), both in trial order; a trial leaves the
 positions array on the frame it exits.  A chunk keeps only those positions
-and how many trials exit on each frame, so memory is O(CHUNK + largest tau)
-per worker whatever n_trials is.  Results are bit-identical for any worker
-count or scheduling order, but a k-trial run is not a prefix of a longer
-one.
+and how many trials exit on each frame; chunks run through
+`_threads.parallel_map`, the one worker pool, and are summed as they
+arrive, so memory is O(CHUNK + largest tau) per worker whatever n_trials
+is.  Results are bit-identical for any worker count or scheduling order,
+but a k-trial run is not a prefix of a longer one.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from ._threads import worker_count
+from ._threads import parallel_map
 from .operator_core import FrameDistribution, ProblemSpec, build_averaged_operator
 from .resolvent import mean_frames
 
@@ -141,13 +141,11 @@ def simulate_tau(
         return exits, k
 
     counts, overflow = np.zeros(0, dtype=np.int64), 0
-    with ThreadPoolExecutor(max_workers=worker_count(n_chunks)) as pool:
-        # summed as they arrive, so memory does not grow with the chunk count
-        for exits, stay in pool.map(run_chunk, range(n_chunks)):
-            if len(exits) > counts.size:
-                counts = np.pad(counts, (0, len(exits) - counts.size))
-            counts[:len(exits)] += exits
-            overflow += stay
+    for exits, stay in parallel_map(run_chunk, range(n_chunks)):
+        if len(exits) > counts.size:
+            counts = np.pad(counts, (0, len(exits) - counts.size))
+        counts[:len(exits)] += exits
+        overflow += stay
     histogram = np.trim_zeros(counts, "b")
     completed = n_trials - overflow
     mean_tau = std_error = float("nan")
@@ -181,18 +179,12 @@ def z_test(mean_tau: float, std_error: float, reference: float) -> tuple[float |
     return z, abs(z) < 3.0
 
 
-def histogram_rows(result: MCResult):
-    """(tau, count) pairs with zero-count bins omitted."""
-    for k, count in enumerate(result.histogram, start=1):
-        if count:
-            yield k, int(count)
-
-
 def write_histogram_csv(result: MCResult, path: str) -> None:
+    """The (tau, count) rows of the histogram, zero-count bins omitted."""
     with open(path, "w", newline="") as fh:
         fh.write("tau,count\n")
-        for k, count in histogram_rows(result):
-            fh.write(f"{k},{count}\n")
+        for k in np.flatnonzero(result.histogram):
+            fh.write(f"{k + 1},{result.histogram[k]}\n")
 
 
 @dataclass(frozen=True)

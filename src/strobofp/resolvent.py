@@ -44,7 +44,7 @@ the eigensolver its preconditioned residual.
 The solve (`_resolvent_solve`) is preconditioned conjugate gradients, the
 eigensolver (`spectral_pair`) preconditioned Davidson (Davidson,
 J. Comput. Phys. 17, 1975), both with one preconditioner P chosen once per
-operator (`_factorization`), and both NumPy only.  P is the
+operator (`_preconditioner`), and both NumPy only.  P is the
 exponential-frame (Laplace) operator I - K_L at the same rho and grid
 wherever the symbol-ratio bound allows it (`_laplace_route`).  Every law
 is unit-mean, so every law has the diffusion scale of P and matches it at
@@ -98,7 +98,7 @@ SURVIVAL_TAIL_TOL = 1e-13
 TAIL_CHECK_STEPS = 10
 
 # Per operator: the preconditioner's (sine transform, Laplace coefficients), and u = (I - K)^{-1} w.
-_factor_cache = weakref.WeakKeyDictionary()
+_preconditioner_cache = weakref.WeakKeyDictionary()
 _weight_resolvent_cache = weakref.WeakKeyDictionary()
 
 
@@ -429,7 +429,7 @@ def cho_solve_banded(cb, b: np.ndarray) -> np.ndarray:
     return solve(cb, b, check_finite=False)
 
 
-def _factorization(op: StroboOperator) -> tuple:
+def _preconditioner(op: StroboOperator) -> tuple:
     """(sine transform, Laplace route) of the preconditioner on the mirror-even half, cached.
 
     The route (`_laplace_route`) is decided here, once per operator.  On
@@ -438,11 +438,11 @@ def _factorization(op: StroboOperator) -> tuple:
     Otherwise the route is None and the preconditioner is the sine
     transform of `_sine_transform`, from its cached eigenvalues.
     """
-    cached = _factor_cache.get(op)
+    cached = _preconditioner_cache.get(op)
     if cached is None:
         route = _laplace_route(op)
         cached = (None if route is not None else _sine_transform(op)), route
-        _factor_cache[op] = cached
+        _preconditioner_cache[op] = cached
     return cached
 
 
@@ -469,7 +469,7 @@ def _precondition(op: StroboOperator, half: np.ndarray) -> np.ndarray:
     IFFT(d conj(twiddle))_i): two complex FFTs of length N, with the
     factor -2/N of every d_l taken out of the sum.
     """
-    sine, route = _factorization(op)
+    sine, route = _preconditioner(op)
     if route is None:
         lam, shift, twiddle = sine
         m = half.size

@@ -53,7 +53,7 @@ def _report(tag, ok, detail):
 
 @lru_cache(maxsize=None)
 def det_sweep():
-    """M(rho; 0) and M(rho; 1/2) over the standard sweep, one factorization per rho."""
+    """M(rho; 0) and M(rho; 1/2) over the standard sweep, one operator per rho."""
     t0 = time.perf_counter()
     table = {}
     for rho in RHO_SWEEP:

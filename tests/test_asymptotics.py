@@ -158,6 +158,11 @@ class TestEffectiveExponent:
         with pytest.raises(InsufficientDataError):
             effective_exponent(pairs, (5.0, 50.0))
 
+    @pytest.mark.parametrize("values", [[(1.0, 2.0, 3.0)] * 6, [1.0, 2.0, 3.0, 4.0, 5.0]])
+    def test_rejects_malformed_pairs(self, values):
+        with pytest.raises(ValueError, match=r"\(rho, etau\) pairs"):
+            effective_exponent(values, (0.5, 6.0))
+
     def test_rejects_nonpositive_values(self):
         with pytest.raises(ValueError):
             effective_exponent([(1.0, -2.0)] * 6, (0.5, 2.0))

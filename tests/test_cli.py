@@ -131,6 +131,38 @@ class TestRangeParsing:
         assert values.size == 19
         assert values[0] == 20.0 and values[-1] == 200.0
 
+    @pytest.mark.parametrize("rng", [(20.0, 200.0, 10.0), (20.0, 120.0, 10.0),
+                                     (0.1, 0.3, 0.1)])
+    def test_values_match_numpy_arange(self, rng):
+        from strobofp.cli import _range_values
+
+        lo, hi, step = rng
+        assert np.array_equal(_range_values(rng), np.arange(lo, hi + 0.5 * step, step))
+
+    @pytest.mark.parametrize("command, rng", [("meantau", "20:20:1e-15"),
+                                              ("spectrum", "100:100:1e-14")])
+    def test_degenerate_range_gives_one_row(self, command, rng, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main([command, "--rho-range", rng, "--out", str(out)]) == 0
+        _, _, rows = read_csv(out.read_text())
+        assert [row[0] for row in rows] == [float(rng.split(":")[0])]
+
+    @pytest.mark.parametrize("argv, count", [
+        (["meantau", "--rho-range", "20:50:1e-5"], "3e+06"),
+        (["fit", "--which", "gap", "--rho-range", "20:50:1e-15"], "3e+16"),
+        (["figures", "--rho-range", "20:200:1e-320"], "inf"),
+    ])
+    def test_oversized_range_refused_before_any_work(self, argv, count, tmp_path,
+                                                     monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("no operator may be built for an oversized range")
+
+        monkeypatch.setattr(cli, "build_averaged_operator", fail)
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"gives {count} points" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text", ["20:200", "5:1:1", "a:b:c", "10:20:0",
                                       "nan:20:1", "10:inf:1", "10:20:inf",
                                       "-inf:20:1", "10:20:nan"])
@@ -337,6 +369,24 @@ class TestMC:
         assert payload["z_score"] is None
         assert payload["passed"] is False
 
+    @pytest.mark.parametrize("hist", ["{out}", "{same}", "-"])
+    def test_hist_out_onto_the_report_or_stdout_refused(self, hist, tmp_path, monkeypatch,
+                                                        capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("no trial may run for a clashing --hist-out")
+
+        monkeypatch.setattr(montecarlo, "simulate_tau", fail)
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "h.csv"
+        out.write_text("kept\n")
+        hist = hist.format(out=out, same=Path("sub", "..", "h.csv"))
+        (tmp_path / "sub").mkdir()
+        assert main(["mc", "--rho", "2", "--trials", "70000", "--out", str(out),
+                     "--hist-out", hist]) == 2
+        assert "must be a file other than --out" in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
+        assert not (tmp_path / "-").exists()
+
     def test_seeded_reruns_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["mc", "--rho", "4", "--trials", "2000", "--seed", "11"]
@@ -365,6 +415,24 @@ class TestFigures:
         assert main(argv + ["--out", str(d1)]) == 0
         assert main(argv + ["--out", str(d2)]) == 0
         assert (d1 / "fig3.csv").read_bytes() == (d2 / "fig3.csv").read_bytes()
+
+
+class TestSerialSweeps:
+    @pytest.mark.parametrize("argv", [
+        ["meantau", "--rho-range", "20:60:10"],
+        ["spectrum", "--rho-range", "20:60:10"],
+        ["fit", "--which", "gap"],
+        ["figures"],
+    ])
+    def test_sweeps_start_no_worker_pool(self, argv, tmp_path, monkeypatch, capsys):
+        from strobofp import _threads
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep must not start a worker pool")
+
+        monkeypatch.setattr(_threads, "ThreadPoolExecutor", refuse)
+        monkeypatch.setenv("STROBOFP_THREADS", "4")
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
 
 
 class TestExitCodes:

@@ -86,6 +86,12 @@ class TestDiagnostics:
         with pytest.raises(InsufficientDataError):
             fit_gap([(r, 1e-3) for r in (20.0, 30.0, 40.0)])
 
+    @pytest.mark.parametrize("data", [[(20.0, 1.0, 2.0)] * 6, [20.0, 30.0, 40.0, 50.0, 60.0]])
+    @pytest.mark.parametrize("fit", [fit_boundary, fit_bulk, fit_gap])
+    def test_malformed_pairs(self, fit, data):
+        with pytest.raises(ValueError, match=r"sequence of \(rho, value\) pairs"):
+            fit(data)
+
     def test_rho_floor_enforced(self):
         with pytest.raises(ValueError):
             fit_boundary([(r, r) for r in (5.0, 20.0, 30.0, 40.0, 50.0)])

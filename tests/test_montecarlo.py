@@ -8,6 +8,7 @@ import pytest
 from scipy.special import ndtr
 
 import strobofp.montecarlo as mc_mod
+from strobofp import _threads
 from strobofp import (
     FrameDistribution,
     ProblemSpec,
@@ -72,20 +73,55 @@ class TestReproducibility:
         assert result.overflow == 0
 
     def test_env_variable_controls_workers(self, monkeypatch):
+        # one worker runs the chunks in the caller's thread, with no pool
         seen = []
-        pool = mc_mod.ThreadPoolExecutor
+        pool = _threads.ThreadPoolExecutor
 
         def recording(max_workers):
             seen.append(max_workers)
             return pool(max_workers=max_workers)
 
-        monkeypatch.setattr(mc_mod, "ThreadPoolExecutor", recording)
+        monkeypatch.setattr(_threads, "ThreadPoolExecutor", recording)
         results = []
         for w in ("2", "1"):
             monkeypatch.setenv("STROBOFP_THREADS", w)
             results.append(simulate_tau(3.0, 0.5, mc_mod.CHUNK + 1000, seed=11))
-        assert seen == [2, 1]
+        assert seen == [2]
         assert np.array_equal(results[0].histogram, results[1].histogram)
+
+    def test_chunks_stream_through_the_one_pool(self, monkeypatch):
+        assert not hasattr(mc_mod, "ThreadPoolExecutor")
+        chunks = []
+
+        def recording(fn, items):
+            chunks.append(list(items))
+            return _threads.parallel_map(fn, items)
+
+        monkeypatch.setattr(mc_mod, "parallel_map", recording)
+        simulate_tau(2.0, 0.5, 2 * mc_mod.CHUNK + 1, seed=3)
+        assert chunks == [[0, 1, 2]]
+
+
+class TestParallelMap:
+    @pytest.mark.parametrize("workers", ["1", "3"])
+    def test_yields_in_order(self, workers, monkeypatch):
+        monkeypatch.setenv("STROBOFP_THREADS", workers)
+        assert list(_threads.parallel_map(lambda i: i * i, range(7))) == [
+            0, 1, 4, 9, 16, 25, 36]
+
+    def test_serial_computes_nothing_ahead_of_the_consumer(self, monkeypatch):
+        monkeypatch.setenv("STROBOFP_THREADS", "1")
+        done = []
+
+        def work(i):
+            done.append(i)
+            return i
+
+        results = _threads.parallel_map(work, range(4))
+        assert done == []
+        for i, result in enumerate(results):
+            assert result == i
+            assert done == list(range(i + 1))
 
 
 class TestStatistics:

@@ -33,7 +33,7 @@ from strobofp.resolvent import (
     EIGEN_TOL,
     LAPLACE_COND_MAX,
     RESIDUAL_TOL,
-    _factorization,
+    _preconditioner,
     _resolvent_solve,
     _weight_resolvent,
 )
@@ -205,6 +205,26 @@ class TestSurvivalTail:
             survival_sequence(supercritical_op(), 0.5, 200)
 
 
+class TestDegenerateBranches:
+    def test_lanczos_tail_from_a_zero_state(self):
+        op = op_for(20.0)
+        m = (op.n + 1) // 2
+        tail = np.full(50, np.nan)
+        assert resolvent._lanczos_tail(op, np.zeros(m), np.ones(m) / op.n, tail)
+        assert not tail.any()
+
+    def test_last_frame_bound_fails_without_a_norm_bound_below_one(self):
+        theta, ones = np.array([0.5, 0.9]), np.ones(2)
+        assert resolvent._last_frame_bound_holds(theta, ones, 0.0 * ones, 0.95, 10)
+        for lam_bar in (1.0, 1.5):
+            assert not resolvent._last_frame_bound_holds(theta, ones, 0.0 * ones, lam_bar, 10)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_even_norm_of_zero(self, n):
+        mult = resolvent._multiplicity(n)
+        assert resolvent._even_norm(np.zeros(mult.size), mult) == 0.0
+
+
 class TestMeanFrames:
     def test_boundary_start_reference_value(self):
         assert mean_frames(op_for(20.0), 0.0).M == pytest.approx(13.966, abs=0.01)
@@ -320,7 +340,7 @@ class TestSpectralPair:
         (40.0, "jitter:0.5"),
         (20.0, "twopoint:0.001,1,0.99"),  # the widest band, 359, and ~30 steps
         (20.0, "twopoint:0.0001,1,0.95"),  # symbol bound 13.5: ~50 steps
-        (20.0, "twopoint:1e-5,1,0.999"),  # symbol bound 58: I - K factored
+        (20.0, "twopoint:1e-5,1,0.999"),  # symbol bound 58: sine-transform preconditioner
     ])
     def test_matches_dense_eigensolver(self, rho, dist):
         # independent route: dense symmetric eigensolver on the same matrix
@@ -474,7 +494,7 @@ class TestMirrorFold:
         # the band of the law, and maps the even half to the even half
         for dist in LAWS:
             op = law_op(rho, dist, n_grid)
-            sine, route = _factorization(op)
+            sine, route = _preconditioner(op)
             assert sine is None
             assert len(route) == 3 and all(isinstance(c, float) for c in route)
             m = (op.n + 1) // 2
@@ -505,7 +525,7 @@ class TestMirrorFold:
         # sinh^2(ah/2) underflows: P^{-1} b is b / alpha, finite
         op = law_op(1e-300, "deterministic")
         half = op.weights[: (op.n + 1) // 2]
-        alpha = _factorization(op)[1][0]
+        alpha = _preconditioner(op)[1][0]
         got = resolvent._precondition(op, half)
         assert np.all(np.isfinite(got))
         assert np.array_equal(got, half / alpha)
@@ -524,7 +544,7 @@ class TestMirrorFold:
         monkeypatch.setattr(StroboOperator, "even_matvec", counted)
         op = law_op(rho, "twopoint:1e-5,1,0.999")
         m = (op.n + 1) // 2
-        sine, route = _factorization(op)
+        sine, route = _preconditioner(op)
         assert route is None
         assert [a.shape for a in sine] == [(m,), (op.n,), (m,)]
         # the steps and the true residual
@@ -538,7 +558,7 @@ class TestMirrorFold:
         # band[2N-1-i-j] of K at the walls, solved densely; the band of this
         # law spans the whole grid, so H is full
         op = law_op(20.0, "twopoint:1e-5,1,0.999", n_grid)
-        assert _factorization(op)[1] is None
+        assert _preconditioner(op)[1] is None
         n, m = op.n, (op.n + 1) // 2
         band = np.zeros(2 * n + 1)
         band[: op.band.size] = op.band
@@ -554,7 +574,7 @@ class TestMirrorFold:
         even = np.zeros((n, m))
         even[i[:m], i[:m]] = even[n - 1 - i[:m], i[:m]] = 1.0
         even /= np.linalg.norm(even, axis=0)
-        lam = _factorization(op)[0][0]
+        lam = _preconditioner(op)[0][0]
         assert np.sort(lam) == pytest.approx(np.linalg.eigvalsh(even.T @ dense @ even),
                                              rel=0.0, abs=1e-13)
 
@@ -589,14 +609,14 @@ class TestMirrorFold:
         monkeypatch.setattr(StroboOperator, "even_matvec", counted)
         for eta, count in zip((DEFAULT_CUTOFF_ETA, 6.0), exact):
             op = law_op(rho, "exponential", eta=eta)
-            assert _factorization(op)[1] is not None
+            assert _preconditioner(op)[1] is not None
             products.clear()
             _weight_resolvent(op)
             assert len(products) == count
 
     def test_route_decided_once_per_operator(self, monkeypatch):
         # a solve, a second start point and every eigen step read the route
-        # that the factorization cached; fresh operators, so nothing is cached
+        # that the preconditioner cached; fresh operators, so nothing is cached
         decisions = []
         route = resolvent._laplace_route
 
@@ -771,7 +791,7 @@ class TestFailureMessages:
                 rf"backward-error bound {_NUMBER} after \d+ steps and one restart")):
             mean_frames(op_for(100.0), 0.5)
 
-    def test_lopcg_step_cap(self, monkeypatch):
+    def test_davidson_step_cap(self, monkeypatch):
         monkeypatch.setattr(resolvent, "EIGEN_MAX_ITER", 2)
         with pytest.raises(ConvergenceError, match=(
                 rf"Davidson spectral_pair at rho=100\.0: eigen residual {_NUMBER} exceeds "
@@ -787,7 +807,7 @@ class TestFailureMessages:
                 rf"{_NUMBER} <= 0 at k=\d+")):
             mean_frames(assembled_op(20.0, "twopoint:1e-6,1,0.999"), 0.5)
 
-    def test_lopcg_eigenvalue_outside_unit_interval(self):
+    def test_davidson_eigenvalue_outside_unit_interval(self):
         with pytest.raises(SolverError, match=(
                 rf"Davidson spectral_pair at rho=1\.0: leading eigenvalue {_NUMBER} outside "
                 rf"\(0, 1\) after \d+ steps, eigen residual {_NUMBER} against the "
