@@ -5,7 +5,6 @@ in threads on 2 CPUs, where `simulate_tau`'s long chunks gain."""
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 
 def worker_count(n_items: int) -> int:
@@ -22,5 +21,8 @@ def parallel_map(fn, items):
     if workers == 1:
         yield from map(fn, items)
         return
+    # imported here: a CLI that never starts a pool does not load it (nor logging)
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, items)

@@ -162,7 +162,8 @@ def _csv_text(command: str, columns, rows, extra_comment: str | None = None) -> 
         lines.append(f"# {extra_comment}")
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(_format(x) for x in row))
+        # a Python float, what .tolist() gives, is written by repr directly
+        lines.append(",".join([repr(x) if type(x) is float else _format(x) for x in row]))
     return "\n".join(lines) + "\n"
 
 
@@ -212,7 +213,7 @@ def cmd_survival(cfg: RunConfig) -> int:
         raise UsageError(f"--n-max must be >= 1, got {cfg.n_max}")
     series = survival_sequence(_operator(cfg, cfg.rho, mu), cfg.y0, cfg.n_max)
     columns = ["n", "S_n"]
-    rows = [[n, s] for n, s in enumerate(series.values)]
+    rows = [[n, s] for n, s in enumerate(series.values.tolist())]
     if cfg.modesum:
         start = "bulk" if cfg.y0 == 0.5 else "boundary"
         columns.append("mode_sum")

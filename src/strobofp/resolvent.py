@@ -36,10 +36,13 @@ eigensolver.  Sums, inner products and norms over the full grid weight
 each mirrored pair 2 and the middle node of odd N 1 (`_multiplicity`); max
 norms are those of the half.
 
-The eigensolver and the survival tail grow one orthonormal basis V on the
-half (`_extend`) and fill the lower triangle of V^T K V, all that `eigh`
-reads, one row per product: the tail adds the image of its last vector,
-the eigensolver its preconditioned residual.
+The eigensolver and the survival tail grow an orthonormal basis V on the
+half and fill the lower triangle of V^T K V, all that `eigh` reads, one
+row per product: the tail adds the image of its last vector (`_extend`),
+the eigensolver its preconditioned residual (`spectral_pair`).  Both
+orthogonalize by classical Gram-Schmidt.  The tail always makes two
+passes: its first leaves about 2% of the norm of K q_k, so the DGKS test
+that the eigensolver applies would ask for the second at almost every step.
 
 The solve (`_resolvent_solve`) is preconditioned conjugate gradients, the
 eigensolver (`spectral_pair`) preconditioned Davidson (Davidson,
@@ -54,19 +57,41 @@ Green's function is explicit (Meurant, SIAM J. Matrix Anal. Appl. 13,
 1992), and on the half it takes two cumulative sums (`_precondition`).
 The ratio of the symbols of I - K and P bounds the condition number of
 P^{-1}(I - K) (Chan & Ng, SIAM Rev. 38, 1996): for deterministic frames
-it is (1 - e^{-t})(1 + t)/t, in [1, 1.30], and PCG solves in 10 to 12
-steps; Davidson finds the leading pair in 8 to 10.  Exponential frames,
-for which P is I - K up to the omitted band tail, take one PCG step (up
-to 3 with the band cut at eta = 6).  Beyond LAPLACE_COND_MAX = 2 (two-point
-mixtures such as twopoint:0.0001,1,0.95, bound 13.5, where P would take up
-to 53 steps) P is the sine-transform (tau) matrix of I - K: I - K plus
-the images of K at the two walls, which the midpoint sines sin(k pi y_i)
-diagonalize (Bini & Capovani, Linear Algebra Appl. 52/53, 1983; Serra
-Capizzano, Math. Comp. 68, 1999).  Its eigenvalues come from one FFT of
-the band, and an apply on the half takes two complex FFTs of length N
-(`_sine_transform`): PCG then takes 5 to 8 steps and Davidson 6 to 11 (14
-at rho = 5).  Within the bound the Laplace apply is the cheaper of the two
-(16-33 against 48-190 microseconds for N = 360 to 3600, one thread).
+it is (1 - e^{-t})(1 + t)/t, in [1, 1.2984], and PCG solves in 10 to 12
+steps.  Exponential frames, for which P is I - K up to the omitted band
+tail, take one PCG step (up to 3 with the band cut at eta = 6).  Beyond
+LAPLACE_COND_MAX = 2 (two-point mixtures such as twopoint:0.0001,1,0.95,
+bound 13.5, where P would take up to 53 steps) P is the sine-transform
+(tau) matrix of I - K: I - K plus the images of K at the two walls, which
+the midpoint sines sin(k pi y_i) diagonalize (Bini & Capovani, Linear
+Algebra Appl. 52/53, 1983; Serra Capizzano, Math. Comp. 68, 1999).  Its
+eigenvalues come from one FFT of the band, and an apply on the half takes
+two complex FFTs of length N (`_sine_transform`): PCG then takes 5 to 8
+steps and Davidson 6 to 11 (14 at rho = 5).  Within the bound the Laplace
+apply is the cheaper of the two (16-33 against 48-190 microseconds for
+N = 360 to 3600, one thread).
+
+A Davidson expansion vector needs no positive-definite preconditioner,
+only one whose symbol follows that of (I - K)^{-1}.  On the Laplace route
+Davidson takes M = P^{-1} - DAVIDSON_WEIGHT G (`_davidson_precondition`),
+G the untruncated Laplace cell-mean kernel at rate DAVIDSON_RATE rho, of
+symbol tau/(t + tau) with tau = 2.4761, applied to an even vector by one
+rescaled cumulative sum.  The constants minimize the deterministic ratio
+(1 - e^{-t})(1 + 1/t - 1.5455/(t + tau)): its bound is 1.0245, against
+1.2984 for P alone.  Davidson then finds the deterministic leading pair in
+8 steps for rho = 20 to 70 and 7 from rho = 80 to 500 (6 beyond), where P
+alone takes 11 up to rho = 200 (9 to 10 beyond); from rho = 20 to 200,
+jitter:0.5 in 7 to 8 steps (10 to 11) and twopoint:0.5,1.5,0.5 in 8 to 9
+(10).  The term adds 20-50 microseconds to each apply for N = 360 to 3600,
+less than the product and the bookkeeping of a step.  It is taken only
+where it lowers the law's bound (`_davidson_term`): exponential frames,
+for which P is exact (7 steps, 10 to 11 with the term), wider two-point
+laws such as twopoint:0.2,1,0.5, and the sine-transform route keep P.  PCG keeps P on
+every law: P^{-1} is positive definite by construction, and with M PCG
+makes 8 products instead of 12 to 13 but M's dearer apply takes back most
+of the time saved (the 19 solves of rho = 20 to 200 took 28.6-29.6 ms
+with M against 29.6-31.3 ms with P, in-process medians on 2 vCPUs, one
+thread).
 """
 
 from __future__ import annotations
@@ -96,9 +121,22 @@ LAPLACE_COND_MAX = 2.0
 # Lanczos tail, relative to that value, and the Lanczos steps between checks.
 SURVIVAL_TAIL_TOL = 1e-13
 TAIL_CHECK_STEPS = 10
+# Davidson's expansion term on the Laplace route (`_davidson_term`): the
+# Laplace cell-mean kernel G at rate DAVIDSON_RATE * rho, weighted by
+# DAVIDSON_WEIGHT.  The pair minimizes the deterministic symbol-ratio bound,
+# to 1.0245 from 1.2984 without the term.
+DAVIDSON_RATE = 2.2254
+DAVIDSON_WEIGHT = 0.6242
+# Sums of squares at or above this are summed unscaled (`_norm`): squares
+# that underflow then add less than an ulp.
+_SQUARES_MIN = np.finfo(float).tiny / np.finfo(float).eps
+# Largest exponent a * h * length of one rescaled cumulative sum of G.
+_RESCALE_EXP = 600.0
 
-# Per operator: the preconditioner's (sine transform, Laplace coefficients), and u = (I - K)^{-1} w.
+# Per operator: the preconditioner's (sine transform, Laplace coefficients),
+# Davidson's expansion term, and u = (I - K)^{-1} w.
 _preconditioner_cache = weakref.WeakKeyDictionary()
+_davidson_term_cache = weakref.WeakKeyDictionary()
 _weight_resolvent_cache = weakref.WeakKeyDictionary()
 
 
@@ -169,6 +207,19 @@ def _even_norm(z: np.ndarray, mult: np.ndarray) -> float:
         return 0.0
     z = z / scale
     return scale * math.sqrt(mult @ (z * z))
+
+
+def _norm(z: np.ndarray, mult: np.ndarray) -> float:
+    """`_even_norm` without the rescaling where the sum of squares stays normal.
+
+    From tiny/eps up to the largest float the unscaled sum of squares loses
+    no more than the rescaled one; outside that range, and for NaN, the
+    rescaled `_even_norm` is taken.
+    """
+    squares = mult @ (z * z)
+    if _SQUARES_MIN <= squares < math.inf:
+        return math.sqrt(squares)
+    return _even_norm(z, mult)
 
 
 def survival_sequence(op: StroboOperator, y0: float, n_max: int) -> SurvivalSeries:
@@ -338,7 +389,7 @@ def _ritz_tail(theta: np.ndarray, amplitudes: np.ndarray, errors: np.ndarray,
     return bool(np.all(bound * lam_bar ** (steps - 1) <= SURVIVAL_TAIL_TOL * tail))
 
 
-def _symbol_condition(op: StroboOperator) -> float:
+def _symbol_condition(op: StroboOperator, weight: float = 0.0) -> float:
     """Bound on the condition number of P^{-1}(I - K) from the ratio of their symbols.
 
     With t = xi^2/(2 rho^2), a Gaussian component of width scale s has the
@@ -351,15 +402,26 @@ def _symbol_condition(op: StroboOperator) -> float:
     Exponential frames have the Laplace symbol itself: 1.  `_laplace_route`
     compares it with LAPLACE_COND_MAX to choose between the Laplace and the
     sine-transform preconditioner.
+
+    A `weight` gives the bound for Davidson's M = P^{-1} - weight G instead
+    (`_davidson_term`), G the Laplace kernel of symbol tau/(t + tau) at
+    rate DAVIDSON_RATE rho, tau = DAVIDSON_RATE^2/2: (1 + t)/t becomes
+    1 + 1/t - weight tau/(t + tau), and the Laplace symbol of exponential
+    frames t/(1 + t).
     """
-    if op.law.kind == "exponential":
+    if op.law.kind == "exponential" and not weight:
         return 1.0
-    scales, weights = op.law.width_nodes()
     # log10 t; capped so that neither t nor s^2 t overflows, f is 1 there
     lo = min(2.0 * math.log10(math.pi / op.rho) - math.log10(2.0), 200.0)
     hi = min(lo + 2.0 * math.log10(op.n), 200.0)
     t = np.logspace(lo, hi, 400)
-    ratio = -np.expm1(-np.outer(t, scales * scales)) @ weights * (1.0 + 1.0 / t)
+    if op.law.kind == "exponential":
+        symbol = t / (1.0 + t)
+    else:
+        scales, weights = op.law.width_nodes()
+        symbol = -np.expm1(-np.outer(t, scales * scales)) @ weights
+    tau = 0.5 * DAVIDSON_RATE**2
+    ratio = symbol * (1.0 + 1.0 / t - weight * tau / (t + tau))
     return float(ratio.max() / ratio.min())
 
 
@@ -484,6 +546,65 @@ def _precondition(op: StroboOperator, half: np.ndarray) -> np.ndarray:
     return (half + t * tails[0] + s2 * np.cumsum(tails)) / alpha
 
 
+def _davidson_term(op: StroboOperator):
+    """(diagonal, off, r, up, down) of Davidson's term -DAVIDSON_WEIGHT G, or None; cached.
+
+    G is the untruncated Laplace cell-mean kernel matrix (`laplace_band`)
+    at rate a = DAVIDSON_RATE rho instead of sqrt 2 rho: G_ii = 1 - e^{-ah/2}
+    and G_ij = s r^{|i-j|}, s = sinh(ah/2), r = e^{-ah}.  With R_ij =
+    r^{|i-j|}, -DAVIDSON_WEIGHT G = diagonal I + off (R + I), and up_k =
+    e^{ahk}, down_k = e^{-ahk} for k below the block length of
+    `_davidson_precondition`, which keeps e^{ah length} below
+    e^{_RESCALE_EXP}.  Taken on the Laplace route only, and there only
+    where the term lowers the law's symbol-ratio bound (`_symbol_condition`):
+    to 1.0245 from 1.2984 for deterministic frames, 1.044 from 1.262 for
+    jitter:0.5, 1.101 from 1.187 for twopoint:0.5,1.5,0.5.  Exponential
+    frames, for which P is I - K, and the sine-transform route never take it.
+    """
+    if op in _davidson_term_cache:
+        return _davidson_term_cache[op]
+    term = None
+    if (_preconditioner(op)[1] is not None
+            and _symbol_condition(op, DAVIDSON_WEIGHT) < _symbol_condition(op)):
+        ah = DAVIDSON_RATE * op.rho / op.n
+        s = math.sinh(0.5 * ah)
+        length = op.n if ah * op.n <= _RESCALE_EXP else max(1, int(_RESCALE_EXP / ah))
+        steps = ah * np.arange(length)
+        diagonal = -DAVIDSON_WEIGHT * (-math.expm1(-0.5 * ah) - 2.0 * s)
+        term = diagonal, -DAVIDSON_WEIGHT * s, math.exp(-ah), np.exp(steps), np.exp(-steps)
+    _davidson_term_cache[op] = term
+    return term
+
+
+def _davidson_precondition(op: StroboOperator, half: np.ndarray) -> np.ndarray:
+    """First half of M b = P^{-1} b - DAVIDSON_WEIGHT G b for the even b with b[:m] = half.
+
+    P^{-1} b is `_precondition`'s.  G b takes the causal sums
+    c_i = sum_{j<=i} r^{i-j} b_j over the full b, as
+    c_i = r^{i-i0} (r c_{i0-1} + sum_{i0<=j<=i} r^{-(j-i0)} b_j): one
+    rescaled cumulative sum per block starting at i0.  b is even, so the
+    anticausal sum at i is c_{N-1-i}, and (R b)_i = c_i + c_{N-1-i} - b_i.
+    Without the term (`_davidson_term` None) M is P^{-1}.
+    """
+    z = _precondition(op, half)
+    term = _davidson_term(op)
+    if term is None:
+        return z
+    diagonal, off, r, up, down = term
+    causal = _unfold(half, op.n)
+    for start in range(0, op.n, up.size):
+        block = causal[start : start + up.size]
+        block *= up[: block.size]
+        if start:
+            block[0] += r * causal[start - 1]
+        np.cumsum(block, out=block)
+        block *= down[: block.size]
+    m = half.size
+    z += diagonal * half
+    z += off * (causal[:m] + causal[::-1][:m])
+    return z
+
+
 def _resolvent_solve(op: StroboOperator, rhs: np.ndarray) -> np.ndarray:
     """First half of x = (I - K)^{-1} b for the mirror-even b with b[:m] = rhs.
 
@@ -572,7 +693,7 @@ def _eigen_residual(vec: np.ndarray, image: np.ndarray, mult: np.ndarray) -> tup
     """(lambda, K v - lambda v, its norm) for the half v of a unit vector and its image K v."""
     lam = float(mult @ (vec * image))
     res = image - lam * vec
-    return lam, res, _even_norm(res, mult)
+    return lam, res, _norm(res, mult)
 
 
 def spectral_pair(op: StroboOperator, y0: float = 0.5):
@@ -580,14 +701,18 @@ def spectral_pair(op: StroboOperator, y0: float = 0.5):
 
     Preconditioned Davidson (Davidson, J. Comput. Phys. 17, 1975) from the
     half-sine profile (the wide-kernel limit mode).  The basis V grows by
-    one vector a step, the preconditioned unit residual P^{-1} r/||r|| of
-    the top Ritz pair of V^T K V, with the P of the module docstring (where
-    P is I - K itself, the span holds the inverse-iteration step), made
-    orthonormal to V by `_extend`.  The leading mode is even, so every
-    vector lives on the half of ceil(N/2) entries, with the inner products
-    of `_multiplicity`; the vector is unfolded once at the end.  Each step
-    makes one `StroboOperator.even_matvec`, of the new basis vector, kept
-    beside it for the residual and the new row of V^T K V.  Stops once
+    one vector a step, M r/||r|| for the residual r of the top Ritz pair of
+    V^T K V, with the M of `_davidson_precondition` (where M is
+    (I - K)^{-1}, the span holds the inverse-iteration step), made
+    orthonormal to V by classical Gram-Schmidt in the inner product of
+    `_multiplicity`.  A second pass runs only when the first leaves less
+    than 0.7 of the norm (the DGKS test: Daniel, Gragg, Kaufman & Stewart,
+    Math. Comp. 30, 1976).  The leading mode is even, so every vector lives
+    on the half of ceil(N/2) entries; the vector is unfolded once at the
+    end.  Each step makes one `StroboOperator.even_matvec`, of the new
+    basis vector, kept beside it in one array that grows with the steps
+    taken: the new row of V^T K V reads it, and the Ritz vector and its
+    image come from one product.  Stops once
     ||K v - lambda0 v||_2 <= EIGEN_TOL * lambda0 for the top Ritz vector v
     and its Rayleigh quotient lambda0, confirmed with a fresh product of v.
     A basis of EIGEN_MAX_ITER + 1 vectors or of the order of the half
@@ -595,17 +720,28 @@ def spectral_pair(op: StroboOperator, y0: float = 0.5):
     S_n ~ a0_est * lambda0^n for large n with the start point `y0`.
     """
     mult = _multiplicity(op.n)
-    cap = min(EIGEN_MAX_ITER + 1, mult.size)
-    basis, images = np.zeros((cap, mult.size)), np.zeros((cap, mult.size))
+    m = mult.size
+    cap = min(EIGEN_MAX_ITER + 1, m)
+    # row j: the basis vector v_j and its image K v_j, doubled when full
+    pairs = np.empty((min(cap, 16), 2, m))
     ritz = np.zeros((cap, cap))
-    z = np.sin(np.pi * op.grid[: mult.size])
+    z = np.sin(np.pi * op.grid[:m])
     for k in range(1, cap + 1):
-        _extend(basis, k - 1, z, mult)
-        images[k - 1] = op.even_matvec(basis[k - 1])
-        ritz[k - 1, :k] = basis[:k] @ (mult * images[k - 1])
+        if k > len(pairs):
+            pairs = np.concatenate([pairs, np.empty_like(pairs)])[:cap]
+        basis = pairs[: k - 1, 0]
+        before = _norm(z, mult)
+        z = z - (basis @ (mult * z)) @ basis
+        size = _norm(z, mult)
+        if size < 0.7 * before:
+            z -= (basis @ (mult * z)) @ basis
+            size = _norm(z, mult)
+        pairs[k - 1, 0] = z / size if size > 0.0 else 0.0
+        pairs[k - 1, 1] = op.even_matvec(pairs[k - 1, 0])
+        ritz[k - 1, :k] = pairs[:k, 0] @ (mult * pairs[k - 1, 1])
         coef = np.linalg.eigh(ritz[:k, :k])[1][:, -1]
-        vec = coef @ basis[:k]
-        lam, res, residual = _eigen_residual(vec, coef @ images[:k], mult)
+        vec, image = (coef @ pairs[:k].reshape(k, 2 * m)).reshape(2, m)
+        lam, res, residual = _eigen_residual(vec, image, mult)
         if residual <= EIGEN_TOL * lam:
             # the image holds rounding from every column: confirm
             lam, res, residual = _eigen_residual(vec, op.even_matvec(vec), mult)
@@ -613,7 +749,7 @@ def spectral_pair(op: StroboOperator, y0: float = 0.5):
                 break
         # the preconditioned unit residual: at tiny rho K times a vector of
         # the residual's size underflows
-        z = _precondition(op, res / residual)
+        z = _davidson_precondition(op, res / residual)
     else:
         raise ConvergenceError(
             f"Davidson spectral_pair at rho={op.rho}: eigen residual "

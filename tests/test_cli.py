@@ -1,8 +1,10 @@
 """CLI surface: schemas, determinism, exit codes, config round trip."""
 
 import argparse
+import concurrent.futures
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,16 +31,25 @@ def run(tmp_path, *argv):
     return main(list(argv))
 
 
-def test_cli_import_leaves_scipy_special_unloaded():
-    # neither is needed: the solvers are written out, not scipy.sparse.linalg's
+def loaded_after_cli_import(*names):
+    """Which of the modules `names` a fresh `import strobofp.cli` loads."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, strobofp.cli; "
-            "print([name in sys.modules for name in ('scipy.special', 'scipy.sparse')])")
+    code = f"import sys, strobofp.cli; print([name in sys.modules for name in {names!r}])"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    assert out.strip() == "[False, False]"
+    return out.strip()
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # neither is needed: the solvers are written out, not scipy.sparse.linalg's
+    assert loaded_after_cli_import("scipy.special", "scipy.sparse") == "[False, False]"
+
+
+def test_cli_import_leaves_concurrent_futures_unloaded():
+    # only a Monte Carlo run with more than one worker starts a pool
+    assert loaded_after_cli_import("concurrent.futures") == "[False]"
 
 
 # Run in a fresh interpreter: `mc` first, against the modules `import
@@ -259,6 +270,27 @@ class TestSurvival:
         assert s[0] == 1.0
         assert all(b <= a for a, b in zip(s, s[1:]))
 
+    def test_csv_text_matches_the_per_value_format(self):
+        # Python floats are written by repr directly, everything else by _format
+        rows = [
+            [0, 1.0, np.float64(0.5)],
+            [1, 5e-324, -0.0],
+            [2, 1e16, 0.1 + 0.2],
+            [3, np.float64(5e-324), np.float64(-0.0)],
+            [4, np.float64(1e16), np.float64(0.1) + np.float64(0.2)],
+        ]
+        text = cli._csv_text("survival", ("n", "S_n", "mode_sum"), rows, "rho=1.0 y0=0.5")
+        expected = "".join([
+            "# strobofp csv v", str(cli.CSV_SCHEMA_VERSION), " command=survival\n",
+            "# rho=1.0 y0=0.5\n", "n,S_n,mode_sum\n",
+            *(",".join(cli._format(x) for x in row) + "\n" for row in rows),
+        ])
+        assert text == expected
+        _, columns, parsed = read_csv(text)
+        assert columns == ["n", "S_n", "mode_sum"]
+        assert parsed == [[float(x) for x in row] for row in rows]
+        assert [math.copysign(1.0, row[2]) for row in parsed[1::2]] == [-1.0, -1.0]
+
 
 class TestSpectrum:
     def test_schema(self, tmp_path):
@@ -425,12 +457,10 @@ class TestSerialSweeps:
         ["figures"],
     ])
     def test_sweeps_start_no_worker_pool(self, argv, tmp_path, monkeypatch, capsys):
-        from strobofp import _threads
-
         def refuse(*args, **kwargs):
             raise AssertionError("a sweep must not start a worker pool")
 
-        monkeypatch.setattr(_threads, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
         monkeypatch.setenv("STROBOFP_THREADS", "4")
         assert main(argv + ["--out", str(tmp_path / "out")]) == 0
 

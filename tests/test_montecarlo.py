@@ -1,5 +1,6 @@
 """Monte Carlo oracle: reproducibility, distributional sanity, aggregation."""
 
+import concurrent.futures
 import math
 import tracemalloc
 
@@ -75,13 +76,13 @@ class TestReproducibility:
     def test_env_variable_controls_workers(self, monkeypatch):
         # one worker runs the chunks in the caller's thread, with no pool
         seen = []
-        pool = _threads.ThreadPoolExecutor
+        pool = concurrent.futures.ThreadPoolExecutor
 
         def recording(max_workers):
             seen.append(max_workers)
             return pool(max_workers=max_workers)
 
-        monkeypatch.setattr(_threads, "ThreadPoolExecutor", recording)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
         results = []
         for w in ("2", "1"):
             monkeypatch.setenv("STROBOFP_THREADS", w)

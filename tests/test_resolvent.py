@@ -353,6 +353,49 @@ class TestSpectralPair:
         assert abs(lam - np.linalg.eigvalsh(op.toarray())[-1]) <= 1e-14
         assert np.linalg.norm(op.matvec(vec) - lam * vec) <= EIGEN_TOL * lam
 
+    @pytest.mark.parametrize("rho", np.arange(20.0, 201.0, 10.0).tolist())
+    def test_deterministic_products(self, rho, monkeypatch):
+        # the expansion term of the Laplace route: 8 steps and the confirming
+        # product up to rho 70, 7 and one from rho 80; 11 and one without it
+        op = op_for(rho)
+        calls = count_even_products(monkeypatch)
+        lam, vec, _ = spectral_pair(op)
+        assert len(calls) <= 9
+        assert np.linalg.norm(op.matvec(vec) - lam * vec) <= EIGEN_TOL * lam
+
+    @pytest.mark.parametrize("rho, dist, products", [
+        (0.05, "deterministic", 5),
+        (1.0, "deterministic", 7),
+        (5.0, "deterministic", 10),
+        (50.0, "deterministic", 12),
+        (10.0, "exponential", 8),
+        (40.0, "exponential", 8),
+        (1.0, "twopoint:0.5,1.5,0.5", 7),
+        (40.0, "jitter:0.5", 12),
+        (20.0, "twopoint:0.001,1,0.99", 11),
+        (20.0, "twopoint:0.0001,1,0.95", 11),
+        (20.0, "twopoint:1e-5,1,0.999", 11),
+    ])
+    def test_products_on_every_law(self, rho, dist, products, monkeypatch):
+        # the laws of test_matches_dense_eigensolver, each capped at the
+        # products it took with the Laplace (or sine-transform) P alone
+        op = law_op(rho, dist)
+        calls = count_even_products(monkeypatch)
+        lam, vec, _ = spectral_pair(op)
+        assert len(calls) <= products
+        assert np.linalg.norm(op.matvec(vec) - lam * vec) <= EIGEN_TOL * lam
+
+    def test_basis_grows_past_its_first_rows(self, monkeypatch):
+        # the Laplace P on a law far beyond the bound (13.5): 48 steps,
+        # so the array of basis vectors and images doubles from 16 rows twice
+        monkeypatch.setattr(resolvent, "LAPLACE_COND_MAX", math.inf)
+        op = law_op(20.0, "twopoint:0.0001,1,0.95")
+        calls = count_even_products(monkeypatch)
+        lam, vec, _ = spectral_pair(op)
+        assert len(calls) > 33
+        assert abs(lam - np.linalg.eigvalsh(op.toarray())[-1]) <= 1e-14
+        assert np.linalg.norm(op.matvec(vec) - lam * vec) <= EIGEN_TOL * lam
+
     @pytest.mark.parametrize("rho, dist", [
         (3500.0, "deterministic"),
         (5000.0, "deterministic"),
@@ -529,6 +572,47 @@ class TestMirrorFold:
         got = resolvent._precondition(op, half)
         assert np.all(np.isfinite(got))
         assert np.array_equal(got, half / alpha)
+
+    # the rescaled cumulative sums in one block, and with the exponent bound
+    # at 2 in blocks of 1 (N = 10), 16 (N = 360, 361) and 19 (N = 65) entries
+    @pytest.mark.parametrize("rho, n_grid", [(20.0, 10), (20.0, None), (20.0, 361), (3.0, 65)])
+    @pytest.mark.parametrize("bound", [None, 2.0])
+    def test_davidson_term_matches_dense(self, rho, n_grid, bound, monkeypatch):
+        # M = P^{-1} - DAVIDSON_WEIGHT G, with G the Laplace cell means at
+        # rate DAVIDSON_RATE rho: 1 - e^{-ah/2} on the diagonal and
+        # sinh(ah/2) e^{-ah|i-j|} off it
+        if bound is not None:
+            monkeypatch.setattr(resolvent, "_RESCALE_EXP", bound)
+        op = assembled_op(rho, "deterministic", n_grid)
+        n, m = op.n, (op.n + 1) // 2
+        offsets = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        x = 0.5 * math.sqrt(2.0) * rho / n
+        laplace = math.cosh(x) * np.eye(n) - math.sinh(x) * np.exp(-2.0 * x * offsets)
+        ah = resolvent.DAVIDSON_RATE * rho / n
+        kernel = np.where(offsets == 0, -math.expm1(-0.5 * ah),
+                          math.sinh(0.5 * ah) * np.exp(-ah * offsets))
+        dense = np.linalg.inv(laplace) - resolvent.DAVIDSON_WEIGHT * kernel
+        rng = np.random.default_rng(11)
+        for half in (op.weights[:m], rng.standard_normal(m)):
+            exact = (dense @ unfold(half, n))[:m]
+            got = resolvent._davidson_precondition(op, half)
+            assert np.max(np.abs(got - exact)) < 1e-12 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("dist, taken", [
+        ("deterministic", True),
+        ("jitter:0.5", True),
+        ("twopoint:0.5,1.5,0.5", True),
+        ("exponential", False),  # P is I - K: the term raises the bound to 1.30
+        ("twopoint:1e-5,1,0.999", False),  # the sine-transform route
+    ])
+    def test_davidson_term_where_it_lowers_the_bound(self, dist, taken):
+        op = law_op(20.0, dist)
+        assert (resolvent._davidson_term(op) is not None) is taken
+        if taken:
+            lowered = resolvent._symbol_condition(op, resolvent.DAVIDSON_WEIGHT)
+            assert lowered < resolvent._symbol_condition(op) < LAPLACE_COND_MAX
+        if dist == "deterministic":
+            assert lowered == pytest.approx(1.0245, abs=1e-3)
 
     @pytest.mark.parametrize("rho", [20.0, 100.0])
     def test_wide_mixture_takes_the_sine_transform(self, rho, monkeypatch):
