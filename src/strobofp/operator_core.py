@@ -380,8 +380,17 @@ def _band_width(spec: ProblemSpec, law: FrameDistribution) -> int:
     return math.floor(min(reach, n - 1))
 
 
-def _build(spec: ProblemSpec, law: FrameDistribution) -> StroboOperator:
-    """The operator of `build_averaged_operator`, refused where the grid cannot carry it.
+def build_averaged_operator(spec: ProblemSpec, mu: FrameDistribution) -> StroboOperator:
+    """Discretize the interval-averaged operator for random frame times.
+
+    The effective kernel is the mixture of Gaussians with width scale
+    sqrt(v)/rho over v ~ mu, evaluated by `averaged_kernel`.  Discrete
+    mixtures are exact.  Exponential intervals give the Laplace density,
+    entered as exact cell integrals: node values would overshoot the row
+    sums at its cusp, while cell integrals keep the matrix sub-stochastic.
+    The band is cut at the relative tail e^{-eta^2/2}: eta widths of the
+    widest Gaussian component, or eta^2/(2 sqrt 2 rho) for the Laplace
+    density.
 
     ResolutionError, naming the grid size needed, where the band spans
     fewer than 4 grid steps, where the narrowest Gaussian component does,
@@ -397,7 +406,7 @@ def _build(spec: ProblemSpec, law: FrameDistribution) -> StroboOperator:
     the leading eigenvalue stays below 1.
     """
     n, rho = spec.n_grid, spec.rho
-    bw = _band_width(spec, law)
+    bw = _band_width(spec, mu)
     if bw < 4:
         raise ResolutionError(
             f"n_grid={n} resolves the kernel core with only {bw} grid steps "
@@ -405,9 +414,9 @@ def _build(spec: ProblemSpec, law: FrameDistribution) -> StroboOperator:
             f"N >= {default_grid_size(rho)})"
         )
     s_min = math.inf
-    if law.kind != "exponential":
+    if mu.kind != "exponential":
         # the narrowest Gaussian component needs the same 4 steps as the widest
-        s_min = float(np.min(law.width_nodes()[0]))
+        s_min = float(np.min(mu.width_nodes()[0]))
         steps = spec.cutoff_eta * s_min * n / rho
         if steps < 4:
             need = 4.0 * rho / (spec.cutoff_eta * s_min) if s_min else math.inf
@@ -420,8 +429,8 @@ def _build(spec: ProblemSpec, law: FrameDistribution) -> StroboOperator:
     op = StroboOperator(
         rho=rho,
         n=n,
-        band=averaged_kernel(offsets, rho, law, 1.0 / n) / n,
-        law=law,
+        band=averaged_kernel(offsets, rho, mu, 1.0 / n) / n,
+        law=mu,
     )
     if s_min * n / rho < ALIAS_STEPS:
         probe = np.sin(np.pi * op.grid)
@@ -438,20 +447,8 @@ def _build(spec: ProblemSpec, law: FrameDistribution) -> StroboOperator:
 
 
 def build_operator(spec: ProblemSpec) -> StroboOperator:
-    """Discretize the fixed-interval operator on the midpoint grid."""
-    return _build(spec, FrameDistribution.deterministic())
+    """Discretize the fixed-interval operator on the midpoint grid.
 
-
-def build_averaged_operator(spec: ProblemSpec, mu: FrameDistribution) -> StroboOperator:
-    """Discretize the interval-averaged operator for random frame times.
-
-    The effective kernel is the mixture of Gaussians with width scale
-    sqrt(v)/rho over v ~ mu, evaluated by `averaged_kernel`.  Discrete
-    mixtures are exact; the deterministic kind reproduces `build_operator`
-    bit for bit.  Exponential intervals give the Laplace density, entered as
-    exact cell integrals: node values would overshoot the row sums at its
-    cusp, while cell integrals keep the matrix sub-stochastic.  The band is
-    cut at the relative tail e^{-eta^2/2}: eta widths of the widest Gaussian
-    component, or eta^2/(2 sqrt 2 rho) for the Laplace density.
+    `build_averaged_operator` with the deterministic law.
     """
-    return _build(spec, mu)
+    return build_averaged_operator(spec, FrameDistribution.deterministic())

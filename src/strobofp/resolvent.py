@@ -37,19 +37,21 @@ each mirrored pair 2 and the middle node of odd N 1 (`_multiplicity`); max
 norms are those of the half.
 
 The eigensolver and the survival tail grow an orthonormal basis V on the
-half and fill the lower triangle of V^T K V, all that `eigh` reads, one
-row per product: the tail adds the image of its last vector (`_extend`),
-the eigensolver its preconditioned residual (`spectral_pair`).  Both
-orthogonalize by classical Gram-Schmidt.  The tail always makes two
-passes: its first leaves about 2% of the norm of K q_k, so the DGKS test
-that the eigensolver applies would ask for the second at almost every step.
+half, allocated once for their step cap, and fill the lower triangle of
+V^T K V, all that `eigh` reads, one row per product: the tail adds the
+image of its last vector, the eigensolver its preconditioned residual.
+Both add it by `_extend`: classical Gram-Schmidt, with a second pass
+where the first leaves less than 0.7 of the norm (the DGKS test).  The
+tail's first pass leaves about 2% of the norm of K q_k, so it takes the
+second at almost every step (98 of 101 at rho = 300); the eigensolver
+takes it at 0 to 7 of its 7 to 12.
 
 The solve (`_resolvent_solve`) is preconditioned conjugate gradients, the
 eigensolver (`spectral_pair`) preconditioned Davidson (Davidson,
 J. Comput. Phys. 17, 1975), both with one preconditioner P chosen once per
 operator (`_preconditioner`), and both NumPy only.  P is the
 exponential-frame (Laplace) operator I - K_L at the same rho and grid
-wherever the symbol-ratio bound allows it (`_laplace_route`).  Every law
+wherever the symbol-ratio bound allows it (`_symbol_condition`).  Every law
 is unit-mean, so every law has the diffusion scale of P and matches it at
 low frequency.  P^{-1} has a closed form: it is cosh(ah/2)^{-1}
 (I + 4 sinh^2(ah/2) L^{-1}) with L the second-difference matrix whose
@@ -84,7 +86,7 @@ alone takes 11 up to rho = 200 (9 to 10 beyond); from rho = 20 to 200,
 jitter:0.5 in 7 to 8 steps (10 to 11) and twopoint:0.5,1.5,0.5 in 8 to 9
 (10).  The term adds 20-50 microseconds to each apply for N = 360 to 3600,
 less than the product and the bookkeeping of a step.  It is taken only
-where it lowers the law's bound (`_davidson_term`): exponential frames,
+where it lowers the law's bound (`_preconditioner`): exponential frames,
 for which P is exact (7 steps, 10 to 11 with the term), wider two-point
 laws such as twopoint:0.2,1,0.5, and the sine-transform route keep P.  PCG keeps P on
 every law: P^{-1} is positive definite by construction, and with M PCG
@@ -133,10 +135,8 @@ _SQUARES_MIN = np.finfo(float).tiny / np.finfo(float).eps
 # Largest exponent a * h * length of one rescaled cumulative sum of G.
 _RESCALE_EXP = 600.0
 
-# Per operator: the preconditioner's (sine transform, Laplace coefficients),
-# Davidson's expansion term, and u = (I - K)^{-1} w.
+# Per operator: the record of `_preconditioner`, and u = (I - K)^{-1} w.
 _preconditioner_cache = weakref.WeakKeyDictionary()
-_davidson_term_cache = weakref.WeakKeyDictionary()
 _weight_resolvent_cache = weakref.WeakKeyDictionary()
 
 
@@ -196,30 +196,23 @@ def _unfold(half: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([half, half[n - half.size - 1 :: -1]])
 
 
-def _even_norm(z: np.ndarray, mult: np.ndarray) -> float:
+def _norm(z: np.ndarray, mult: np.ndarray) -> float:
     """Full-grid 2-norm of the mirror-even vector whose half is z.
 
-    Scaled by max|z|: squares of entries below ~1e-154 underflow (rho -> 0
-    scales K, and every residual, with rho; late survival states are tiny).
+    The plain sum of squares where it lies from tiny/eps up to the largest
+    float: there it loses no more than a rescaled one.  Outside that range,
+    and for NaN, z is scaled by max|z| first: squares of entries below
+    ~1e-154 underflow (rho -> 0 scales K, and every residual, with rho;
+    late survival states are tiny), and those above ~1e154 overflow.
     """
+    squares = mult @ (z * z)
+    if _SQUARES_MIN <= squares < math.inf:
+        return math.sqrt(squares)
     scale = np.max(np.abs(z))
     if scale == 0.0:
         return 0.0
     z = z / scale
     return scale * math.sqrt(mult @ (z * z))
-
-
-def _norm(z: np.ndarray, mult: np.ndarray) -> float:
-    """`_even_norm` without the rescaling where the sum of squares stays normal.
-
-    From tiny/eps up to the largest float the unscaled sum of squares loses
-    no more than the rescaled one; outside that range, and for NaN, the
-    rescaled `_even_norm` is taken.
-    """
-    squares = mult @ (z * z)
-    if _SQUARES_MIN <= squares < math.inf:
-        return math.sqrt(squares)
-    return _even_norm(z, mult)
 
 
 def survival_sequence(op: StroboOperator, y0: float, n_max: int) -> SurvivalSeries:
@@ -265,16 +258,21 @@ def survival_sequence(op: StroboOperator, y0: float, n_max: int) -> SurvivalSeri
 def _extend(basis: np.ndarray, k: int, z: np.ndarray, mult: np.ndarray) -> tuple:
     """Store z, made orthonormal to basis[:k], as basis[k]; (its size, basis[:k] . z).
 
-    Two classical Gram-Schmidt passes in the inner product of `_multiplicity`
-    (twice is enough: Parlett, The Symmetric Eigenvalue Problem); the size
-    is taken after both, and basis[k] is left as it was when it is 0.
+    Classical Gram-Schmidt in the inner product of `_multiplicity`, with a
+    second pass only where the first leaves less than 0.7 of the norm of z
+    (the DGKS test: Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976;
+    twice is enough: Parlett, The Symmetric Eigenvalue Problem).  The
+    coefficients are the first pass's and the size is that left after the
+    last; where the size is 0, z lies in the span and basis[k] is set to 0.
     """
+    before = _norm(z, mult)
     coef = basis[:k] @ (mult * z)
     z = z - coef @ basis[:k]
-    z -= (basis[:k] @ (mult * z)) @ basis[:k]
-    size = _even_norm(z, mult)
-    if size > 0.0:
-        basis[k] = z / size
+    size = _norm(z, mult)
+    if size < 0.7 * before:
+        z -= (basis[:k] @ (mult * z)) @ basis[:k]
+        size = _norm(z, mult)
+    basis[k] = z / size if size > 0.0 else 0.0
     return size, coef
 
 
@@ -286,7 +284,7 @@ def _lanczos_tail(op: StroboOperator, x: np.ndarray, weights: np.ndarray,
     Q_k by `_extend` (full reorthogonalization): K Q_k = Q_k T_k +
     beta_k q_{k+1} e_k^T (Saad, Numerical Methods for Large Eigenvalue
     Problems, 2011, ch. 6), with row k of T_k = Q_k^T K Q_k from the first
-    Gram-Schmidt pass and beta_k the size left after both.
+    Gram-Schmidt pass and beta_k the size left after the last.
     With T_k = U diag(theta) U^T and the Ritz vectors y_i = Q_k u_i,
     x = sum_i c_i y_i exactly, with c_i = ||x|| u_{1,i}, so
     S_{n0+j} = sum_i c_i (w . y_i) theta_i^j up to the residuals
@@ -389,28 +387,26 @@ def _ritz_tail(theta: np.ndarray, amplitudes: np.ndarray, errors: np.ndarray,
     return bool(np.all(bound * lam_bar ** (steps - 1) <= SURVIVAL_TAIL_TOL * tail))
 
 
-def _symbol_condition(op: StroboOperator, weight: float = 0.0) -> float:
-    """Bound on the condition number of P^{-1}(I - K) from the ratio of their symbols.
+def _symbol_condition(op: StroboOperator) -> tuple:
+    """Bounds on the condition numbers of P^{-1}(I - K) and M(I - K) from symbol ratios.
 
     With t = xi^2/(2 rho^2), a Gaussian component of width scale s has the
-    symbol e^{-s^2 t} and the Laplace kernel 1/(1 + t), so the ratio is
-    f(t) = (1 - sum_q w_q e^{-s_q^2 t})(1 + t)/t over the law's
+    symbol e^{-s^2 t} and the Laplace kernel 1/(1 + t), so the ratio for P
+    is f(t) = (1 - sum_q w_q e^{-s_q^2 t})(1 + t)/t over the law's
     `width_nodes`.  It tends to sum_q w_q s_q^2 = 1 (unit mean) as t -> 0
     and to 1 as t -> inf; the bound is max f / min f over 400 log-spaced t
     from the interval's lowest mode, xi = pi, to the grid's Nyquist
     frequency, xi = pi N.  Aliasing and the band cut are left out.
-    Exponential frames have the Laplace symbol itself: 1.  `_laplace_route`
-    compares it with LAPLACE_COND_MAX to choose between the Laplace and the
-    sine-transform preconditioner.
-
-    A `weight` gives the bound for Davidson's M = P^{-1} - weight G instead
-    (`_davidson_term`), G the Laplace kernel of symbol tau/(t + tau) at
-    rate DAVIDSON_RATE rho, tau = DAVIDSON_RATE^2/2: (1 + t)/t becomes
-    1 + 1/t - weight tau/(t + tau), and the Laplace symbol of exponential
-    frames t/(1 + t).
+    Exponential frames have the Laplace symbol t/(1 + t) itself, and the
+    bound 1 up to rounding.  For Davidson's M = P^{-1} - DAVIDSON_WEIGHT G
+    (`_davidson_precondition`), G the Laplace kernel of symbol
+    tau/(t + tau) at rate DAVIDSON_RATE rho, tau = DAVIDSON_RATE^2/2,
+    (1 + t)/t becomes 1 + 1/t - DAVIDSON_WEIGHT tau/(t + tau).  Both bounds
+    come from one evaluation of the law's symbol; `_preconditioner`
+    compares the first with LAPLACE_COND_MAX to choose between the Laplace
+    and the sine-transform preconditioner, and the second with the first
+    to decide Davidson's term.
     """
-    if op.law.kind == "exponential" and not weight:
-        return 1.0
     # log10 t; capped so that neither t nor s^2 t overflows, f is 1 there
     lo = min(2.0 * math.log10(math.pi / op.rho) - math.log10(2.0), 200.0)
     hi = min(lo + 2.0 * math.log10(op.n), 200.0)
@@ -421,26 +417,9 @@ def _symbol_condition(op: StroboOperator, weight: float = 0.0) -> float:
         scales, weights = op.law.width_nodes()
         symbol = -np.expm1(-np.outer(t, scales * scales)) @ weights
     tau = 0.5 * DAVIDSON_RATE**2
-    ratio = symbol * (1.0 + 1.0 / t - weight * tau / (t + tau))
-    return float(ratio.max() / ratio.min())
-
-
-def _laplace_route(op: StroboOperator):
-    """(alpha, t, 4 s^2) of the closed-form P^{-1} of `_precondition`, or None.
-
-    P = alpha I - s R is the untruncated Laplace operator at the same rho
-    and grid (`laplace_band`), with s = sinh(ah/2), alpha = 1 - band_0 + s
-    = cosh(ah/2) of that band, R_ij = r^{|i-j|} and r = e^{-ah};
-    t = 1 - r = 2 s/(alpha + s), which keeps its digits however small ah
-    is.  It is taken when the symbol-ratio bound of `_symbol_condition` is
-    at most LAPLACE_COND_MAX; None leaves the sine transform
-    (`_sine_transform`) as the preconditioner.
-    """
-    if _symbol_condition(op) > LAPLACE_COND_MAX:
-        return None
-    s, _ = laplace_band(op)
-    alpha = math.hypot(1.0, s)
-    return alpha, 2.0 * s / (alpha + s), 4.0 * s * s
+    plain = 1.0 + 1.0 / t
+    ratios = symbol * plain, symbol * (plain - DAVIDSON_WEIGHT * tau / (t + tau))
+    return tuple(float(ratio.max() / ratio.min()) for ratio in ratios)
 
 
 def _sine_transform(op: StroboOperator) -> tuple:
@@ -492,18 +471,30 @@ def cho_solve_banded(cb, b: np.ndarray) -> np.ndarray:
 
 
 def _preconditioner(op: StroboOperator) -> tuple:
-    """(sine transform, Laplace route) of the preconditioner on the mirror-even half, cached.
+    """(sine transform, Laplace coefficients, Davidson term) on the mirror-even half, cached.
 
-    The route (`_laplace_route`) is decided here, once per operator.  On
-    the Laplace route P^{-1} is applied in closed form (`_precondition`)
-    from the route's three coefficients, and the sine transform is None.
-    Otherwise the route is None and the preconditioner is the sine
-    transform of `_sine_transform`, from its cached eigenvalues.
+    The one record per operator, decided from one `_symbol_condition`
+    evaluation.  Where the bound for P is at most LAPLACE_COND_MAX, P is
+    the untruncated Laplace operator at the same rho and grid
+    (`laplace_band`), P = alpha I - s R with s = sinh(ah/2), alpha =
+    1 - band_0 + s = cosh(ah/2) of that band, R_ij = r^{|i-j|} and
+    r = e^{-ah}.  P^{-1} is applied in closed form (`_precondition`) from
+    the coefficients (alpha, t, 4 s^2), t = 1 - r = 2 s/(alpha + s), which
+    keeps its digits however small ah is; the sine transform is None, and
+    Davidson's term (`_davidson_term`) is kept where it lowers the bound,
+    None elsewhere.  Beyond LAPLACE_COND_MAX the coefficients and the term
+    are None, and P is the sine transform of `_sine_transform`.
     """
     cached = _preconditioner_cache.get(op)
     if cached is None:
-        route = _laplace_route(op)
-        cached = (None if route is not None else _sine_transform(op)), route
+        bound, with_term = _symbol_condition(op)
+        if bound > LAPLACE_COND_MAX:
+            cached = _sine_transform(op), None, None
+        else:
+            s, _ = laplace_band(op)
+            alpha = math.hypot(1.0, s)
+            term = _davidson_term(op) if with_term < bound else None
+            cached = None, (alpha, 2.0 * s / (alpha + s), 4.0 * s * s), term
         _preconditioner_cache[op] = cached
     return cached
 
@@ -531,7 +522,7 @@ def _precondition(op: StroboOperator, half: np.ndarray) -> np.ndarray:
     IFFT(d conj(twiddle))_i): two complex FFTs of length N, with the
     factor -2/N of every d_l taken out of the sum.
     """
-    sine, route = _preconditioner(op)
+    sine, route, _ = _preconditioner(op)
     if route is None:
         lam, shift, twiddle = sine
         m = half.size
@@ -546,8 +537,8 @@ def _precondition(op: StroboOperator, half: np.ndarray) -> np.ndarray:
     return (half + t * tails[0] + s2 * np.cumsum(tails)) / alpha
 
 
-def _davidson_term(op: StroboOperator):
-    """(diagonal, off, r, up, down) of Davidson's term -DAVIDSON_WEIGHT G, or None; cached.
+def _davidson_term(op: StroboOperator) -> tuple:
+    """(diagonal, off, r, up, down) of Davidson's term -DAVIDSON_WEIGHT G.
 
     G is the untruncated Laplace cell-mean kernel matrix (`laplace_band`)
     at rate a = DAVIDSON_RATE rho instead of sqrt 2 rho: G_ii = 1 - e^{-ah/2}
@@ -555,25 +546,18 @@ def _davidson_term(op: StroboOperator):
     r^{|i-j|}, -DAVIDSON_WEIGHT G = diagonal I + off (R + I), and up_k =
     e^{ahk}, down_k = e^{-ahk} for k below the block length of
     `_davidson_precondition`, which keeps e^{ah length} below
-    e^{_RESCALE_EXP}.  Taken on the Laplace route only, and there only
-    where the term lowers the law's symbol-ratio bound (`_symbol_condition`):
-    to 1.0245 from 1.2984 for deterministic frames, 1.044 from 1.262 for
+    e^{_RESCALE_EXP}.  `_preconditioner` keeps it on the Laplace route
+    only, and there only where it lowers the law's symbol-ratio bound: to
+    1.0245 from 1.2984 for deterministic frames, 1.044 from 1.262 for
     jitter:0.5, 1.101 from 1.187 for twopoint:0.5,1.5,0.5.  Exponential
     frames, for which P is I - K, and the sine-transform route never take it.
     """
-    if op in _davidson_term_cache:
-        return _davidson_term_cache[op]
-    term = None
-    if (_preconditioner(op)[1] is not None
-            and _symbol_condition(op, DAVIDSON_WEIGHT) < _symbol_condition(op)):
-        ah = DAVIDSON_RATE * op.rho / op.n
-        s = math.sinh(0.5 * ah)
-        length = op.n if ah * op.n <= _RESCALE_EXP else max(1, int(_RESCALE_EXP / ah))
-        steps = ah * np.arange(length)
-        diagonal = -DAVIDSON_WEIGHT * (-math.expm1(-0.5 * ah) - 2.0 * s)
-        term = diagonal, -DAVIDSON_WEIGHT * s, math.exp(-ah), np.exp(steps), np.exp(-steps)
-    _davidson_term_cache[op] = term
-    return term
+    ah = DAVIDSON_RATE * op.rho / op.n
+    s = math.sinh(0.5 * ah)
+    length = op.n if ah * op.n <= _RESCALE_EXP else max(1, int(_RESCALE_EXP / ah))
+    steps = ah * np.arange(length)
+    diagonal = -DAVIDSON_WEIGHT * (-math.expm1(-0.5 * ah) - 2.0 * s)
+    return diagonal, -DAVIDSON_WEIGHT * s, math.exp(-ah), np.exp(steps), np.exp(-steps)
 
 
 def _davidson_precondition(op: StroboOperator, half: np.ndarray) -> np.ndarray:
@@ -584,10 +568,10 @@ def _davidson_precondition(op: StroboOperator, half: np.ndarray) -> np.ndarray:
     c_i = r^{i-i0} (r c_{i0-1} + sum_{i0<=j<=i} r^{-(j-i0)} b_j): one
     rescaled cumulative sum per block starting at i0.  b is even, so the
     anticausal sum at i is c_{N-1-i}, and (R b)_i = c_i + c_{N-1-i} - b_i.
-    Without the term (`_davidson_term` None) M is P^{-1}.
+    Where `_preconditioner` keeps no term, M is P^{-1}.
     """
     z = _precondition(op, half)
-    term = _davidson_term(op)
+    term = _preconditioner(op)[2]
     if term is None:
         return z
     diagonal, off, r, up, down = term
@@ -704,14 +688,11 @@ def spectral_pair(op: StroboOperator, y0: float = 0.5):
     one vector a step, M r/||r|| for the residual r of the top Ritz pair of
     V^T K V, with the M of `_davidson_precondition` (where M is
     (I - K)^{-1}, the span holds the inverse-iteration step), made
-    orthonormal to V by classical Gram-Schmidt in the inner product of
-    `_multiplicity`.  A second pass runs only when the first leaves less
-    than 0.7 of the norm (the DGKS test: Daniel, Gragg, Kaufman & Stewart,
-    Math. Comp. 30, 1976).  The leading mode is even, so every vector lives
-    on the half of ceil(N/2) entries; the vector is unfolded once at the
-    end.  Each step makes one `StroboOperator.even_matvec`, of the new
-    basis vector, kept beside it in one array that grows with the steps
-    taken: the new row of V^T K V reads it, and the Ritz vector and its
+    orthonormal to V by `_extend`.  The leading mode is even, so every
+    vector lives on the half of ceil(N/2) entries; the vector is unfolded
+    once at the end.  Each step makes one `StroboOperator.even_matvec`, of
+    the new basis vector, kept beside it in one array allocated for the
+    step cap: the new row of V^T K V reads it, and the Ritz vector and its
     image come from one product.  Stops once
     ||K v - lambda0 v||_2 <= EIGEN_TOL * lambda0 for the top Ritz vector v
     and its Rayleigh quotient lambda0, confirmed with a fresh product of v.
@@ -722,23 +703,15 @@ def spectral_pair(op: StroboOperator, y0: float = 0.5):
     mult = _multiplicity(op.n)
     m = mult.size
     cap = min(EIGEN_MAX_ITER + 1, m)
-    # row j: the basis vector v_j and its image K v_j, doubled when full
-    pairs = np.empty((min(cap, 16), 2, m))
+    # row j: the basis vector v_j and its image K v_j
+    pairs = np.empty((cap, 2, m))
+    basis = pairs[:, 0]
     ritz = np.zeros((cap, cap))
     z = np.sin(np.pi * op.grid[:m])
     for k in range(1, cap + 1):
-        if k > len(pairs):
-            pairs = np.concatenate([pairs, np.empty_like(pairs)])[:cap]
-        basis = pairs[: k - 1, 0]
-        before = _norm(z, mult)
-        z = z - (basis @ (mult * z)) @ basis
-        size = _norm(z, mult)
-        if size < 0.7 * before:
-            z -= (basis @ (mult * z)) @ basis
-            size = _norm(z, mult)
-        pairs[k - 1, 0] = z / size if size > 0.0 else 0.0
-        pairs[k - 1, 1] = op.even_matvec(pairs[k - 1, 0])
-        ritz[k - 1, :k] = pairs[:k, 0] @ (mult * pairs[k - 1, 1])
+        _extend(basis, k - 1, z, mult)
+        pairs[k - 1, 1] = op.even_matvec(basis[k - 1])
+        ritz[k - 1, :k] = basis[:k] @ (mult * pairs[k - 1, 1])
         coef = np.linalg.eigh(ritz[:k, :k])[1][:, -1]
         vec, image = (coef @ pairs[:k].reshape(k, 2 * m)).reshape(2, m)
         lam, res, residual = _eigen_residual(vec, image, mult)

@@ -170,6 +170,17 @@ class TestSurvivalTail:
         values = survival_sequence(op, y0, 2000).values
         assert values == pytest.approx(plain_recursion(op, y0, 2000), rel=1e-11, abs=0.0)
 
+    def test_tail_at_the_rho_squared_horizon(self, monkeypatch):
+        # rho = 300 out to n = rho^2: recursion to n0 = 300, then a hundred
+        # Lanczos steps; the tail decays at the leading eigenvalue, never rising
+        op = op_for(300.0)
+        lam = spectral_pair(op)[0]
+        calls = count_even_products(monkeypatch)
+        values = survival_sequence(op, 0.5, 90000).values
+        assert len(calls) <= 400
+        assert abs(values[-1] / values[-2] - lam) <= 1e-13
+        assert np.all(np.diff(values) <= 1e-12)
+
     def test_products_stop_at_the_tail(self, monkeypatch):
         # recursion to n0 = 100, then a few tens of Lanczos steps, not 1999 products
         calls = count_even_products(monkeypatch)
@@ -220,9 +231,59 @@ class TestDegenerateBranches:
             assert not resolvent._last_frame_bound_holds(theta, ones, 0.0 * ones, lam_bar, 10)
 
     @pytest.mark.parametrize("n", [6, 7])
-    def test_even_norm_of_zero(self, n):
+    def test_norm_at_zero_and_extreme_scales(self, n):
+        # sums of squares that underflow (1e-160) or overflow (1e+160) take
+        # the scaled fallback; the reference scales by an exact power of two.
+        # NumPy reports the overflow of the plain sum, which the fallback
+        # exists for, as a warning
         mult = resolvent._multiplicity(n)
-        assert resolvent._even_norm(np.zeros(mult.size), mult) == 0.0
+        assert resolvent._norm(np.zeros(mult.size), mult) == 0.0
+        v = np.random.default_rng(3).standard_normal(mult.size)
+        for scale, power in ((1e-160, 2.0**532), (1e160, 2.0**-532)):
+            z = scale * v
+            exact = math.sqrt(math.fsum(mult * (power * z) ** 2)) / power
+            with np.errstate(over="ignore"):
+                got = resolvent._norm(z, mult)
+            assert got == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+
+class TestGramSchmidt:
+    # z nearly inside the span keeps 1e-9 of its norm after the first pass
+    # and takes the second; a random z keeps most of it and takes one
+    @pytest.mark.parametrize("n", [80, 81])
+    @pytest.mark.parametrize("outside, passes", [(1e-9, 2), (1.0, 1)])
+    def test_extend_leaves_an_orthonormal_basis(self, n, outside, passes, monkeypatch):
+        # k random rows orthonormal in the inner product of _multiplicity
+        k, mult = 6, resolvent._multiplicity(n)
+        rng = np.random.default_rng(n)
+        basis = np.full((k + 1, mult.size), np.nan)
+        basis[:k] = np.linalg.qr(rng.standard_normal((mult.size, k)))[0].T / np.sqrt(mult)
+        z = rng.standard_normal(k) @ basis[:k] + outside * rng.standard_normal(mult.size)
+        norms = []
+        norm = resolvent._norm
+
+        def counted(vec, weights):
+            norms.append(1)
+            return norm(vec, weights)
+
+        monkeypatch.setattr(resolvent, "_norm", counted)
+        size, coef = resolvent._extend(basis, k, z, mult)
+        assert len(norms) == 1 + passes
+        assert size > 0.0
+        assert np.array_equal(coef, basis[:k] @ (mult * z))
+        gram = basis @ (mult * basis).T
+        assert np.max(np.abs(gram - np.eye(k + 1))) <= 1e-14
+
+    def test_extend_inside_the_span(self):
+        # N = 7, multiplicities 2, 2, 2, 1: the rows and z are exact in
+        # binary, so the projection cancels z exactly
+        mult = resolvent._multiplicity(7)
+        basis = np.full((3, 4), np.nan)
+        basis[:2] = [[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+        size, coef = resolvent._extend(basis, 2, np.array([1.0, 1.0, 0.0, 3.0]), mult)
+        assert size == 0.0
+        assert np.array_equal(coef, [2.0, 3.0])
+        assert np.array_equal(basis[2], np.zeros(4))
 
 
 class TestMeanFrames:
@@ -386,8 +447,9 @@ class TestSpectralPair:
         assert np.linalg.norm(op.matvec(vec) - lam * vec) <= EIGEN_TOL * lam
 
     def test_basis_grows_past_its_first_rows(self, monkeypatch):
-        # the Laplace P on a law far beyond the bound (13.5): 48 steps,
-        # so the array of basis vectors and images doubles from 16 rows twice
+        # the Laplace P on a law far beyond the bound (13.5): 48 steps, far
+        # past the 7 to 12 of the laws within it, in the basis allocated for
+        # the step cap
         monkeypatch.setattr(resolvent, "LAPLACE_COND_MAX", math.inf)
         op = law_op(20.0, "twopoint:0.0001,1,0.95")
         calls = count_even_products(monkeypatch)
@@ -537,7 +599,7 @@ class TestMirrorFold:
         # the band of the law, and maps the even half to the even half
         for dist in LAWS:
             op = law_op(rho, dist, n_grid)
-            sine, route = _preconditioner(op)
+            sine, route, _ = _preconditioner(op)
             assert sine is None
             assert len(route) == 3 and all(isinstance(c, float) for c in route)
             m = (op.n + 1) // 2
@@ -607,10 +669,10 @@ class TestMirrorFold:
     ])
     def test_davidson_term_where_it_lowers_the_bound(self, dist, taken):
         op = law_op(20.0, dist)
-        assert (resolvent._davidson_term(op) is not None) is taken
+        assert (_preconditioner(op)[2] is not None) is taken
         if taken:
-            lowered = resolvent._symbol_condition(op, resolvent.DAVIDSON_WEIGHT)
-            assert lowered < resolvent._symbol_condition(op) < LAPLACE_COND_MAX
+            bound, lowered = resolvent._symbol_condition(op)
+            assert lowered < bound < LAPLACE_COND_MAX
         if dist == "deterministic":
             assert lowered == pytest.approx(1.0245, abs=1e-3)
 
@@ -628,8 +690,8 @@ class TestMirrorFold:
         monkeypatch.setattr(StroboOperator, "even_matvec", counted)
         op = law_op(rho, "twopoint:1e-5,1,0.999")
         m = (op.n + 1) // 2
-        sine, route = _preconditioner(op)
-        assert route is None
+        sine, route, term = _preconditioner(op)
+        assert route is None and term is None
         assert [a.shape for a in sine] == [(m,), (op.n,), (m,)]
         # the steps and the true residual
         _weight_resolvent(op)
@@ -665,14 +727,18 @@ class TestMirrorFold:
     def test_symbol_condition(self):
         # deterministic frames: max (1 - e^{-t})(1 + t)/t = 1.2984 near t = 1.79,
         # to the spacing of 400 log-spaced t; exponential frames have the
-        # Laplace symbol itself
-        assert resolvent._symbol_condition(op_for(20.0)) == pytest.approx(1.2984, abs=1e-3)
-        assert resolvent._symbol_condition(law_op(20.0, "exponential")) == 1.0
-        assert resolvent._symbol_condition(law_op(20.0, "twopoint:1e-5,1,0.999")) > LAPLACE_COND_MAX
-        # a vanishing rho puts every t beyond the kernel width: the ratio is 1,
-        # and t is capped before it overflows
+        # Laplace symbol itself, to rounding
+        bound = resolvent._symbol_condition(op_for(20.0))[0]
+        assert bound == pytest.approx(1.2984, abs=1e-3)
+        bound = resolvent._symbol_condition(law_op(20.0, "exponential"))[0]
+        assert bound == pytest.approx(1.0, rel=0.0, abs=1e-15)
+        bound = resolvent._symbol_condition(law_op(20.0, "twopoint:1e-5,1,0.999"))[0]
+        assert bound > LAPLACE_COND_MAX
+        # a vanishing rho puts every t beyond the kernel width: both ratios
+        # are 1, and t is capped before it overflows
         for rho in (1e-20, 1e-200):
-            assert resolvent._symbol_condition(law_op(rho, "twopoint:1e-5,1,0.999")) == 1.0
+            op = law_op(rho, "twopoint:1e-5,1,0.999")
+            assert resolvent._symbol_condition(op) == (1.0, 1.0)
 
     @pytest.mark.parametrize("rho", [0.05, 3.0, 40.0, 1000.0])
     def test_exponential_route_selection(self, rho, monkeypatch):
@@ -700,15 +766,17 @@ class TestMirrorFold:
 
     def test_route_decided_once_per_operator(self, monkeypatch):
         # a solve, a second start point and every eigen step read the route
-        # that the preconditioner cached; fresh operators, so nothing is cached
+        # and Davidson's term from the record that the preconditioner cached,
+        # decided from one symbol-ratio evaluation; fresh operators, so
+        # nothing is cached
         decisions = []
-        route = resolvent._laplace_route
+        condition = resolvent._symbol_condition
 
         def counted(op):
             decisions.append(op.law.kind)
-            return route(op)
+            return condition(op)
 
-        monkeypatch.setattr(resolvent, "_laplace_route", counted)
+        monkeypatch.setattr(resolvent, "_symbol_condition", counted)
         for dist in ("exponential", "deterministic", "twopoint:1e-5,1,0.999"):
             op = law_op(100.0, dist)
             exit_stats(op, 0.5)
