@@ -74,10 +74,6 @@ class MCResult:
     n_cap: int
     overflow: int = 0
 
-    @property
-    def truncated(self) -> bool:
-        return self.overflow > 0
-
     def summary_dict(self) -> dict:
         return {
             "mean_tau": self.mean_tau,

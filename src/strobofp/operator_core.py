@@ -335,10 +335,6 @@ class StroboOperator:
         padded[bw + m : bw + m + tail.size] = tail
         return np.convolve(padded, self._sym_band, "valid")
 
-    def row_sums(self) -> np.ndarray:
-        """Per-row survival mass sum_j K[i, j]; sub-stochastic (< 1 leaks out)."""
-        return self.matvec(np.ones(self.n))
-
     def toarray(self) -> np.ndarray:
         """Dense matrix; for tests and small problems only."""
         offsets = np.abs(np.subtract.outer(np.arange(self.n), np.arange(self.n)))

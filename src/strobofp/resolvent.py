@@ -48,52 +48,54 @@ takes it at 0 to 7 of its 7 to 12.
 
 The solve (`_resolvent_solve`) is preconditioned conjugate gradients, the
 eigensolver (`spectral_pair`) preconditioned Davidson (Davidson,
-J. Comput. Phys. 17, 1975), both with one preconditioner P chosen once per
-operator (`_preconditioner`), and both NumPy only.  P is the
-exponential-frame (Laplace) operator I - K_L at the same rho and grid
-wherever the symbol-ratio bound allows it (`_symbol_condition`).  Every law
-is unit-mean, so every law has the diffusion scale of P and matches it at
-low frequency.  P^{-1} has a closed form: it is cosh(ah/2)^{-1}
-(I + 4 sinh^2(ah/2) L^{-1}) with L the second-difference matrix whose
-Green's function is explicit (Meurant, SIAM J. Matrix Anal. Appl. 13,
-1992), and on the half it takes two cumulative sums (`_precondition`).
-The ratio of the symbols of I - K and P bounds the condition number of
-P^{-1}(I - K) (Chan & Ng, SIAM Rev. 38, 1996): for deterministic frames
-it is (1 - e^{-t})(1 + t)/t, in [1, 1.2984], and PCG solves in 10 to 12
-steps.  Exponential frames, for which P is I - K up to the omitted band
-tail, take one PCG step (up to 3 with the band cut at eta = 6).  Beyond
-LAPLACE_COND_MAX = 2 (two-point mixtures such as twopoint:0.0001,1,0.95,
-bound 13.5, where P would take up to 53 steps) P is the sine-transform
-(tau) matrix of I - K: I - K plus the images of K at the two walls, which
-the midpoint sines sin(k pi y_i) diagonalize (Bini & Capovani, Linear
-Algebra Appl. 52/53, 1983; Serra Capizzano, Math. Comp. 68, 1999).  Its
-eigenvalues come from one FFT of the band, and an apply on the half takes
-two complex FFTs of length N (`_sine_transform`): PCG then takes 5 to 8
-steps and Davidson 6 to 11 (14 at rho = 5).  Within the bound the Laplace
-apply is the cheaper of the two (16-33 against 48-190 microseconds for
-N = 360 to 3600, one thread).
+J. Comput. Phys. 17, 1975).  Both apply one preconditioner M, chosen once
+per operator (`_preconditioner`) and applied by `_precondition`, and both
+are NumPy only.  Wherever the symbol-ratio bound allows it
+(`_symbol_condition`), M is built on P, the exponential-frame (Laplace)
+operator I - K_L at the same rho and grid.  Every law is unit-mean, so
+every law has the diffusion scale of P and matches it at low frequency.
+P^{-1} has a closed form: it is cosh(ah/2)^{-1} (I + 4 sinh^2(ah/2) L^{-1})
+with L the second-difference matrix whose Green's function is explicit
+(Meurant, SIAM J. Matrix Anal. Appl. 13, 1992), and on the half it takes
+two cumulative sums.  The ratio of the symbols of I - K and P bounds the
+condition number of P^{-1}(I - K) (Chan & Ng, SIAM Rev. 38, 1996): for
+deterministic frames it is (1 - e^{-t})(1 + t)/t, in [1, 1.2984].
 
-A Davidson expansion vector needs no positive-definite preconditioner,
-only one whose symbol follows that of (I - K)^{-1}.  On the Laplace route
-Davidson takes M = P^{-1} - DAVIDSON_WEIGHT G (`_davidson_precondition`),
-G the untruncated Laplace cell-mean kernel at rate DAVIDSON_RATE rho, of
-symbol tau/(t + tau) with tau = 2.4761, applied to an even vector by one
-rescaled cumulative sum.  The constants minimize the deterministic ratio
+M = P^{-1} - CORRECTION_WEIGHT G, G the untruncated Laplace cell-mean
+kernel at rate CORRECTION_RATE rho, of symbol tau/(t + tau) with
+tau = 2.4761, applied to an even vector by one rescaled cumulative sum.
+The constants minimize the deterministic ratio
 (1 - e^{-t})(1 + 1/t - 1.5455/(t + tau)): its bound is 1.0245, against
-1.2984 for P alone.  Davidson then finds the deterministic leading pair in
-8 steps for rho = 20 to 70 and 7 from rho = 80 to 500 (6 beyond), where P
-alone takes 11 up to rho = 200 (9 to 10 beyond); from rho = 20 to 200,
-jitter:0.5 in 7 to 8 steps (10 to 11) and twopoint:0.5,1.5,0.5 in 8 to 9
-(10).  The term adds 20-50 microseconds to each apply for N = 360 to 3600,
-less than the product and the bookkeeping of a step.  It is taken only
-where it lowers the law's bound (`_preconditioner`): exponential frames,
-for which P is exact (7 steps, 10 to 11 with the term), wider two-point
-laws such as twopoint:0.2,1,0.5, and the sine-transform route keep P.  PCG keeps P on
-every law: P^{-1} is positive definite by construction, and with M PCG
-makes 8 products instead of 12 to 13 but M's dearer apply takes back most
-of the time saved (the 19 solves of rho = 20 to 200 took 28.6-29.6 ms
-with M against 29.6-31.3 ms with P, in-process medians on 2 vCPUs, one
-thread).
+1.2984 for P alone.  M is positive definite, so PCG takes it as Davidson
+does:
+  the untruncated Laplace cell-mean kernel at any rate has the lattice
+  symbol 1 at theta = 0 and 1 - e^{-x} - tanh(x) e^{-x} > 0 at theta = pi,
+  x = ah/2, and lies between them;
+  so the eigenvalues of P lie in (0, 1), those of P^{-1} above 1, and
+  those of G in (0, 1);
+  so lambda(M) > 1 - CORRECTION_WEIGHT = 0.3758.
+The term is kept only where it lowers the law's bound (`_preconditioner`):
+deterministic frames, uniform jitter and narrow two-point laws such as
+twopoint:0.5,1.5,0.5.  Exponential frames, for which P is I - K up to the
+omitted band tail, wider two-point laws such as twopoint:0.2,1,0.5 and
+the sine-transform route keep M = P^{-1}.  With the term deterministic
+frames take 6 to 7 PCG steps for rho = 5 to 3000 (10 to 12 without), and
+Davidson 8 steps for rho = 20 to 70 and 7 from rho = 80 to 500 (6 beyond;
+11 without up to rho = 200).  Exponential frames take one PCG step (up
+to 3 with the band cut at eta = 6).  The term adds 20-50 microseconds to
+each apply for N = 360 to 3600, less than the product and the
+bookkeeping of a step.
+
+Beyond LAPLACE_COND_MAX = 2 (two-point mixtures such as
+twopoint:0.0001,1,0.95, bound 13.5, where P would take up to 53 steps) M
+is the inverse of the sine-transform (tau) matrix of I - K: I - K plus the
+images of K at the two walls, which the midpoint sines sin(k pi y_i)
+diagonalize (Bini & Capovani, Linear Algebra Appl. 52/53, 1983; Serra
+Capizzano, Math. Comp. 68, 1999).  Its eigenvalues come from one FFT of
+the band, and an apply on the half takes two complex FFTs of length N
+(`_sine_transform`): PCG then takes 5 to 8 steps and Davidson 6 to 11 (14
+at rho = 5).  Within the bound the Laplace apply is the cheaper of the
+two (16-33 against 48-190 microseconds for N = 360 to 3600, one thread).
 """
 
 from __future__ import annotations
@@ -123,12 +125,12 @@ LAPLACE_COND_MAX = 2.0
 # Lanczos tail, relative to that value, and the Lanczos steps between checks.
 SURVIVAL_TAIL_TOL = 1e-13
 TAIL_CHECK_STEPS = 10
-# Davidson's expansion term on the Laplace route (`_davidson_term`): the
-# Laplace cell-mean kernel G at rate DAVIDSON_RATE * rho, weighted by
-# DAVIDSON_WEIGHT.  The pair minimizes the deterministic symbol-ratio bound,
-# to 1.0245 from 1.2984 without the term.
-DAVIDSON_RATE = 2.2254
-DAVIDSON_WEIGHT = 0.6242
+# The correction term of M = P^{-1} - CORRECTION_WEIGHT G on the Laplace
+# route (`_correction_term`): the Laplace cell-mean kernel G at rate
+# CORRECTION_RATE * rho.  The pair minimizes the deterministic symbol-ratio
+# bound, to 1.0245 from 1.2984 without the term.
+CORRECTION_RATE = 2.2254
+CORRECTION_WEIGHT = 0.6242
 # Sums of squares at or above this are summed unscaled (`_norm`): squares
 # that underflow then add less than an ulp.
 _SQUARES_MIN = np.finfo(float).tiny / np.finfo(float).eps
@@ -203,9 +205,11 @@ def _norm(z: np.ndarray, mult: np.ndarray) -> float:
     float: there it loses no more than a rescaled one.  Outside that range,
     and for NaN, z is scaled by max|z| first: squares of entries below
     ~1e-154 underflow (rho -> 0 scales K, and every residual, with rho;
-    late survival states are tiny), and those above ~1e154 overflow.
+    late survival states are tiny), and those above ~1e154 overflow, which
+    is why NumPy's overflow warning is silenced here.
     """
-    squares = mult @ (z * z)
+    with np.errstate(over="ignore"):
+        squares = mult @ (z * z)
     if _SQUARES_MIN <= squares < math.inf:
         return math.sqrt(squares)
     scale = np.max(np.abs(z))
@@ -396,29 +400,30 @@ def _symbol_condition(op: StroboOperator) -> tuple:
     `width_nodes`.  It tends to sum_q w_q s_q^2 = 1 (unit mean) as t -> 0
     and to 1 as t -> inf; the bound is max f / min f over 400 log-spaced t
     from the interval's lowest mode, xi = pi, to the grid's Nyquist
-    frequency, xi = pi N.  Aliasing and the band cut are left out.
-    Exponential frames have the Laplace symbol t/(1 + t) itself, and the
-    bound 1 up to rounding.  For Davidson's M = P^{-1} - DAVIDSON_WEIGHT G
-    (`_davidson_precondition`), G the Laplace kernel of symbol
-    tau/(t + tau) at rate DAVIDSON_RATE rho, tau = DAVIDSON_RATE^2/2,
-    (1 + t)/t becomes 1 + 1/t - DAVIDSON_WEIGHT tau/(t + tau).  Both bounds
-    come from one evaluation of the law's symbol; `_preconditioner`
+    frequency, xi = pi N.  Aliasing and the band cut are left out.  For
+    M = P^{-1} - CORRECTION_WEIGHT G, G the Laplace kernel of symbol
+    tau/(t + tau) at rate CORRECTION_RATE rho, tau = CORRECTION_RATE^2/2,
+    (1 + t)/t becomes 1 + 1/t - CORRECTION_WEIGHT tau/(t + tau).  Both
+    bounds come from one evaluation of the law's symbol; `_preconditioner`
     compares the first with LAPLACE_COND_MAX to choose between the Laplace
-    and the sine-transform preconditioner, and the second with the first
-    to decide Davidson's term.
+    and the sine-transform route, and the second with the first to decide
+    the correction term.  Exponential frames have the Laplace symbol
+    t/(1 + t) itself, so their ratios are 1 and
+    1 - CORRECTION_WEIGHT tau t/((1 + t)(t + tau)), least at t = sqrt tau:
+    the bounds are 1 and 1/(1 - CORRECTION_WEIGHT tau/(1 + sqrt tau)^2) =
+    1.3044 in closed form, with no sampling.
     """
+    tau = 0.5 * CORRECTION_RATE**2
+    if op.law.kind == "exponential":
+        return 1.0, 1.0 / (1.0 - CORRECTION_WEIGHT * tau / (1.0 + math.sqrt(tau)) ** 2)
     # log10 t; capped so that neither t nor s^2 t overflows, f is 1 there
     lo = min(2.0 * math.log10(math.pi / op.rho) - math.log10(2.0), 200.0)
     hi = min(lo + 2.0 * math.log10(op.n), 200.0)
     t = np.logspace(lo, hi, 400)
-    if op.law.kind == "exponential":
-        symbol = t / (1.0 + t)
-    else:
-        scales, weights = op.law.width_nodes()
-        symbol = -np.expm1(-np.outer(t, scales * scales)) @ weights
-    tau = 0.5 * DAVIDSON_RATE**2
+    scales, weights = op.law.width_nodes()
+    symbol = -np.expm1(-np.outer(t, scales * scales)) @ weights
     plain = 1.0 + 1.0 / t
-    ratios = symbol * plain, symbol * (plain - DAVIDSON_WEIGHT * tau / (t + tau))
+    ratios = symbol * plain, symbol * (plain - CORRECTION_WEIGHT * tau / (t + tau))
     return tuple(float(ratio.max() / ratio.min()) for ratio in ratios)
 
 
@@ -471,7 +476,7 @@ def cho_solve_banded(cb, b: np.ndarray) -> np.ndarray:
 
 
 def _preconditioner(op: StroboOperator) -> tuple:
-    """(sine transform, Laplace coefficients, Davidson term) on the mirror-even half, cached.
+    """(sine transform, Laplace coefficients, correction term) on the mirror-even half, cached.
 
     The one record per operator, decided from one `_symbol_condition`
     evaluation.  Where the bound for P is at most LAPLACE_COND_MAX, P is
@@ -481,9 +486,10 @@ def _preconditioner(op: StroboOperator) -> tuple:
     r = e^{-ah}.  P^{-1} is applied in closed form (`_precondition`) from
     the coefficients (alpha, t, 4 s^2), t = 1 - r = 2 s/(alpha + s), which
     keeps its digits however small ah is; the sine transform is None, and
-    Davidson's term (`_davidson_term`) is kept where it lowers the bound,
-    None elsewhere.  Beyond LAPLACE_COND_MAX the coefficients and the term
-    are None, and P is the sine transform of `_sine_transform`.
+    the correction term of M (`_correction_term`) is kept where it lowers
+    the bound, None elsewhere.  Beyond LAPLACE_COND_MAX the coefficients
+    and the term are None, and M is the inverse of the sine transform of
+    `_sine_transform`.
     """
     cached = _preconditioner_cache.get(op)
     if cached is None:
@@ -493,19 +499,42 @@ def _preconditioner(op: StroboOperator) -> tuple:
         else:
             s, _ = laplace_band(op)
             alpha = math.hypot(1.0, s)
-            term = _davidson_term(op) if with_term < bound else None
+            term = _correction_term(op) if with_term < bound else None
             cached = None, (alpha, 2.0 * s / (alpha + s), 4.0 * s * s), term
         _preconditioner_cache[op] = cached
     return cached
 
 
-def _precondition(op: StroboOperator, half: np.ndarray) -> np.ndarray:
-    """First half of P^{-1} b for the mirror-even b with b[:m] = half.
+def _correction_term(op: StroboOperator) -> tuple:
+    """(diagonal, off, r, up, down) of the correction term -CORRECTION_WEIGHT G of M.
 
-    On the Laplace route R^{-1} = T/q with T = tridiag(-r, 1 + r^2, -r) but
-    1 in both corners and q = 1 - r^2 (Kac, Murdock & Szego, J. Rational
-    Mech. Anal. 2, 1953).  Since alpha (1 - r)^2 = s q, alpha T - s q I is
-    alpha r L with L = tridiag(-1, 2, -1) but 1 + t in both corners, and
+    G is the untruncated Laplace cell-mean kernel matrix (`laplace_band`)
+    at rate a = CORRECTION_RATE rho instead of sqrt 2 rho: G_ii =
+    1 - e^{-ah/2} and G_ij = s r^{|i-j|}, s = sinh(ah/2), r = e^{-ah}.
+    With R_ij = r^{|i-j|}, -CORRECTION_WEIGHT G = diagonal I + off (R + I),
+    and up_k = e^{ahk}, down_k = e^{-ahk} for k below the block length of
+    `_precondition`, which keeps e^{ah length} below e^{_RESCALE_EXP}.
+    `_preconditioner` keeps it on the Laplace route only, and there only
+    where it lowers the law's symbol-ratio bound: to 1.0245 from 1.2984 for
+    deterministic frames, 1.044 from 1.262 for jitter:0.5, 1.101 from 1.187
+    for twopoint:0.5,1.5,0.5.
+    """
+    ah = CORRECTION_RATE * op.rho / op.n
+    s = math.sinh(0.5 * ah)
+    length = op.n if ah * op.n <= _RESCALE_EXP else max(1, int(_RESCALE_EXP / ah))
+    steps = ah * np.arange(length)
+    diagonal = -CORRECTION_WEIGHT * (-math.expm1(-0.5 * ah) - 2.0 * s)
+    return diagonal, -CORRECTION_WEIGHT * s, math.exp(-ah), np.exp(steps), np.exp(-steps)
+
+
+def _precondition(op: StroboOperator, half: np.ndarray) -> np.ndarray:
+    """First half of M b for the mirror-even b with b[:m] = half.
+
+    On the Laplace route M b = P^{-1} b - CORRECTION_WEIGHT G b.
+    R^{-1} = T/q with T = tridiag(-r, 1 + r^2, -r) but 1 in both corners and
+    q = 1 - r^2 (Kac, Murdock & Szego, J. Rational Mech. Anal. 2, 1953).
+    Since alpha (1 - r)^2 = s q, alpha T - s q I is alpha r L with
+    L = tridiag(-1, 2, -1) but 1 + t in both corners, and
     P^{-1} = (I + 4 s^2 L^{-1})/alpha.  L^{-1}_ij = u_i v_j / D for i <= j,
     with u_i = 1 + i t, v_j = u_{N-1-j} and D = t (2 + (N-1) t) (Meurant,
     SIAM J. Matrix Anal. Appl. 13, 1992).  u and v are linear and b is
@@ -513,19 +542,24 @@ def _precondition(op: StroboOperator, half: np.ndarray) -> np.ndarray:
     node of odd N counted 1/2), 4 s^2 (L^{-1} b)_i = t c_0 +
     4 s^2 (c_0 + ... + c_i): two cumulative sums, of positive terms when b
     is positive.  A vanishing rho makes s^2 underflow and t c_0 negligible
-    beside b, and P^{-1} is 1/alpha.
+    beside b, and P^{-1} is 1/alpha.  Where `_preconditioner` keeps the
+    correction term, G b takes the causal sums c_i = sum_{j<=i} r^{i-j} b_j
+    over the full b, as c_i = r^{i-i0} (r c_{i0-1} + sum_{i0<=j<=i}
+    r^{-(j-i0)} b_j): one rescaled cumulative sum per block starting at i0.
+    b is even, so the anticausal sum at i is c_{N-1-i}, and
+    (R b)_i = c_i + c_{N-1-i} - b_i.  Elsewhere M is P^{-1}.
 
-    Otherwise P^{-1} b = sum_k s_k (s_k . b)/(lambda_k ||s_k||^2) over odd
+    Beyond the bound M b = sum_k s_k (s_k . b)/(lambda_k ||s_k||^2) over odd
     k = 2l + 1, with ||s_k||^2 = N/2 but N for k = N.  With the shift and
     twiddle of `_sine_transform`, s_k . b = -Im(twiddle_l FFT(shift b)_l)
     over the full even b, and sum_l d_l s_k(i) = Im(conj(shift_i) N
     IFFT(d conj(twiddle))_i): two complex FFTs of length N, with the
     factor -2/N of every d_l taken out of the sum.
     """
-    sine, route, _ = _preconditioner(op)
+    sine, route, term = _preconditioner(op)
+    m = half.size
     if route is None:
         lam, shift, twiddle = sine
-        m = half.size
         coef = (twiddle * np.fft.fft(shift * _unfold(half, op.n))[:m]).imag / lam
         if op.n % 2:
             coef[-1] *= 0.5
@@ -534,44 +568,7 @@ def _precondition(op: StroboOperator, half: np.ndarray) -> np.ndarray:
     tails = np.cumsum(half[::-1])[::-1]
     if op.n % 2:
         tails -= 0.5 * half[-1]
-    return (half + t * tails[0] + s2 * np.cumsum(tails)) / alpha
-
-
-def _davidson_term(op: StroboOperator) -> tuple:
-    """(diagonal, off, r, up, down) of Davidson's term -DAVIDSON_WEIGHT G.
-
-    G is the untruncated Laplace cell-mean kernel matrix (`laplace_band`)
-    at rate a = DAVIDSON_RATE rho instead of sqrt 2 rho: G_ii = 1 - e^{-ah/2}
-    and G_ij = s r^{|i-j|}, s = sinh(ah/2), r = e^{-ah}.  With R_ij =
-    r^{|i-j|}, -DAVIDSON_WEIGHT G = diagonal I + off (R + I), and up_k =
-    e^{ahk}, down_k = e^{-ahk} for k below the block length of
-    `_davidson_precondition`, which keeps e^{ah length} below
-    e^{_RESCALE_EXP}.  `_preconditioner` keeps it on the Laplace route
-    only, and there only where it lowers the law's symbol-ratio bound: to
-    1.0245 from 1.2984 for deterministic frames, 1.044 from 1.262 for
-    jitter:0.5, 1.101 from 1.187 for twopoint:0.5,1.5,0.5.  Exponential
-    frames, for which P is I - K, and the sine-transform route never take it.
-    """
-    ah = DAVIDSON_RATE * op.rho / op.n
-    s = math.sinh(0.5 * ah)
-    length = op.n if ah * op.n <= _RESCALE_EXP else max(1, int(_RESCALE_EXP / ah))
-    steps = ah * np.arange(length)
-    diagonal = -DAVIDSON_WEIGHT * (-math.expm1(-0.5 * ah) - 2.0 * s)
-    return diagonal, -DAVIDSON_WEIGHT * s, math.exp(-ah), np.exp(steps), np.exp(-steps)
-
-
-def _davidson_precondition(op: StroboOperator, half: np.ndarray) -> np.ndarray:
-    """First half of M b = P^{-1} b - DAVIDSON_WEIGHT G b for the even b with b[:m] = half.
-
-    P^{-1} b is `_precondition`'s.  G b takes the causal sums
-    c_i = sum_{j<=i} r^{i-j} b_j over the full b, as
-    c_i = r^{i-i0} (r c_{i0-1} + sum_{i0<=j<=i} r^{-(j-i0)} b_j): one
-    rescaled cumulative sum per block starting at i0.  b is even, so the
-    anticausal sum at i is c_{N-1-i}, and (R b)_i = c_i + c_{N-1-i} - b_i.
-    Where `_preconditioner` keeps no term, M is P^{-1}.
-    """
-    z = _precondition(op, half)
-    term = _preconditioner(op)[2]
+    z = (half + t * tails[0] + s2 * np.cumsum(tails)) / alpha
     if term is None:
         return z
     diagonal, off, r, up, down = term
@@ -583,7 +580,6 @@ def _davidson_precondition(op: StroboOperator, half: np.ndarray) -> np.ndarray:
             block[0] += r * causal[start - 1]
         np.cumsum(block, out=block)
         block *= down[: block.size]
-    m = half.size
     z += diagonal * half
     z += off * (causal[:m] + causal[::-1][:m])
     return z
@@ -596,8 +592,8 @@ def _resolvent_solve(op: StroboOperator, rhs: np.ndarray) -> np.ndarray:
     ||b - (I - K) x||_inf <= RESIDUAL_TOL (||I - K||_inf ||x||_inf + ||b||_inf)
     (Higham, Accuracy and Stability of Numerical Algorithms, Thm 7.1), with
     ||I - K||_inf taken as 1 - band[0] + 2 sum(band[1:]): exact once N > 2 bw,
-    and at most 2.  Conjugate gradients with the preconditioner of the
-    module docstring: each step one `even_matvec` and one solve with P.
+    and at most 2.  Conjugate gradients with the positive-definite M of the
+    module docstring: each step one `even_matvec` and one `_precondition`.
     Once the recursive residual meets the bound, the true residual is formed
     with one more `even_matvec`.  If it misses, it replaces the recursive
     residual and the search direction restarts from it (residual
@@ -686,7 +682,7 @@ def spectral_pair(op: StroboOperator, y0: float = 0.5):
     Preconditioned Davidson (Davidson, J. Comput. Phys. 17, 1975) from the
     half-sine profile (the wide-kernel limit mode).  The basis V grows by
     one vector a step, M r/||r|| for the residual r of the top Ritz pair of
-    V^T K V, with the M of `_davidson_precondition` (where M is
+    V^T K V, with the M of `_precondition`, the one PCG applies (where M is
     (I - K)^{-1}, the span holds the inverse-iteration step), made
     orthonormal to V by `_extend`.  The leading mode is even, so every
     vector lives on the half of ceil(N/2) entries; the vector is unfolded
@@ -722,7 +718,7 @@ def spectral_pair(op: StroboOperator, y0: float = 0.5):
                 break
         # the preconditioned unit residual: at tiny rho K times a vector of
         # the residual's size underflows
-        z = _davidson_precondition(op, res / residual)
+        z = _precondition(op, res / residual)
     else:
         raise ConvergenceError(
             f"Davidson spectral_pair at rho={op.rho}: eigen residual "

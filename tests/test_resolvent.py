@@ -233,18 +233,15 @@ class TestDegenerateBranches:
     @pytest.mark.parametrize("n", [6, 7])
     def test_norm_at_zero_and_extreme_scales(self, n):
         # sums of squares that underflow (1e-160) or overflow (1e+160) take
-        # the scaled fallback; the reference scales by an exact power of two.
-        # NumPy reports the overflow of the plain sum, which the fallback
-        # exists for, as a warning
+        # the scaled fallback, without a warning from the overflowing plain
+        # sum; the reference scales by an exact power of two
         mult = resolvent._multiplicity(n)
         assert resolvent._norm(np.zeros(mult.size), mult) == 0.0
         v = np.random.default_rng(3).standard_normal(mult.size)
         for scale, power in ((1e-160, 2.0**532), (1e160, 2.0**-532)):
             z = scale * v
             exact = math.sqrt(math.fsum(mult * (power * z) ** 2)) / power
-            with np.errstate(over="ignore"):
-                got = resolvent._norm(z, mult)
-            assert got == pytest.approx(exact, rel=1e-15, abs=0.0)
+            assert resolvent._norm(z, mult) == pytest.approx(exact, rel=1e-15, abs=0.0)
 
 
 class TestGramSchmidt:
@@ -518,6 +515,31 @@ def unfold(half, n):
     return full
 
 
+# a coarse grid near the 4-step minimum of the resolution rule (N >= 9.4
+# at rho = 20) and the default grid, each with even and odd N
+DENSE_GRIDS = [(20.0, 10), (20.0, 11), (20.0, None), (20.0, 361), (0.3, None), (3.0, 65)]
+
+
+def dense_preconditioner(op):
+    """Dense M of `_precondition` on the Laplace route: P^{-1}, less CORRECTION_WEIGHT G
+    where the operator keeps the correction term.
+
+    P = cosh(ah/2) I - sinh(ah/2) R with R_ij = e^{-ah|i-j|} at a = sqrt 2 rho;
+    G has 1 - e^{-ah/2} on its diagonal and sinh(ah/2) e^{-ah|i-j|} off it at
+    a = CORRECTION_RATE rho.  Both depend on rho and N alone.
+    """
+    n = op.n
+    offsets = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    x = 0.5 * math.sqrt(2.0) * op.rho / n
+    dense = np.linalg.inv(math.cosh(x) * np.eye(n) - math.sinh(x) * np.exp(-2.0 * x * offsets))
+    if _preconditioner(op)[2] is None:
+        return dense
+    ah = resolvent.CORRECTION_RATE * op.rho / n
+    kernel = np.where(offsets == 0, -math.expm1(-0.5 * ah),
+                      math.sinh(0.5 * ah) * np.exp(-ah * offsets))
+    return dense - resolvent.CORRECTION_WEIGHT * kernel
+
+
 class TestMirrorFold:
     @pytest.mark.parametrize("dist", LAWS)
     @pytest.mark.parametrize("rho, n_grid", FOLD_CASES)
@@ -605,26 +627,44 @@ class TestMirrorFold:
             m = (op.n + 1) // 2
             assert resolvent._precondition(op, np.ones(m)).shape == (m,)
 
-    # a coarse grid near the 4-step minimum of the resolution rule (N >= 9.4
-    # at rho = 20) and the default grid, each with even and odd N
-    @pytest.mark.parametrize("rho, n_grid", [
-        (20.0, 10), (20.0, 11), (20.0, None), (20.0, 361), (0.3, None), (3.0, 65),
-    ])
-    def test_closed_form_matches_dense_solve(self, rho, n_grid):
-        # P = cosh(ah/2) I - sinh(ah/2) R with R_ij = e^{-ah|i-j|}, solved densely.
-        # P depends on rho and N alone; at N = 10 the kernel, 0.5 grid steps
-        # wide, aliases past unit spectral radius and the build refuses it
+    @pytest.mark.parametrize("rho, n_grid", DENSE_GRIDS)
+    def test_closed_form_matches_dense_solve(self, rho, n_grid, monkeypatch):
+        # deterministic frames: M = P^{-1} - CORRECTION_WEIGHT G; exponential
+        # frames: M = P^{-1}.  The correction's rescaled cumulative sums run in
+        # one block, and with the exponent bound at 2 in blocks of 1 (N = 10),
+        # 16 (N = 360, 361) and 19 (N = 65) entries.  At N = 10 the kernel,
+        # 0.5 grid steps wide, aliases past unit spectral radius and the build
+        # refuses it
+        bounds = resolvent._RESCALE_EXP, 2.0
+        for dist in ("deterministic", "exponential"):
+            op = assembled_op(rho, dist, n_grid)
+            n, m = op.n, (op.n + 1) // 2
+            dense = dense_preconditioner(op)
+            assert (_preconditioner(op)[2] is not None) is (dist == "deterministic")
+            rng = np.random.default_rng(7)
+            for bound in bounds:
+                monkeypatch.setattr(resolvent, "_RESCALE_EXP", bound)
+                resolvent._preconditioner_cache.pop(op, None)
+                for half in (op.weights[:m], rng.standard_normal(m)):
+                    exact = (dense @ unfold(half, n))[:m]
+                    got = resolvent._precondition(op, half)
+                    assert np.max(np.abs(got - exact)) < 1e-12 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("rho, n_grid", DENSE_GRIDS)
+    def test_corrected_preconditioner_positive_definite(self, rho, n_grid):
+        # P^{-1} > I and 0 < G < I, so M = P^{-1} - CORRECTION_WEIGHT G >
+        # (1 - CORRECTION_WEIGHT) I: PCG may take M
         op = assembled_op(rho, "deterministic", n_grid)
-        n, m = op.n, (op.n + 1) // 2
-        x = 0.5 * math.sqrt(2.0) * rho / n
-        offsets = np.arange(n)
-        dense = (math.cosh(x) * np.eye(n)
-                 - math.sinh(x) * np.exp(-2.0 * x * np.abs(offsets[:, None] - offsets)))
-        rng = np.random.default_rng(7)
-        for half in (op.weights[:m], rng.standard_normal(m)):
-            exact = np.linalg.solve(dense, unfold(half, n))[:m]
-            got = resolvent._precondition(op, half)
-            assert np.max(np.abs(got - exact)) < 1e-12 * np.max(np.abs(exact))
+        assert _preconditioner(op)[2] is not None
+        dense = dense_preconditioner(op)
+        assert np.linalg.eigvalsh(0.5 * (dense + dense.T))[0] > 1.0 - resolvent.CORRECTION_WEIGHT
+
+    @pytest.mark.parametrize("rho", [5.0, 20.0, 100.0, 1000.0])
+    def test_deterministic_pcg_products(self, rho, monkeypatch):
+        # M's steps and the true residual: 11 to 13 products with P alone
+        products = count_even_products(monkeypatch)
+        _weight_resolvent(op_for(rho))
+        assert len(products) <= 8
 
     def test_closed_form_at_vanishing_rho(self):
         # sinh^2(ah/2) underflows: P^{-1} b is b / alpha, finite
@@ -634,31 +674,6 @@ class TestMirrorFold:
         got = resolvent._precondition(op, half)
         assert np.all(np.isfinite(got))
         assert np.array_equal(got, half / alpha)
-
-    # the rescaled cumulative sums in one block, and with the exponent bound
-    # at 2 in blocks of 1 (N = 10), 16 (N = 360, 361) and 19 (N = 65) entries
-    @pytest.mark.parametrize("rho, n_grid", [(20.0, 10), (20.0, None), (20.0, 361), (3.0, 65)])
-    @pytest.mark.parametrize("bound", [None, 2.0])
-    def test_davidson_term_matches_dense(self, rho, n_grid, bound, monkeypatch):
-        # M = P^{-1} - DAVIDSON_WEIGHT G, with G the Laplace cell means at
-        # rate DAVIDSON_RATE rho: 1 - e^{-ah/2} on the diagonal and
-        # sinh(ah/2) e^{-ah|i-j|} off it
-        if bound is not None:
-            monkeypatch.setattr(resolvent, "_RESCALE_EXP", bound)
-        op = assembled_op(rho, "deterministic", n_grid)
-        n, m = op.n, (op.n + 1) // 2
-        offsets = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-        x = 0.5 * math.sqrt(2.0) * rho / n
-        laplace = math.cosh(x) * np.eye(n) - math.sinh(x) * np.exp(-2.0 * x * offsets)
-        ah = resolvent.DAVIDSON_RATE * rho / n
-        kernel = np.where(offsets == 0, -math.expm1(-0.5 * ah),
-                          math.sinh(0.5 * ah) * np.exp(-ah * offsets))
-        dense = np.linalg.inv(laplace) - resolvent.DAVIDSON_WEIGHT * kernel
-        rng = np.random.default_rng(11)
-        for half in (op.weights[:m], rng.standard_normal(m)):
-            exact = (dense @ unfold(half, n))[:m]
-            got = resolvent._davidson_precondition(op, half)
-            assert np.max(np.abs(got - exact)) < 1e-12 * np.max(np.abs(exact))
 
     @pytest.mark.parametrize("dist, taken", [
         ("deterministic", True),
@@ -727,7 +742,7 @@ class TestMirrorFold:
     def test_symbol_condition(self):
         # deterministic frames: max (1 - e^{-t})(1 + t)/t = 1.2984 near t = 1.79,
         # to the spacing of 400 log-spaced t; exponential frames have the
-        # Laplace symbol itself, to rounding
+        # Laplace symbol itself
         bound = resolvent._symbol_condition(op_for(20.0))[0]
         assert bound == pytest.approx(1.2984, abs=1e-3)
         bound = resolvent._symbol_condition(law_op(20.0, "exponential"))[0]
@@ -739,6 +754,15 @@ class TestMirrorFold:
         for rho in (1e-20, 1e-200):
             op = law_op(rho, "twopoint:1e-5,1,0.999")
             assert resolvent._symbol_condition(op) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("rho", [1e-20, 20.0])
+    def test_exponential_symbol_condition_in_closed_form(self, rho):
+        # the Laplace symbol itself: the ratio for P is 1, and that for M
+        # 1 - CORRECTION_WEIGHT tau t/((1 + t)(t + tau)), least at t = sqrt tau
+        tau = 0.5 * resolvent.CORRECTION_RATE**2
+        with_term = 1.0 / (1.0 - resolvent.CORRECTION_WEIGHT * tau / (1.0 + math.sqrt(tau)) ** 2)
+        assert resolvent._symbol_condition(law_op(rho, "exponential")) == (1.0, with_term)
+        assert with_term == pytest.approx(1.3044, abs=1e-4)
 
     @pytest.mark.parametrize("rho", [0.05, 3.0, 40.0, 1000.0])
     def test_exponential_route_selection(self, rho, monkeypatch):
@@ -885,7 +909,7 @@ def assert_backward_error(op):
     h = initial_vector(op, 0.5)
     h = 0.5 * (h + h[::-1])
     # ||I - K||_inf from the row sums: K >= 0 and its diagonal is below 1
-    norm = np.max(1.0 - 2.0 * op.band[0] + op.row_sums())
+    norm = np.max(1.0 - 2.0 * op.band[0] + op.matvec(np.ones(op.n)))
     m = (op.n + 1) // 2
     for rhs, x in ((op.weights, unfold(_weight_resolvent(op), op.n)),
                    (h, unfold(_resolvent_solve(op, h[:m]), op.n))):
