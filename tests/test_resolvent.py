@@ -628,27 +628,41 @@ class TestMirrorFold:
             assert resolvent._precondition(op, np.ones(m)).shape == (m,)
 
     @pytest.mark.parametrize("rho, n_grid", DENSE_GRIDS)
-    def test_closed_form_matches_dense_solve(self, rho, n_grid, monkeypatch):
+    def test_closed_form_matches_dense_solve(self, rho, n_grid):
         # deterministic frames: M = P^{-1} - CORRECTION_WEIGHT G; exponential
-        # frames: M = P^{-1}.  The correction's rescaled cumulative sums run in
-        # one block, and with the exponent bound at 2 in blocks of 1 (N = 10),
-        # 16 (N = 360, 361) and 19 (N = 65) entries.  At N = 10 the kernel,
-        # 0.5 grid steps wide, aliases past unit spectral radius and the build
-        # refuses it
-        bounds = resolvent._RESCALE_EXP, 2.0
+        # frames: M = P^{-1}.  At N = 10 the kernel, 0.5 grid steps wide,
+        # aliases past unit spectral radius and the build refuses it
         for dist in ("deterministic", "exponential"):
             op = assembled_op(rho, dist, n_grid)
             n, m = op.n, (op.n + 1) // 2
             dense = dense_preconditioner(op)
             assert (_preconditioner(op)[2] is not None) is (dist == "deterministic")
             rng = np.random.default_rng(7)
-            for bound in bounds:
-                monkeypatch.setattr(resolvent, "_RESCALE_EXP", bound)
-                resolvent._preconditioner_cache.pop(op, None)
-                for half in (op.weights[:m], rng.standard_normal(m)):
-                    exact = (dense @ unfold(half, n))[:m]
-                    got = resolvent._precondition(op, half)
-                    assert np.max(np.abs(got - exact)) < 1e-12 * np.max(np.abs(exact))
+            for half in (op.weights[:m], rng.standard_normal(m)):
+                exact = (dense @ unfold(half, n))[:m]
+                got = resolvent._precondition(op, half)
+                assert np.max(np.abs(got - exact)) < 1e-12 * np.max(np.abs(exact))
+
+    # the correction term's rescaled cumulative sums in one block, and with
+    # the exponent bound at 2 in blocks of 1 (N = 10), 16 (N = 360, 361) and
+    # 19 (N = 65) entries
+    @pytest.mark.parametrize("rho, n_grid", [(20.0, 10), (20.0, None), (20.0, 361), (3.0, 65)])
+    @pytest.mark.parametrize("bound", [None, 2.0])
+    def test_davidson_term_matches_dense(self, rho, n_grid, bound, monkeypatch):
+        # M = P^{-1} - CORRECTION_WEIGHT G, the term Davidson and PCG share,
+        # with G the Laplace cell means at rate CORRECTION_RATE rho
+        if bound is not None:
+            monkeypatch.setattr(resolvent, "_RESCALE_EXP", bound)
+        op = assembled_op(rho, "deterministic", n_grid)
+        resolvent._preconditioner_cache.pop(op, None)
+        assert _preconditioner(op)[2] is not None
+        n, m = op.n, (op.n + 1) // 2
+        dense = dense_preconditioner(op)
+        rng = np.random.default_rng(11)
+        for half in (op.weights[:m], rng.standard_normal(m)):
+            exact = (dense @ unfold(half, n))[:m]
+            got = resolvent._precondition(op, half)
+            assert np.max(np.abs(got - exact)) < 1e-12 * np.max(np.abs(exact))
 
     @pytest.mark.parametrize("rho, n_grid", DENSE_GRIDS)
     def test_corrected_preconditioner_positive_definite(self, rho, n_grid):
