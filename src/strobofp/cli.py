@@ -383,8 +383,8 @@ _HANDLERS = {
 }
 
 
-# Options several subcommands register, each read by every handler that takes it.
-_SHARED_FLAGS = {
+# Every option, by flag; each subcommand registers some and its handler reads those.
+_FLAGS = {
     "--rho": dict(type=float, help="single confinement ratio"),
     "--rho-range": dict(type=parse_rho_range, metavar="LO:HI:STEP",
                         help="sweep lo:hi:step (inclusive of lo and hi)"),
@@ -395,60 +395,60 @@ _SHARED_FLAGS = {
     "--eta": dict(type=float,
                   help="band cutoff: drop the kernel below e^{-eta^2/2} of its peak"),
     "--out": dict(help="output path ('-' = stdout)"),
+    "--format": dict(dest="fmt", choices=("csv", "json")),
+    "--n-max": dict(type=int),
+    "--modesum": dict(action="store_true",
+                      help="add the sine-mode reference column (y0 in {0, 0.5, 1})"),
+    "--which": dict(choices=("boundary", "bulk", "gap")),
+    "--trials": dict(type=int),
+    "--seed": dict(type=int),
+    "--hist-out": dict(help="write the tau histogram as CSV"),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone (`main`): both
+    parse and print the same, and the top-level usage names all six."""
     parser = argparse.ArgumentParser(
         prog="strobofp",
         description="Survival statistics of Brownian motion under frame-based "
                     "(kill-on-check) monitoring.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def subcommand(name, help, rho_flags, *flags):
-        """Subparser taking `rho_flags` (exactly one if --rho is among them),
-        `flags`, --n-grid, --eta and --out.  An option left unset stays out of
-        the namespace, so its RunConfig default applies."""
+    metavar = "{" + ",".join(_HANDLERS) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    # name: help, rho flags (exactly one if --rho is among them), then the
+    # flags registered before and after --n-grid, --eta and --out
+    for name, (help, rho_flags, flags, extra) in {
+        "meantau": ("mean frame counts and spectral gap over a sweep",
+                    ("--rho", "--rho-range"), ("--y0", "--dist"), ("--format",)),
+        "survival": ("survival sequence S_0..S_n", ("--rho",), ("--y0", "--dist"),
+                     ("--n-max", "--modesum")),
+        "spectrum": ("leading eigenvalue and overlap over a sweep",
+                     ("--rho", "--rho-range"), ("--y0", "--dist"), ()),
+        "fit": ("regress a sweep and compare to reference constants", ("--rho-range",),
+                ("--dist",), ("--which",)),
+        "mc": ("Monte Carlo validation against the resolvent", ("--rho",),
+               ("--y0", "--dist"), ("--trials", "--seed", "--hist-out")),
+        "figures": ("emit fig2/fig3/fig4 data and gnuplot scripts", ("--rho-range",), (), ()),
+    }.items():
+        if command not in (None, name):
+            continue
+        # an option left unset stays out of the namespace: its RunConfig default applies
         p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
         if rho_flags == ("--rho",):
-            p.add_argument("--rho", required=True, **_SHARED_FLAGS["--rho"])
+            p.add_argument("--rho", required=True, **_FLAGS["--rho"])
         else:
             group = p.add_mutually_exclusive_group(required="--rho" in rho_flags)
             for flag in rho_flags:
-                group.add_argument(flag, **_SHARED_FLAGS[flag])
-        for flag in (*flags, "--n-grid", "--eta", "--out"):
-            p.add_argument(flag, **_SHARED_FLAGS[flag])
-        return p
-
-    p = subcommand("meantau", "mean frame counts and spectral gap over a sweep",
-                   ("--rho", "--rho-range"), "--y0", "--dist")
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"))
-
-    p = subcommand("survival", "survival sequence S_0..S_n", ("--rho",), "--y0", "--dist")
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--modesum", action="store_true",
-                   help="add the sine-mode reference column (y0 in {0, 0.5, 1})")
-
-    subcommand("spectrum", "leading eigenvalue and overlap over a sweep",
-               ("--rho", "--rho-range"), "--y0", "--dist")
-
-    p = subcommand("fit", "regress a sweep and compare to reference constants",
-                   ("--rho-range",), "--dist")
-    p.add_argument("--which", choices=("boundary", "bulk", "gap"))
-
-    p = subcommand("mc", "Monte Carlo validation against the resolvent",
-                   ("--rho",), "--y0", "--dist")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--hist-out", help="write the tau histogram as CSV")
-
-    subcommand("figures", "emit fig2/fig3/fig4 data and gnuplot scripts", ("--rho-range",))
+                group.add_argument(flag, **_FLAGS[flag])
+        for flag in (*flags, "--n-grid", "--eta", "--out", *extra):
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _HANDLERS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -130,6 +130,74 @@ def test_each_subcommand_registers_exactly_its_flag_set():
     assert sum(map(len, registered.values())) == 42
 
 
+def full_parser_run(argv, capsys):
+    """(exit code, stdout, stderr) of `build_parser()` with every subparser on argv."""
+    try:
+        cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        code = int(exc.code) if exc.code else 0
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+class TestOneSubparser:
+    # help, no command, an unknown command, an unknown flag (which the
+    # top-level parser reports) and bad values, which the subparser reports
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        *([name, "--help"] for name in cli._HANDLERS),
+        [],
+        ["bogus"],
+        ["meantau", "--rho", "50", "--bogus"],
+        ["meantau", "--rho", "abc"],
+        ["fit", "--which", "nope"],
+        ["survival"],
+        ["spectrum", "--rho", "5", "--rho-range", "1:2:1"],
+    ])
+    def test_same_output_as_the_full_parser(self, argv, monkeypatch, capsys):
+        built = []
+        build_parser = cli.build_parser
+
+        def recorded(command=None):
+            built.append(command)
+            return build_parser(command)
+
+        monkeypatch.setattr(cli, "build_parser", recorded)
+        code = main(argv)
+        out = capsys.readouterr()
+        assert built == [argv[0] if argv and argv[0] in cli._HANDLERS else None]
+        assert (code, out.out, out.err) == full_parser_run(argv, capsys)
+        assert code == (0 if "--help" in argv else 2)
+
+    def test_top_level_usage_names_every_subcommand(self, capsys):
+        assert main(["mc", "--rho", "2", "extra"]) == 2
+        usage = capsys.readouterr().err.splitlines()[0]
+        assert usage == "usage: strobofp [-h] {meantau,survival,spectrum,fit,mc,figures} ..."
+
+
+class TestProductBudget:
+    # even_matvec calls per command: no speed may be bought with extra steps
+    @pytest.mark.parametrize("argv, products", [
+        (["meantau", "--rho-range", "20:200:10"], 310),
+        (["fit", "--which", "gap"], 94),
+        (["survival", "--rho", "100", "--n-max", "2000"], 140),
+        (["fit", "--which", "boundary"], 152),
+        (["figures"], 152),
+        (["fit", "--which", "bulk", "--dist", "exponential"], 38),
+    ])
+    def test_products_per_command(self, argv, products, tmp_path, monkeypatch):
+        calls = []
+        even_matvec = StroboOperator.even_matvec
+
+        def counted(self, half):
+            calls.append(1)
+            return even_matvec(self, half)
+
+        monkeypatch.setattr(StroboOperator, "even_matvec", counted)
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == products
+
+
 class TestRangeParsing:
     def test_inclusive_endpoints(self):
         lo, hi, step = parse_rho_range("20:200:10")

@@ -231,14 +231,20 @@ class TestDegenerateBranches:
             assert not resolvent._last_frame_bound_holds(theta, ones, 0.0 * ones, lam_bar, 10)
 
     @pytest.mark.parametrize("n", [6, 7])
-    def test_norm_at_zero_and_extreme_scales(self, n):
-        # sums of squares that underflow (1e-160) or overflow (1e+160) take
-        # the scaled fallback, without a warning from the overflowing plain
-        # sum; the reference scales by an exact power of two
+    def test_norm_at_zero_and_extreme_scales(self, n, monkeypatch):
+        # sums of squares that underflow (1e-160, 1e-170) or overflow
+        # (1e+160, 1e+200) take the scaled fallback, without a warning from
+        # the overflowing plain sum, and no scale enters np.errstate; the
+        # reference scales by an exact power of two
+        def fail(**kwargs):
+            raise AssertionError("_norm entered np.errstate")
+
+        monkeypatch.setattr(np, "errstate", fail)
         mult = resolvent._multiplicity(n)
         assert resolvent._norm(np.zeros(mult.size), mult) == 0.0
         v = np.random.default_rng(3).standard_normal(mult.size)
-        for scale, power in ((1e-160, 2.0**532), (1e160, 2.0**-532)):
+        for scale, power in ((1e-160, 2.0**532), (1e160, 2.0**-532), (1e-170, 2.0**565),
+                             (1e200, 2.0**-665), (1.0, 1.0)):
             z = scale * v
             exact = math.sqrt(math.fsum(mult * (power * z) ** 2)) / power
             assert resolvent._norm(z, mult) == pytest.approx(exact, rel=1e-15, abs=0.0)
