@@ -10,10 +10,18 @@ normwise backward-error contract (`_resolvent_solve`).
 `spectral_pair` the geometric decay rate, stopped by
 ||K v - lambda0 v||_2 <= EIGEN_TOL * lambda0.
 
-`survival_sequence` makes one product per frame up to a switch point n0,
-first ceil(rho); past the transient S_n is carried by a few leading modes,
-and the rest is taken from k Lanczos steps under an a posteriori bound
-(`_lanczos_tail`): n_max frames cost about n0 + k products, not n_max.
+`survival_sequence` makes one product per frame only up to a switch point
+n0, first ceil(rho), and only where n_max > n0 + EIGEN_MAX_ITER.  There
+it projects the state x = K^{n0-1} h on k Lanczos vectors and takes
+S_{n0+j} = sum_i c_i (w . y_i) theta_i^j from the Ritz pairs: past the
+transient S_n is carried by a few leading modes.  The tail is accepted
+when the a posteriori bound ||w|| lambda_bar^{j-1} sum_i |c_i| r_i
+min(j, d_i), with the Ritz residuals r_i, lambda_bar = theta_max + r_top
+and d_i = lambda_bar/(lambda_bar - |theta_i|), is at most
+SURVIVAL_TAIL_TOL * S_{n0+j} for every j (`_lanczos_tail`); k grows by
+TAIL_CHECK_STEPS up to EIGEN_MAX_ITER.  Otherwise the recursion carries on
+from the same state and the next try is at 2 n0.  A sequence of n_max
+frames costs about n0 + k products instead of n_max.
 
 Everything that iterates with K works on the mirror-even half of the grid.
 The interval is symmetric and the grid and weights of a `StroboOperator`
@@ -22,20 +30,21 @@ follow from N alone, so the Toeplitz matrix K commutes with the reflection
 eigenvector are even, and S_n = w . K^{n-1} h depends only on the even
 part of h.  An even vector is carried as its first m = ceil(N/2) entries,
 and K folds into `StroboOperator.even_matvec` (Cantoni & Butler, Linear
-Algebra Appl. 13, 1976), which makes every product here.  Inner products
-and norms over the full grid weight each mirrored pair 2 and the middle
-node of odd N 1 (`_multiplicity`), each in one BLAS call (`_dot`,
-`_norm`); max norms are those of the half.  At these sizes a NumPy call
-costs about as much as the arithmetic it does, so the Krylov loops update
-their vectors in place and make as few calls a step as they can.
+Algebra Appl. 13, 1976), which makes every product of the survival
+recursion and its Lanczos tail, of PCG, of its residual check and of the
+eigensolver.  Sums, inner products and norms over the full grid weight
+each mirrored pair 2 and the middle node of odd N 1 (`_multiplicity`,
+`_dot`); max norms are those of the half.
 
 The eigensolver and the survival tail grow an orthonormal basis V on the
 half, allocated once for their step cap, and fill the lower triangle of
-V^T K V, all that `eigh` reads, one row per product, by `_extend`:
-classical Gram-Schmidt with a second pass where the first leaves less
-than 0.7 of the norm (the DGKS test), which the tail takes at almost
-every step (98 of 101 at rho = 300) and the eigensolver at 0 to 7 of its
-7 to 12.
+V^T K V, all that `eigh` reads, one row per product: the tail adds the
+image of its last vector, the eigensolver its preconditioned residual.
+Both add it by `_extend`: classical Gram-Schmidt, with a second pass
+where the first leaves less than 0.7 of the norm (the DGKS test).  The
+tail's first pass leaves about 2% of the norm of K q_k, so it takes the
+second at almost every step (98 of 101 at rho = 300); the eigensolver
+takes it at 0 to 7 of its 7 to 12.
 
 The solve (`_resolvent_solve`) is preconditioned conjugate gradients, the
 eigensolver (`spectral_pair`) preconditioned Davidson (Davidson,
@@ -65,13 +74,15 @@ does:
   so the eigenvalues of P lie in (0, 1), those of P^{-1} above 1, and
   those of G in (0, 1);
   so lambda(M) > 1 - CORRECTION_WEIGHT = 0.3758.
-The term is kept only where it lowers the law's bound (`_correction_term`
-names the laws); exponential frames, for which P is I - K up to the
-omitted band tail, keep M = P^{-1}.  With the term deterministic frames
-take 6 to 7 PCG steps for rho = 5 to 3000 (10 to 12 without), and
+The term is kept only where it lowers the law's bound (`_preconditioner`):
+deterministic frames, uniform jitter and narrow two-point laws such as
+twopoint:0.5,1.5,0.5.  Exponential frames, for which P is I - K up to the
+omitted band tail, wider two-point laws such as twopoint:0.2,1,0.5 and
+the sine-transform route keep M = P^{-1}.  With the term deterministic
+frames take 6 to 7 PCG steps for rho = 5 to 3000 (10 to 12 without), and
 Davidson 8 steps for rho = 20 to 70 and 7 from rho = 80 to 500 (6 beyond;
 11 without up to rho = 200).  Exponential frames take one PCG step (up
-to 3 with the band cut at eta = 6).  The term adds 7-21 microseconds to
+to 3 with the band cut at eta = 6).  The term adds 8-23 microseconds to
 each apply for N = 360 to 3600, less than the product of a step.
 
 Beyond LAPLACE_COND_MAX = 2 (two-point mixtures such as
@@ -83,7 +94,7 @@ Capizzano, Math. Comp. 68, 1999).  Its eigenvalues come from one FFT of
 the band, and an apply on the half takes two complex FFTs of length N
 (`_sine_transform`): PCG then takes 5 to 8 steps and Davidson 6 to 11 (14
 at rho = 5).  Within the bound the Laplace apply is the cheaper of the
-two (5-38 against 24-105 microseconds for N = 360 to 3600, one thread).
+two (5-40 against 24-105 microseconds for N = 360 to 3600, one thread).
 """
 
 from __future__ import annotations
@@ -187,9 +198,7 @@ def _unfold(half: np.ndarray, n: int) -> np.ndarray:
 
 
 def _dot(a: np.ndarray, b: np.ndarray, mult: np.ndarray):
-    """Full-grid inner product of the even vectors whose halves are b and a (or each row of a).
-
-    One BLAS call: 2 (a . b) for even N, a . (mult b) for odd N."""
+    """Full-grid inner products of the even vector of half b with that of half a (or each row)."""
     return 2.0 * (a @ b) if mult[-1] == 2.0 else a @ (mult * b)
 
 
@@ -217,18 +226,21 @@ def _norm(z: np.ndarray, mult: np.ndarray) -> float:
 def survival_sequence(op: StroboOperator, y0: float, n_max: int) -> SurvivalSeries:
     """S_0 = 1 and S_n = w . K^{n-1} h for n = 1..n_max.
 
-    S_n depends only on the even part of h, whatever y0: h is folded once
-    into the first half of (h + J h)/2, advanced by `StroboOperator.even_matvec`,
+    The weights are mirror-even and K commutes with the reflection, so S_n
+    depends only on the even part of h, whatever y0: h is folded once into
+    the first half of (h + J h)/2, advanced by `StroboOperator.even_matvec`,
     and S_n is taken with weight 2 w_i on each mirrored pair and w_i on the
     middle node of odd N.
 
     The recursion runs up to a switch point n0, first ceil(rho); there the
-    rest of the sequence is tried from k = 10, 20, .. up to EIGEN_MAX_ITER
-    Lanczos steps from the state x = K^{n0-1} h, and taken where the bound
-    of `_lanczos_tail` holds at every frame; otherwise the recursion carries
-    on from the same state and the next try is at 2 n0.  A try is made only
-    while n_max > n0 + EIGEN_MAX_ITER, so a sequence too short for the tail
-    to pay is the plain recursion, bit for bit, and S_n for n <= ceil(rho)
+    rest of the sequence is tried from k Lanczos steps from the state
+    x = K^{n0-1} h (`_lanczos_tail`), k = 10, 20, .. up to EIGEN_MAX_ITER.
+    The tail S_{n0+j} = sum_i c_i (w . y_i) theta_i^j is taken when its a
+    posteriori bound ||w|| lambda_bar^{j-1} sum_i |c_i| r_i min(j, d_i)
+    is at most SURVIVAL_TAIL_TOL * S_{n0+j} at every j; otherwise the
+    recursion carries on from the same state and the next try is at 2 n0.  A try is made only while
+    n_max > n0 + EIGEN_MAX_ITER, so a sequence too short for the tail to
+    pay is the plain recursion, bit for bit, and S_n for n <= ceil(rho)
     always is.
     """
     if n_max < 1:
@@ -259,7 +271,7 @@ def _extend(basis: np.ndarray, k: int, z: np.ndarray, mult: np.ndarray) -> tuple
     (the DGKS test: Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976;
     twice is enough: Parlett, The Symmetric Eigenvalue Problem).  The
     coefficients are the first pass's and the size is that left after the
-    last; where the size is 0, z lies in the span and basis[k] is 0.
+    last; where the size is 0, z lies in the span and basis[k] is set to 0.
     """
     before = _norm(z, mult)
     coef = _dot(basis[:k], z, mult)
@@ -371,20 +383,16 @@ def _ritz_tail(theta: np.ndarray, amplitudes: np.ndarray, errors: np.ndarray,
     add less than amplitude_i * 2.2e-308, and powers in the subnormal range
     are slow.
     """
-    steps = np.arange(1.0, tail.size + 1)
+    steps = np.arange(1, tail.size + 1)
     tiny = np.finfo(float).tiny
     live = np.log(tiny) / np.log(np.maximum(np.abs(theta), tiny))
     tail[:] = 0.0
-    bound, term = np.zeros(tail.size), np.empty(tail.size)
+    bound = np.zeros(tail.size)
     for amp, th, frames, error, reach in zip(amplitudes, theta, live, errors,
                                              _reach(theta, lam_bar)):
         frames = min(tail.size, int(frames))
-        power = np.power(th, steps[:frames], out=term[:frames])
-        power *= amp
-        tail[:frames] += power
-        np.minimum(steps, reach, out=term)
-        term *= error
-        bound += term
+        tail[:frames] += amp * th ** steps[:frames]
+        bound += error * np.minimum(steps, reach)
     return bool(np.all(bound * lam_bar ** (steps - 1) <= SURVIVAL_TAIL_TOL * tail))
 
 
@@ -477,14 +485,16 @@ def _preconditioner(op: StroboOperator) -> tuple:
 
     The one record per operator, decided from one `_symbol_condition`
     evaluation.  Where the bound for P is at most LAPLACE_COND_MAX, P is
-    the untruncated Laplace operator alpha I - s R of `laplace_band`, with
-    alpha = cosh(ah/2).  P^{-1} is applied in closed form (`_precondition`)
-    from the coefficients (alpha, t, 4 s^2), t = 1 - r = 2 s/(alpha + s),
-    which keeps its digits however small ah is; the sine transform is None,
-    and the correction term of M (`_correction_term`) is kept where it
-    lowers the bound, None elsewhere.  Beyond LAPLACE_COND_MAX the
-    coefficients and the term are None, and M is the inverse of the sine
-    transform of `_sine_transform`.
+    the untruncated Laplace operator at the same rho and grid
+    (`laplace_band`), P = alpha I - s R with s = sinh(ah/2), alpha =
+    1 - band_0 + s = cosh(ah/2) of that band, R_ij = r^{|i-j|} and
+    r = e^{-ah}.  P^{-1} is applied in closed form (`_precondition`) from
+    the coefficients (alpha, t, 4 s^2), t = 1 - r = 2 s/(alpha + s), which
+    keeps its digits however small ah is; the sine transform is None, and
+    the correction term of M (`_correction_term`) is kept where it lowers
+    the bound, None elsewhere.  Beyond LAPLACE_COND_MAX the coefficients
+    and the term are None, and M is the inverse of the sine transform of
+    `_sine_transform`.
     """
     cached = _preconditioner_cache.get(op)
     if cached is None:
@@ -501,15 +511,14 @@ def _preconditioner(op: StroboOperator) -> tuple:
 
 
 def _correction_term(op: StroboOperator) -> tuple:
-    """(diagonal, r, up, down) of the correction term -CORRECTION_WEIGHT G of M.
+    """(diagonal, off, r, up, down) of the correction term -CORRECTION_WEIGHT G of M.
 
     G is the untruncated Laplace cell-mean kernel matrix (`laplace_band`)
     at rate a = CORRECTION_RATE rho instead of sqrt 2 rho: G_ii =
     1 - e^{-ah/2} and G_ij = s r^{|i-j|}, s = sinh(ah/2), r = e^{-ah}.
     With R_ij = r^{|i-j|}, -CORRECTION_WEIGHT G = diagonal I + off (R + I),
-    off = -CORRECTION_WEIGHT s, and up_k = off e^{ahk}, down_k = e^{-ahk}
-    for k below the block length of `_precondition`, which keeps
-    e^{ah length} below e^{_RESCALE_EXP}.
+    and up_k = e^{ahk}, down_k = e^{-ahk} for k below the block length of
+    `_precondition`, which keeps e^{ah length} below e^{_RESCALE_EXP}.
     `_preconditioner` keeps it on the Laplace route only, and there only
     where it lowers the law's symbol-ratio bound: to 1.0245 from 1.2984 for
     deterministic frames, 1.044 from 1.262 for jitter:0.5, 1.101 from 1.187
@@ -520,7 +529,7 @@ def _correction_term(op: StroboOperator) -> tuple:
     length = op.n if ah * op.n <= _RESCALE_EXP else max(1, int(_RESCALE_EXP / ah))
     steps = ah * np.arange(length)
     diagonal = -CORRECTION_WEIGHT * (-math.expm1(-0.5 * ah) - 2.0 * s)
-    return diagonal, math.exp(-ah), -CORRECTION_WEIGHT * s * np.exp(steps), np.exp(-steps)
+    return diagonal, -CORRECTION_WEIGHT * s, math.exp(-ah), np.exp(steps), np.exp(-steps)
 
 
 def _precondition(op: StroboOperator, half: np.ndarray) -> np.ndarray:
@@ -537,12 +546,11 @@ def _precondition(op: StroboOperator, half: np.ndarray) -> np.ndarray:
     even, so with the tails c_k = sum_{j>=k} b_j over the half (the middle
     node of odd N counted 1/2), 4 s^2 (L^{-1} b)_i = t c_0 +
     4 s^2 (c_0 + ... + c_i): two cumulative sums, of positive terms when b
-    is positive, then the scalings in place.  A vanishing rho makes s^2
-    underflow and t c_0 negligible beside b, and P^{-1} is 1/alpha.  Where
-    `_preconditioner` keeps the correction term, G b takes the causal sums
-    c_i = sum_{j<=i} r^{i-j} b_j over the full b, as c_i = r^{i-i0}
-    (r c_{i0-1} + sum_{i0<=j<=i} r^{-(j-i0)} b_j): one rescaled cumulative
-    sum per block starting at i0, whose up scaling carries the factor off.
+    is positive.  A vanishing rho makes s^2 underflow and t c_0 negligible
+    beside b, and P^{-1} is 1/alpha.  Where `_preconditioner` keeps the
+    correction term, G b takes the causal sums c_i = sum_{j<=i} r^{i-j} b_j
+    over the full b, as c_i = r^{i-i0} (r c_{i0-1} + sum_{i0<=j<=i}
+    r^{-(j-i0)} b_j): one rescaled cumulative sum per block starting at i0.
     b is even, so the anticausal sum at i is c_{N-1-i}, and
     (R b)_i = c_i + c_{N-1-i} - b_i.  Elsewhere M is P^{-1}.
 
@@ -565,13 +573,12 @@ def _precondition(op: StroboOperator, half: np.ndarray) -> np.ndarray:
     tails = np.add.accumulate(half[::-1])[::-1]
     if op.n % 2:
         tails -= 0.5 * half[-1]
-    z = np.add.accumulate(tails)
-    z *= s2
+    z = s2 * np.add.accumulate(tails)
     z += half + t * tails[0]
     z /= alpha
     if term is None:
         return z
-    diagonal, r, up, down = term
+    diagonal, off, r, up, down = term
     causal = _unfold(half, op.n)
     for start in range(0, op.n, up.size):
         block = causal[start : start + up.size]
@@ -581,8 +588,7 @@ def _precondition(op: StroboOperator, half: np.ndarray) -> np.ndarray:
         np.add.accumulate(block, out=block)
         block *= down[: block.size]
     z += diagonal * half
-    z += causal[:m]
-    z += causal[::-1][:m]
+    z += off * (causal[:m] + causal[::-1][:m])
     return z
 
 
@@ -672,8 +678,7 @@ def mean_frames(op: StroboOperator, y0: float) -> ExitStats:
 
 
 def _eigen_residual(vec: np.ndarray, image: np.ndarray, mult: np.ndarray) -> tuple:
-    """(lambda, K v - lambda v, its norm) for the half v of a unit vector and its
-    image K v, which the residual overwrites."""
+    """(lambda, K v - lambda v, its norm) for the half v of a unit vector; K v becomes the residual."""
     lam = float(_dot(vec, image, mult))
     image -= lam * vec
     return lam, image, _norm(image, mult)
@@ -687,11 +692,12 @@ def spectral_pair(op: StroboOperator, y0: float = 0.5):
     one vector a step, M r/||r|| for the residual r of the top Ritz pair of
     V^T K V, with the M of `_precondition`, the one PCG applies (where M is
     (I - K)^{-1}, the span holds the inverse-iteration step), made
-    orthonormal to V by `_extend`; the even vector is unfolded once at the
-    end.  Each step makes one `StroboOperator.even_matvec`, of the new basis
-    vector, kept beside it in one array allocated for the step cap: the new
-    row of V^T K V reads it, and the Ritz vector and its image come from one
-    product.  Stops once
+    orthonormal to V by `_extend`.  The leading mode is even, so every
+    vector lives on the half of ceil(N/2) entries; the vector is unfolded
+    once at the end.  Each step makes one `StroboOperator.even_matvec`, of
+    the new basis vector, kept beside it in one array allocated for the
+    step cap: the new row of V^T K V reads it, and the Ritz vector and its
+    image come from one product.  Stops once
     ||K v - lambda0 v||_2 <= EIGEN_TOL * lambda0 for the top Ritz vector v
     and its Rayleigh quotient lambda0, confirmed with a fresh product of v.
     A basis of EIGEN_MAX_ITER + 1 vectors or of the order of the half
@@ -750,5 +756,7 @@ def exit_stats(op: StroboOperator, y0: float) -> ExitStats:
     """Resolvent mean combined with the spectral pair in one record."""
     base = mean_frames(op, y0)
     lam, _, a0 = spectral_pair(op, y0=y0)
-    return ExitStats(M=base.M, mean_tau=base.mean_tau, lambda0=lam, a0_est=a0, gap=1.0 - lam)
+    return ExitStats(
+        M=base.M, mean_tau=base.mean_tau, lambda0=lam, a0_est=a0, gap=1.0 - lam
+    )
 

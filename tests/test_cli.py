@@ -25,6 +25,7 @@ from strobofp import (
 from strobofp import cli, montecarlo
 from strobofp.cli import RunConfig, main, parse_rho_range, read_csv, UsageError
 from strobofp.operator_core import StroboOperator
+from test_resolvent import count_even_products
 
 
 def run(tmp_path, *argv):
@@ -186,14 +187,7 @@ class TestProductBudget:
         (["fit", "--which", "bulk", "--dist", "exponential"], 38),
     ])
     def test_products_per_command(self, argv, products, tmp_path, monkeypatch):
-        calls = []
-        even_matvec = StroboOperator.even_matvec
-
-        def counted(self, half):
-            calls.append(1)
-            return even_matvec(self, half)
-
-        monkeypatch.setattr(StroboOperator, "even_matvec", counted)
+        calls = count_even_products(monkeypatch)
         assert main(argv + ["--out", str(tmp_path / "out")]) == 0
         assert len(calls) == products
 
