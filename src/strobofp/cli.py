@@ -157,14 +157,19 @@ def _check_output_paths(cfg: RunConfig) -> None:
 
 
 def _csv_text(command: str, columns, rows, extra_comment: str | None = None) -> str:
-    lines = [f"# strobofp csv v{CSV_SCHEMA_VERSION} command={command}"]
+    # a Python float, what .tolist() gives, is written by repr directly
+    lines = (",".join([repr(x) if type(x) is float else _format(x) for x in row])
+             for row in rows)
+    return _csv_document(command, columns, lines, extra_comment)
+
+
+def _csv_document(command: str, columns, lines, extra_comment: str | None = None) -> str:
+    """The CSV text of data lines already rendered, under the versioned header."""
+    head = [f"# strobofp csv v{CSV_SCHEMA_VERSION} command={command}"]
     if extra_comment:
-        lines.append(f"# {extra_comment}")
-    lines.append(",".join(columns))
-    for row in rows:
-        # a Python float, what .tolist() gives, is written by repr directly
-        lines.append(",".join([repr(x) if type(x) is float else _format(x) for x in row]))
-    return "\n".join(lines) + "\n"
+        head.append(f"# {extra_comment}")
+    head.append(",".join(columns))
+    return "\n".join([*head, *lines]) + "\n"
 
 
 def read_csv(text: str):
@@ -212,17 +217,19 @@ def cmd_survival(cfg: RunConfig) -> int:
     if cfg.n_max < 1:
         raise UsageError(f"--n-max must be >= 1, got {cfg.n_max}")
     series = survival_sequence(_operator(cfg, cfg.rho, mu), cfg.y0, cfg.n_max)
+    # rendered a column at a time, as _csv_text would render each row: n is
+    # an int and every value a Python float, so repr gives the same bytes
     columns = ["n", "S_n"]
-    rows = [[n, s] for n, s in enumerate(series.values.tolist())]
+    cells = [map(repr, range(cfg.n_max + 1)), map(repr, series.values.tolist())]
     if cfg.modesum:
         start = "bulk" if cfg.y0 == 0.5 else "boundary"
         columns.append("mode_sum")
         sums = asymptotics.mode_sum_survival(cfg.rho, np.arange(1, cfg.n_max + 1), start)
-        for row, value in zip(rows, [1.0, *sums.tolist()]):
-            row.append(value)
+        cells.append(map(repr, [1.0, *sums.tolist()]))
     _write_text(
         cfg.out,
-        _csv_text("survival", columns, rows, f"rho={_format(cfg.rho)} y0={_format(cfg.y0)}"),
+        _csv_document("survival", columns, map(",".join, zip(*cells)),
+                      f"rho={_format(cfg.rho)} y0={_format(cfg.y0)}"),
     )
     return 0
 

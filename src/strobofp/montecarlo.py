@@ -1,13 +1,19 @@
 """Stochastic-trajectory oracle for the frame-counted exit time.
 
-Each trial walks x <- x + sqrt(v) * xi / rho with xi standard normal and v
+Each trial walks X <- X + sqrt(v) * xi with xi standard normal and v
 drawn from the frame-interval law (v = 1 for deterministic frames), and
-records the first frame index at which x leaves (0, 1).  Trials run in
-chunks of CHUNK: chunk c holds trials [c*CHUNK, (c+1)*CHUNK) and draws from
-the counter-based stream Generator(Philox(key=[seed, c])).  On each frame
-the chunk draws standard_normal(n_alive), then, for random frame intervals,
-mu.sample_intervals(gen, n_alive), both in trial order; a trial leaves the
-positions array on the frame it exits.  A chunk keeps only those positions
+records the first frame index at which X leaves (0, rho).  X = rho x is the
+position in units of one frame's rms step, so a frame adds the raw step and
+divides by nothing; a trial starts at X = rho y0.  Trials run in chunks of
+CHUNK: chunk c holds trials [c*CHUNK, (c+1)*CHUNK) and draws from
+Generator(SFC64(SeedSequence(seed, spawn_key=(c,)))), the c-th child of
+SeedSequence(seed); SFC64 is NumPy's fastest bit generator for these draws.
+The spawn key is mixed in after the seed's entropy is padded to the pool,
+so no two (seed, c) share a stream, which SeedSequence([seed, c]) does not
+promise: [2**32, 0] and [0, 1] concatenate to the same 32-bit words.  On
+each frame the chunk draws standard_normal(n_alive), then, for random frame
+intervals, mu.sample_intervals(gen, n_alive), both in trial order; a trial
+leaves the positions array on the frame it exits.  A chunk keeps only those positions
 and how many trials exit on each frame; chunks run through
 `_threads.parallel_map`, the one worker pool, and are summed as they
 arrive, so memory is O(CHUNK + largest tau) per worker whatever n_trials
@@ -20,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, SeedSequence
 
 from ._threads import parallel_map
 from .operator_core import FrameDistribution, ProblemSpec, build_averaged_operator
@@ -30,8 +36,8 @@ from .resolvent import mean_frames
 # changes every seeded result.
 CHUNK = 65_536
 # Most frames a run may simulate, counted as n_trials * (1 + rho^2), the
-# scale of _hard_cap: five to eight minutes at the 30-50 ns per trial-frame
-# of the benchmark's mc commands (2 CPUs).
+# scale of _hard_cap: three to six minutes at the 20-34 ns per trial-frame
+# of the benchmark's mc commands (one thread, 2 vCPUs).
 FRAME_BUDGET = 1e10
 
 
@@ -39,7 +45,8 @@ def _check_run(rho: float, n_trials: int, seed: int) -> None:
     """Refuse a seed outside [0, 2^64), a run of no trials, or one whose
     n_trials * (1 + rho^2) exceeds FRAME_BUDGET."""
     if not 0 <= seed < 2**64:
-        # the seed is the first word of each chunk's uint64 Philox key
+        # the documented --seed range; SeedSequence itself would take any
+        # non-negative integer
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -113,9 +120,9 @@ def simulate_tau(
     def run_chunk(c: int) -> tuple[list[int], int]:
         """Exit counts of chunk c per frame, its trials moved together a
         frame at a time, and the number still inside after n_cap frames."""
-        gen = Generator(Philox(key=np.array([seed, c], dtype=np.uint64)))
+        gen = Generator(SFC64(SeedSequence(seed, spawn_key=(c,))))
         k = min(CHUNK, n_trials - c * CHUNK)
-        x = np.full(k, float(y0))
+        x = np.full(k, float(y0) * rho)
         steps, inside, below = np.empty(k), np.empty(k, dtype=bool), np.empty(k, dtype=bool)
         exits = []
         for _ in range(n_cap):
@@ -123,10 +130,9 @@ def simulate_tau(
             if not deterministic:
                 v = mu.sample_intervals(gen, k)
                 steps *= np.sqrt(v, out=v)
-            np.divide(steps, rho, out=steps)
             x += steps
             np.greater(x, 0.0, out=inside)
-            inside &= np.less(x, 1.0, out=below)
+            inside &= np.less(x, rho, out=below)
             stay = int(np.count_nonzero(inside))
             exits.append(k - stay)
             if stay < k:

@@ -672,8 +672,12 @@ def mean_frames(op: StroboOperator, y0: float) -> ExitStats:
     kernel profile and one dot product.  u is even, so the dot product is
     that of the even half of h with u (`_dot`).
     """
-    h = _even_half(initial_vector(op, y0))
-    M = float(_dot(h, _weight_resolvent(op), _multiplicity(op.n)))
+    return _mean_from_profile(op, initial_vector(op, y0))
+
+
+def _mean_from_profile(op: StroboOperator, h: np.ndarray) -> ExitStats:
+    """`mean_frames` for the start whose kernel profile is h."""
+    M = float(_dot(_even_half(h), _weight_resolvent(op), _multiplicity(op.n)))
     return ExitStats(M=M, mean_tau=1.0 + M)
 
 
@@ -684,7 +688,7 @@ def _eigen_residual(vec: np.ndarray, image: np.ndarray, mult: np.ndarray) -> tup
     return lam, image, _norm(image, mult)
 
 
-def spectral_pair(op: StroboOperator, y0: float = 0.5):
+def spectral_pair(op: StroboOperator, y0: float | None = None):
     """Leading eigenvalue, eigenvector and overlap amplitude of K.
 
     Preconditioned Davidson (Davidson, J. Comput. Phys. 17, 1975) from the
@@ -702,7 +706,8 @@ def spectral_pair(op: StroboOperator, y0: float = 0.5):
     and its Rayleigh quotient lambda0, confirmed with a fresh product of v.
     A basis of EIGEN_MAX_ITER + 1 vectors or of the order of the half
     without that raises ConvergenceError.  `a0_est` is normalized so that
-    S_n ~ a0_est * lambda0^n for large n with the start point `y0`.
+    S_n ~ a0_est * lambda0^n for large n with the start point `y0`; without
+    a `y0` it is None and no start profile is built.
     """
     mult = _multiplicity(op.n)
     m = mult.size
@@ -741,10 +746,15 @@ def spectral_pair(op: StroboOperator, y0: float = 0.5):
     vec = _unfold(vec, op.n)
     if vec.sum() < 0.0:
         vec = -vec
-    h = initial_vector(op, y0)
+    if y0 is None:
+        return lam, vec, None
+    return lam, vec, _amplitude(op, lam, vec, initial_vector(op, y0))
+
+
+def _amplitude(op: StroboOperator, lam: float, vec: np.ndarray, h: np.ndarray) -> float:
+    """a0_est of the unit leading mode vec for the start whose kernel profile is h."""
     # ||vec|| == 1, so the mode expansion of S_n gives this overlap amplitude.
-    a0_est = float((op.weights @ vec) * (vec @ h) / lam)
-    return lam, vec, a0_est
+    return float((op.weights @ vec) * (vec @ h) / lam)
 
 
 def neumann_partial_sum(op: StroboOperator, y0: float, terms: int) -> float:
@@ -753,9 +763,12 @@ def neumann_partial_sum(op: StroboOperator, y0: float, terms: int) -> float:
 
 
 def exit_stats(op: StroboOperator, y0: float) -> ExitStats:
-    """Resolvent mean combined with the spectral pair in one record."""
-    base = mean_frames(op, y0)
-    lam, _, a0 = spectral_pair(op, y0=y0)
+    """Resolvent mean combined with the spectral pair in one record, from
+    one start profile."""
+    h = initial_vector(op, y0)
+    base = _mean_from_profile(op, h)
+    lam, vec, _ = spectral_pair(op)
+    a0 = _amplitude(op, lam, vec, h)
     return ExitStats(
         M=base.M, mean_tau=base.mean_tau, lambda0=lam, a0_est=a0, gap=1.0 - lam
     )

@@ -25,7 +25,7 @@ from strobofp import (
 from strobofp import cli, montecarlo
 from strobofp.cli import RunConfig, main, parse_rho_range, read_csv, UsageError
 from strobofp.operator_core import StroboOperator
-from test_resolvent import count_even_products
+from test_resolvent import count_even_products, count_start_profiles
 
 
 def run(tmp_path, *argv):
@@ -192,6 +192,18 @@ class TestProductBudget:
         assert len(calls) == products
 
 
+class TestStartProfiles:
+    # initial_vector calls per command: one per operator where a0_est or M is read
+    @pytest.mark.parametrize("argv, profiles", [
+        (["meantau", "--rho-range", "20:200:10"], 19),
+        (["fit", "--which", "gap"], 0),
+    ])
+    def test_profiles_per_command(self, argv, profiles, tmp_path, monkeypatch):
+        calls = count_start_profiles(monkeypatch)
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == profiles
+
+
 class TestRangeParsing:
     def test_inclusive_endpoints(self):
         lo, hi, step = parse_rho_range("20:200:10")
@@ -331,6 +343,21 @@ class TestSurvival:
         s = [r[1] for r in rows]
         assert s[0] == 1.0
         assert all(b <= a for a, b in zip(s, s[1:]))
+
+    @pytest.mark.parametrize("args", [
+        ["--rho", "10", "--n-max", "50"],
+        ["--rho", "30", "--n-max", "10", "--modesum"],
+        ["--rho", "10", "--n-max", "1"],
+        ["--rho", "10", "--n-max", "1", "--modesum"],
+    ])
+    def test_columns_render_as_rows(self, args, tmp_path):
+        # the column-wise CSV is byte for byte the row-wise _csv_text of its values
+        out = tmp_path / "s.csv"
+        assert main(["survival", *args, "--out", str(out)]) == 0
+        text = out.read_text()
+        comments, columns, rows = read_csv(text)
+        rows = [[int(row[0]), *row[1:]] for row in rows]
+        assert text == cli._csv_text("survival", columns, rows, comments[1][2:])
 
     def test_csv_text_matches_the_per_value_format(self):
         # Python floats are written by repr directly, everything else by _format

@@ -134,6 +134,18 @@ def count_even_products(monkeypatch):
     return calls
 
 
+def count_start_profiles(monkeypatch):
+    """A list that grows by one entry per resolvent.initial_vector call."""
+    calls = []
+
+    def counted(op, y0):
+        calls.append(y0)
+        return initial_vector(op, y0)
+
+    monkeypatch.setattr(resolvent, "initial_vector", counted)
+    return calls
+
+
 class TestSurvivalTail:
     @pytest.mark.parametrize("rho, y0", [(20.0, 0.5), (40.0, 0.0), (100.0, 0.5)])
     def test_head_is_the_plain_recursion(self, rho, y0):
@@ -1054,6 +1066,18 @@ class TestExitStats:
         assert stats.gap == pytest.approx(1.0 - stats.lambda0)
         assert 0.0 < stats.lambda0 < 1.0
         assert stats.a0_est > 0.0
+
+    def test_one_start_profile(self, monkeypatch):
+        # exit_stats builds h(y0) once for M and a0_est; the eigenpair alone builds none
+        op = op_for(20.0)
+        M, (lam, _, a0) = mean_frames(op, 0.3).M, spectral_pair(op, y0=0.3)
+        calls = count_start_profiles(monkeypatch)
+        stats = exit_stats(op, 0.3)
+        assert calls == [0.3]
+        assert stats.M == M and stats.lambda0 == lam
+        assert stats.a0_est == pytest.approx(a0, rel=1e-14, abs=0.0)
+        assert spectral_pair(op)[2] is None
+        assert calls == [0.3]
 
 
 class TestSharedOperatorConcurrency:
