@@ -95,10 +95,10 @@ def _range_values(rng: tuple) -> np.ndarray:
     return lo + step * np.arange(math.floor(span + 0.5) + 1)
 
 
-def _resolve_rhos(cfg: RunConfig) -> np.ndarray:
+def _resolve_rhos(cfg: RunConfig) -> list:
     if cfg.rho is not None:
-        return np.array([cfg.rho])
-    return _range_values(cfg.rho_range)
+        return [cfg.rho]
+    return _range_values(cfg.rho_range).tolist()
 
 
 def _spec(cfg: RunConfig, rho: float) -> ProblemSpec:
@@ -121,12 +121,6 @@ def _nan_to_none(obj):
     if isinstance(obj, float) and math.isnan(obj):
         return None
     return obj
-
-
-def _format(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))  # shortest representation that round-trips exactly
-    return str(x)
 
 
 def _write_text(out: str, text: str) -> None:
@@ -157,19 +151,13 @@ def _check_output_paths(cfg: RunConfig) -> None:
 
 
 def _csv_text(command: str, columns, rows, extra_comment: str | None = None) -> str:
-    # a Python float, what .tolist() gives, is written by repr directly
-    lines = (",".join([repr(x) if type(x) is float else _format(x) for x in row])
-             for row in rows)
-    return _csv_document(command, columns, lines, extra_comment)
-
-
-def _csv_document(command: str, columns, lines, extra_comment: str | None = None) -> str:
-    """The CSV text of data lines already rendered, under the versioned header."""
+    """Rows of Python ints and floats under the versioned header; each value
+    is written by repr, the shortest text that round-trips exactly."""
     head = [f"# strobofp csv v{CSV_SCHEMA_VERSION} command={command}"]
     if extra_comment:
         head.append(f"# {extra_comment}")
     head.append(",".join(columns))
-    return "\n".join([*head, *lines]) + "\n"
+    return "\n".join([*head, *(",".join(map(repr, row)) for row in rows)]) + "\n"
 
 
 def read_csv(text: str):
@@ -197,16 +185,12 @@ def cmd_meantau(cfg: RunConfig) -> int:
         return (cfg.y0, stats.M, stats.mean_tau, stats.lambda0, stats.gap)
 
     rows = _sweep(cfg, rhos, mu, stats_row)
+    names = ("rho", "y0", "M", "mean_tau", "lambda0", "gap")
     if cfg.fmt == "json":
-        names = ("rho", "y0", "M", "mean_tau", "lambda0", "gap")
         payload = [dict(zip(names, row)) for row in rows]
         _write_text(cfg.out, json.dumps(payload, indent=2) + "\n")
     else:
-        _write_text(
-            cfg.out,
-            _csv_text("meantau", ("rho", "y0", "M", "mean_tau", "lambda0", "gap"),
-                      rows, f"dist={mu.describe()}"),
-        )
+        _write_text(cfg.out, _csv_text("meantau", names, rows, f"dist={mu.describe()}"))
     return 0
 
 
@@ -217,20 +201,15 @@ def cmd_survival(cfg: RunConfig) -> int:
     if cfg.n_max < 1:
         raise UsageError(f"--n-max must be >= 1, got {cfg.n_max}")
     series = survival_sequence(_operator(cfg, cfg.rho, mu), cfg.y0, cfg.n_max)
-    # rendered a column at a time, as _csv_text would render each row: n is
-    # an int and every value a Python float, so repr gives the same bytes
     columns = ["n", "S_n"]
-    cells = [map(repr, range(cfg.n_max + 1)), map(repr, series.values.tolist())]
+    cells = [range(cfg.n_max + 1), series.values.tolist()]
     if cfg.modesum:
         start = "bulk" if cfg.y0 == 0.5 else "boundary"
         columns.append("mode_sum")
         sums = asymptotics.mode_sum_survival(cfg.rho, np.arange(1, cfg.n_max + 1), start)
-        cells.append(map(repr, [1.0, *sums.tolist()]))
-    _write_text(
-        cfg.out,
-        _csv_document("survival", columns, map(",".join, zip(*cells)),
-                      f"rho={_format(cfg.rho)} y0={_format(cfg.y0)}"),
-    )
+        cells.append([1.0, *sums.tolist()])
+    _write_text(cfg.out, _csv_text("survival", columns, zip(*cells),
+                                   f"rho={cfg.rho!r} y0={cfg.y0!r}"))
     return 0
 
 
@@ -243,11 +222,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         return (lam, 1.0 - lam, a0)
 
     rows = _sweep(cfg, rhos, mu, spectrum_row)
-    _write_text(
-        cfg.out,
-        _csv_text("spectrum", ("rho", "lambda0", "gap", "a0_est"), rows,
-                  f"dist={mu.describe()} y0={_format(cfg.y0)}"),
-    )
+    _write_text(cfg.out, _csv_text("spectrum", ("rho", "lambda0", "gap", "a0_est"), rows,
+                                   f"dist={mu.describe()} y0={cfg.y0!r}"))
     return 0
 
 
@@ -255,7 +231,7 @@ def cmd_fit(cfg: RunConfig) -> int:
     mu = FrameDistribution.parse(cfg.dist)
     which = cfg.which
     rng = cfg.rho_range or ((20.0, 120.0, 10.0) if which == "gap" else (20.0, 200.0, 10.0))
-    rhos = _range_values(rng)
+    rhos = _range_values(rng).tolist()
     check_window(which, rhos)
     fit, per_op = {
         "boundary": (fit_boundary, lambda op: (mean_frames(op, 0.0).M,)),
@@ -306,15 +282,14 @@ _GNUPLOT_HEADER = "set datafile separator ','\nset key left top\nset grid\n"
 
 
 def _figure2(out_dir: Path) -> None:
-    rhos = asymptotics.loglog_window_points(10.0, 100.0, 40)
+    rhos = asymptotics.loglog_window_points(10.0, 100.0, 40).tolist()
     rows = [(r, asymptotics.bulk_law(r), 0.25 * r * r) for r in rhos]
-    alpha_low = asymptotics.effective_exponent(
-        [(r, asymptotics.bulk_law(r)) for r in asymptotics.loglog_window_points(10, 30)],
-        (10, 30),
-    )
-    alpha_high = asymptotics.effective_exponent(
-        [(r, asymptotics.bulk_law(r)) for r in asymptotics.loglog_window_points(30, 100)],
-        (30, 100),
+    alpha_low, alpha_high = (
+        asymptotics.effective_exponent(
+            [(r, asymptotics.bulk_law(r)) for r in asymptotics.loglog_window_points(*window)],
+            window,
+        )
+        for window in ((10, 30), (30, 100))
     )
     comment = (f"alpha_eff[10,30]={alpha_low:.4f} alpha_eff[30,100]={alpha_high:.4f} "
                f"reference slope 2")
@@ -366,7 +341,7 @@ def _figure_sweep(out_dir: Path, name: str, data) -> None:
 
 
 def cmd_figures(cfg: RunConfig) -> int:
-    rhos = _range_values(cfg.rho_range or (20.0, 200.0, 10.0))
+    rhos = _range_values(cfg.rho_range or (20.0, 200.0, 10.0)).tolist()
     check_window("boundary", rhos)
     check_window("bulk", rhos)
     out_dir = Path(cfg.out if cfg.out != "-" else ".")

@@ -8,7 +8,8 @@ one cached solve per operator serves every start point.  Solves meet a
 normwise backward-error contract (`_resolvent_solve`).
 `neumann_partial_sum` provides the series route as a consistency check, and
 `spectral_pair` the geometric decay rate, stopped by
-||K v - lambda0 v||_2 <= EIGEN_TOL * lambda0.
+||K v - lambda0 v||_2 <= max(EIGEN_TOL, 2 eps sqrt(m)) lambda0 on a half of m
+entries.
 
 `survival_sequence` makes one product per frame only up to a switch point
 n0, first ceil(rho), and only where n_max > n0 + EIGEN_MAX_ITER.  There
@@ -112,7 +113,8 @@ from .operator_core import StroboOperator, averaged_kernel, laplace_band
 # ||b - (I-K)x||_inf / (||I-K||_inf ||x||_inf + ||b||_inf).
 RESIDUAL_TOL = 8.0 * np.finfo(float).eps
 # Contractual bound on ||K v - lambda v||_2 / lambda for the unit eigenvector
-# returned by spectral_pair, and the step cap of its Davidson and of each PCG solve.
+# returned by spectral_pair up to its rounding floor (`spectral_pair`), and
+# the step cap of its Davidson and of each PCG solve.
 EIGEN_TOL = 1e-13
 EIGEN_MAX_ITER = 100
 # Largest symbol-ratio bound on cond(P^{-1}(I - K)) for which the Laplace
@@ -702,16 +704,22 @@ def spectral_pair(op: StroboOperator, y0: float | None = None):
     the new basis vector, kept beside it in one array allocated for the
     step cap: the new row of V^T K V reads it, and the Ritz vector and its
     image come from one product.  Stops once
-    ||K v - lambda0 v||_2 <= EIGEN_TOL * lambda0 for the top Ritz vector v
-    and its Rayleigh quotient lambda0, confirmed with a fresh product of v.
-    A basis of EIGEN_MAX_ITER + 1 vectors or of the order of the half
-    without that raises ConvergenceError.  `a0_est` is normalized so that
+    ||K v - lambda0 v||_2 <= tol lambda0 for the top Ritz vector v and its
+    Rayleigh quotient lambda0, confirmed with a fresh product of v, where
+    tol = max(EIGEN_TOL, 2 eps sqrt(m)) on a half of m entries: lambda0 is
+    an m-term dot product, whose rounding leaves a residual of order
+    eps sqrt(m) lambda0 (at rho = 1e5, m = 900,000: 1.3-4.9e-13 from the
+    sixth step on, against tol = 4.2e-13).  tol exceeds EIGEN_TOL only
+    beyond m = 50,700, about rho = 5,600.  A basis
+    of EIGEN_MAX_ITER + 1 vectors or of the order of the half without that
+    raises ConvergenceError.  `a0_est` is normalized so that
     S_n ~ a0_est * lambda0^n for large n with the start point `y0`; without
     a `y0` it is None and no start profile is built.
     """
     mult = _multiplicity(op.n)
     m = mult.size
     cap = min(EIGEN_MAX_ITER + 1, m)
+    tol = max(EIGEN_TOL, 2.0 * np.finfo(float).eps * math.sqrt(m))
     # row j: the basis vector v_j and its image K v_j
     pairs = np.empty((cap, 2, m))
     basis = pairs[:, 0]
@@ -724,10 +732,10 @@ def spectral_pair(op: StroboOperator, y0: float | None = None):
         coef = np.linalg.eigh(ritz[:k, :k])[1][:, -1]
         vec, image = (coef @ pairs[:k].reshape(k, 2 * m)).reshape(2, m)
         lam, res, residual = _eigen_residual(vec, image, mult)
-        if residual <= EIGEN_TOL * lam:
+        if residual <= tol * lam:
             # the image holds rounding from every column: confirm
             lam, res, residual = _eigen_residual(vec, op.even_matvec(vec), mult)
-            if residual <= EIGEN_TOL * lam:
+            if residual <= tol * lam:
                 break
         # the preconditioned unit residual: at tiny rho K times a vector of
         # the residual's size underflows
@@ -735,13 +743,13 @@ def spectral_pair(op: StroboOperator, y0: float | None = None):
     else:
         raise ConvergenceError(
             f"Davidson spectral_pair at rho={op.rho}: eigen residual "
-            f"{residual:.3e} exceeds the bound {EIGEN_TOL * lam:.3e} after {k - 1} steps"
+            f"{residual:.3e} exceeds the bound {tol * lam:.3e} after {k - 1} steps"
         )
     if not 0.0 < lam < 1.0:
         raise SolverError(
             f"Davidson spectral_pair at rho={op.rho}: leading eigenvalue {lam} outside "
             f"(0, 1) after {k - 1} steps, eigen residual {residual:.3e} against the "
-            f"bound {EIGEN_TOL * lam:.3e}"
+            f"bound {tol * lam:.3e}"
         )
     vec = _unfold(vec, op.n)
     if vec.sum() < 0.0:

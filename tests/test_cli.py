@@ -359,26 +359,47 @@ class TestSurvival:
         rows = [[int(row[0]), *row[1:]] for row in rows]
         assert text == cli._csv_text("survival", columns, rows, comments[1][2:])
 
-    def test_csv_text_matches_the_per_value_format(self):
-        # Python floats are written by repr directly, everything else by _format
-        rows = [
-            [0, 1.0, np.float64(0.5)],
-            [1, 5e-324, -0.0],
-            [2, 1e16, 0.1 + 0.2],
-            [3, np.float64(5e-324), np.float64(-0.0)],
-            [4, np.float64(1e16), np.float64(0.1) + np.float64(0.2)],
-        ]
+    def test_csv_text_writes_each_value_by_repr(self):
+        # every value is a Python int or float, written as its shortest
+        # round-trip text
+        rows = [[0, 1.0, 0.5], [1, 5e-324, -0.0], [2, 1e16, 0.1 + 0.2]]
         text = cli._csv_text("survival", ("n", "S_n", "mode_sum"), rows, "rho=1.0 y0=0.5")
-        expected = "".join([
+        assert text == "".join([
             "# strobofp csv v", str(cli.CSV_SCHEMA_VERSION), " command=survival\n",
             "# rho=1.0 y0=0.5\n", "n,S_n,mode_sum\n",
-            *(",".join(cli._format(x) for x in row) + "\n" for row in rows),
+            "0,1.0,0.5\n", "1,5e-324,-0.0\n", "2,1e+16,0.30000000000000004\n",
         ])
-        assert text == expected
         _, columns, parsed = read_csv(text)
         assert columns == ["n", "S_n", "mode_sum"]
         assert parsed == [[float(x) for x in row] for row in rows]
-        assert [math.copysign(1.0, row[2]) for row in parsed[1::2]] == [-1.0, -1.0]
+        assert math.copysign(1.0, parsed[1][2]) == -1.0
+
+
+def test_every_table_cell_is_the_repr_of_a_python_scalar(tmp_path):
+    # n is an int and every other cell a float, each written by repr: no
+    # cell carries NumPy text such as np.float64(
+    for name, argv in {
+        "meantau": ["meantau", "--rho", "20"],
+        "meantau_range": ["meantau", "--rho-range", "20:40:10", "--y0", "0.3"],
+        "spectrum": ["spectrum", "--rho-range", "20:40:10"],
+        "survival": ["survival", "--rho", "10", "--n-max", "300"],
+        "survival_modesum": ["survival", "--rho", "30", "--y0", "0", "--n-max", "50",
+                             "--modesum"],
+    }.items():
+        assert main(argv + ["--out", str(tmp_path / f"{name}.csv")]) == 0
+    assert main(["figures", "--rho-range", "20:70:10", "--out", str(tmp_path)]) == 0
+    tables = sorted(tmp_path.glob("*.csv"))
+    assert len(tables) == 8
+    for path in tables:
+        columns, *lines = [line for line in path.read_text().splitlines()
+                           if not line.startswith("#")]
+        assert lines, path.name
+        for line in lines:
+            cells = line.split(",")
+            assert len(cells) == len(columns.split(",")), (path.name, line)
+            for column, cell in zip(columns.split(","), cells):
+                scalar = int(cell) if column == "n" else float(cell)
+                assert cell == repr(scalar), (path.name, column, cell)
 
 
 class TestSpectrum:

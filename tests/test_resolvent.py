@@ -487,6 +487,17 @@ class TestSpectralPair:
         assert len(calls) <= 12
         assert np.linalg.norm(op.matvec(vec) - lam * vec) <= EIGEN_TOL * lam
 
+    def test_stops_at_the_rounding_floor(self, monkeypatch):
+        # m = 900,000: from the sixth step on the residual stays at 1.3-4.9e-13
+        # relative, the rounding of the m-term dot product behind lambda0,
+        # above EIGEN_TOL; the bound 2 eps sqrt(m) = 4.2e-13 is met after 7
+        # products
+        monkeypatch.setattr(resolvent, "EIGEN_MAX_ITER", 15)
+        rho = 1e5
+        lam, _, _ = spectral_pair(op_for(rho))
+        expansion = math.pi**2 / (2.0 * rho**2) + GAP_BETA / rho**3
+        assert abs(expansion - (1.0 - lam)) / (1.0 - lam) <= 10.0 / rho
+
     def test_large_rho_bulk_amplitude(self):
         # N = 7200 is beyond a dense solve; the bulk mode's overlap amplitude
         # tends to 4/pi as rho grows
