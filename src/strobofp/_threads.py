@@ -8,9 +8,11 @@ import os
 
 
 def worker_count(n_items: int) -> int:
-    """Workers for `n_items` jobs: STROBOFP_THREADS, else one per CPU; never
-    more than there are items."""
-    requested = os.environ.get("STROBOFP_THREADS") or os.cpu_count() or 1
+    """Workers for `n_items` jobs: STROBOFP_THREADS, else one per CPU this
+    process may run on; never more than there are items."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    requested = (os.environ.get("STROBOFP_THREADS")
+                 or (len(affinity(0)) if affinity else os.cpu_count() or 1))
     return max(1, min(int(requested), n_items))
 
 

@@ -40,6 +40,7 @@ _NUMERICAL_ERRORS = (
     FitError,
     np.linalg.LinAlgError,
     MemoryError,
+    Warning,  # raised as an error under -W error, such as the fit's correlation warning
 )
 
 
@@ -388,6 +389,24 @@ _FLAGS = {
 }
 
 
+# name: help, rho flags (exactly one if --rho is among them), other flags
+_SUBCOMMANDS = {
+    "meantau": ("mean frame counts and spectral gap over a sweep", ("--rho", "--rho-range"),
+                ("--y0", "--dist", "--n-grid", "--eta", "--out", "--format")),
+    "survival": ("survival sequence S_0..S_n", ("--rho",),
+                 ("--y0", "--dist", "--n-grid", "--eta", "--out", "--n-max", "--modesum")),
+    "spectrum": ("leading eigenvalue and overlap over a sweep", ("--rho", "--rho-range"),
+                 ("--y0", "--dist", "--n-grid", "--eta", "--out")),
+    "fit": ("regress a sweep and compare to reference constants", ("--rho-range",),
+            ("--dist", "--n-grid", "--eta", "--out", "--which")),
+    "mc": ("Monte Carlo validation against the resolvent", ("--rho",),
+           ("--y0", "--dist", "--n-grid", "--eta", "--out", "--trials", "--seed",
+            "--hist-out")),
+    "figures": ("emit fig2/fig3/fig4 data and gnuplot scripts", ("--rho-range",),
+                ("--n-grid", "--eta", "--out")),
+}
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every subcommand, or of `command` alone (`main`): both
     parse and print the same, and the top-level usage names all six."""
@@ -398,21 +417,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     metavar = "{" + ",".join(_HANDLERS) + "}" if command else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    # name: help, rho flags (exactly one if --rho is among them), then the
-    # flags registered before and after --n-grid, --eta and --out
-    for name, (help, rho_flags, flags, extra) in {
-        "meantau": ("mean frame counts and spectral gap over a sweep",
-                    ("--rho", "--rho-range"), ("--y0", "--dist"), ("--format",)),
-        "survival": ("survival sequence S_0..S_n", ("--rho",), ("--y0", "--dist"),
-                     ("--n-max", "--modesum")),
-        "spectrum": ("leading eigenvalue and overlap over a sweep",
-                     ("--rho", "--rho-range"), ("--y0", "--dist"), ()),
-        "fit": ("regress a sweep and compare to reference constants", ("--rho-range",),
-                ("--dist",), ("--which",)),
-        "mc": ("Monte Carlo validation against the resolvent", ("--rho",),
-               ("--y0", "--dist"), ("--trials", "--seed", "--hist-out")),
-        "figures": ("emit fig2/fig3/fig4 data and gnuplot scripts", ("--rho-range",), (), ()),
-    }.items():
+    for name, (help, rho_flags, flags) in _SUBCOMMANDS.items():
         if command not in (None, name):
             continue
         # an option left unset stays out of the namespace: its RunConfig default applies
@@ -423,20 +428,57 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             group = p.add_mutually_exclusive_group(required="--rho" in rho_flags)
             for flag in rho_flags:
                 group.add_argument(flag, **_FLAGS[flag])
-        for flag in (*flags, "--n-grid", "--eta", "--out", *extra):
+        for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
+def _plain_args(argv) -> dict | None:
+    """`vars(build_parser().parse_args(argv))` for a plain argv, read from the
+    flag table without argparse, else None.  Plain: a subcommand, then flags
+    it registers, each once and spelled out, as `--flag value` (bare
+    `--modesum`) with a value that is not dash-led (but `-`), converts and
+    lies in its choices, and the subcommand's --rho/--rho-range rule holds."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    _, rho_flags, flags = _SUBCOMMANDS[argv[0]]
+    args = {"command": argv[0]}
+    rest = iter(argv[1:])
+    for flag in rest:
+        if flag not in rho_flags + flags:
+            return None
+        spec = _FLAGS[flag]
+        dest = spec.get("dest", flag[2:].replace("-", "_"))
+        if dest in args:
+            return None
+        if spec.get("action") == "store_true":
+            args[dest] = True
+            continue
+        text = next(rest, None)
+        if text is None or text.startswith("-") and text != "-":
+            return None
+        try:
+            args[dest] = spec.get("type", str)(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if "choices" in spec and args[dest] not in spec["choices"]:
+            return None
+    if "--rho" in rho_flags and ("rho" in args) == ("rho_range" in args):
+        return None
+    return args
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv and argv[0] in _HANDLERS else None)
+    args = _plain_args(argv)
+    if args is None:
+        parser = build_parser(argv[0] if argv and argv[0] in _HANDLERS else None)
+        try:
+            args = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return int(exc.code) if exc.code else 0
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
-        cfg = RunConfig(**vars(args))
+        cfg = RunConfig(**args)
         _check_output_paths(cfg)
         return _HANDLERS[cfg.command](cfg)
     except UsageError as exc:

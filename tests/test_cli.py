@@ -3,6 +3,7 @@
 import argparse
 import concurrent.futures
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -154,6 +155,9 @@ class TestOneSubparser:
         ["fit", "--which", "nope"],
         ["survival"],
         ["spectrum", "--rho", "5", "--rho-range", "1:2:1"],
+        ["mc", "--rho", "2", "--out"],
+        ["survival", "--rho", "5", "--modesum", "yes"],
+        ["meantau", "--", "--rho", "5"],
     ])
     def test_same_output_as_the_full_parser(self, argv, monkeypatch, capsys):
         built = []
@@ -174,6 +178,92 @@ class TestOneSubparser:
         assert main(["mc", "--rho", "2", "extra"]) == 2
         usage = capsys.readouterr().err.splitlines()[0]
         assert usage == "usage: strobofp [-h] {meantau,survival,spectrum,fit,mc,figures} ..."
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def benchmark_argvs():
+    """The 11 command lines of the benchmark's three workloads."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  REPO / "perfbench" / "workloads.py")
+    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(workloads)
+    return [list(c.argv) for name in ("sweep", "profile", "mc")
+            for c in workloads.workload(name, 1)]
+
+
+def readme_argvs():
+    lines = (REPO / "README.md").read_text().splitlines()
+    return [line.split()[1:] for line in lines
+            if line.startswith("strobofp ") and line.split()[1] in cli._HANDLERS]
+
+
+# a value each flag takes
+FLAG_VALUES = {
+    "--rho": ["50"], "--rho-range": ["20:40:10"], "--y0": ["0.25"],
+    "--dist": ["exponential"], "--n-grid": ["400"], "--eta": ["6"], "--out": ["x.csv"],
+    "--format": ["json"], "--n-max": ["10"], "--modesum": [], "--which": ["gap"],
+    "--trials": ["1000"], "--seed": ["7"], "--hist-out": ["h.csv"],
+}
+
+
+def with_values(name, flags):
+    return [name, *(x for flag in flags for x in (flag, *FLAG_VALUES[flag]))]
+
+
+def plain_argvs():
+    # each flag alone (after --rho where the subcommand needs a rho), then all at once
+    per_flag = [with_values(name, [flag] if "rho" in flag or "--rho" not in flags
+                            else ["--rho", flag])
+                for name, flags in FLAG_SETS.items() for flag in sorted(flags)]
+    every_flag = [with_values(name, sorted(flags - {"--rho-range"} if "--rho" in flags
+                                           else flags))
+                  for name, flags in FLAG_SETS.items()]
+    return [*per_flag, *every_flag, *benchmark_argvs(), *readme_argvs(),
+            ["meantau", "--rho", "50", "--out", "-"], ["fit", "--which", "bulk", "--out", "-"],
+            ["spectrum", "--rho", "1e-300"]]
+
+
+class TestPlainArgv:
+    """`main` reads a plain argv from the flag table and builds argparse only
+    for any other: both must give the same configuration."""
+
+    @pytest.mark.parametrize("argv", plain_argvs(), ids=" ".join)
+    def test_plain_parse_equals_argparse(self, argv):
+        assert cli._plain_args(argv) == vars(cli.build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        ["meantau", "--rho=50"],
+        ["meantau", "--rho-r", "20:40:10"],
+        ["meantau", "--rho", "5", "--rho", "6"],
+        ["meantau", "--rho", "-5"],
+    ], ids=" ".join)
+    def test_other_accepted_forms_go_through_argparse(self, argv, monkeypatch):
+        assert cli._plain_args(argv) is None
+        seen = []
+        monkeypatch.setitem(cli._HANDLERS, "meantau", lambda cfg: seen.append(cfg) or 0)
+        assert main(argv) == 0
+        assert seen == [RunConfig(**vars(cli.build_parser().parse_args(argv)))]
+
+    def test_benchmark_commands_build_no_parser(self, tmp_path, monkeypatch, capsys):
+        def refuse(command=None):
+            raise AssertionError("a plain argv must not build the argparse parser")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        monkeypatch.chdir(tmp_path)
+        assert [main(argv) for argv in benchmark_argvs()] == [0] * 11
+
+    def test_plain_command_loads_no_locale(self, tmp_path):
+        # argparse's first translated string makes gettext import locale
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+        code = ("import sys, strobofp.cli as cli; "
+                "rc = cli.main(['fit', '--which', 'gap', '--out', sys.argv[1]]); "
+                "print(rc, 'locale' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "g.json")], env=env,
+                             check=True, capture_output=True, text=True, timeout=60).stdout
+        assert out.splitlines()[-1] == "0 False"
 
 
 class TestProductBudget:
@@ -793,6 +883,17 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "build_averaged_operator", fail)
         assert main(["survival", "--rho", "1000", "--n-max", n_max]) == 2
         assert "--n-max must be >= 1" in capsys.readouterr().err
+
+    def test_warning_raised_as_error_is_numerical_error(self, tmp_path, capsys):
+        # a hairline window: the fit's basis columns correlate, and the
+        # warning, an error here as under -W error, exits 3 without a traceback
+        argv = ["fit", "--which", "boundary", "--rho-range", "20:20.4:0.1",
+                "--out", str(tmp_path / "f.json")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: boundary basis columns A and C correlate")
+        with pytest.warns(UserWarning, match="correlate"):
+            assert main(argv) == 0
 
     def test_unresolved_kernel_is_numerical_error(self):
         assert main(["meantau", "--rho", "100", "--n-grid", "40"]) == 3

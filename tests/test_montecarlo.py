@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -137,6 +138,15 @@ class TestParallelMap:
         for i, result in enumerate(results):
             assert result == i
             assert done == list(range(i + 1))
+
+    def test_default_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        # one CPU allowed on a 64-CPU host: one worker, unless STROBOFP_THREADS asks
+        monkeypatch.delenv("STROBOFP_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert _threads.worker_count(8) == 1
+        monkeypatch.setenv("STROBOFP_THREADS", "3")
+        assert _threads.worker_count(8) == 3
 
 
 class TestStatistics:
