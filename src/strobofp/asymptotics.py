@@ -29,6 +29,9 @@ BULK_C = 0.573592
 #: Reference gap correction: 1 - lambda0 ~ pi^2/(2 rho^2) + GAP_BETA / rho^3
 GAP_BETA = 2.332056
 
+#: Smallest mode term `mode_sum_survival` keeps; each n's mode cap follows from it
+TRUNCATION_TOL = 1e-12
+
 
 def boundary_law(rho: float) -> float:
     """E[tau] for a boundary start: rho/sqrt(2) + |zeta(1/2)|/sqrt(pi).
@@ -43,7 +46,7 @@ def bulk_law(rho: float) -> float:
     return BULK_A * rho**2 + BULK_B * rho + BULK_C
 
 
-def mode_sum_survival(rho: float, n, start: str = "boundary", truncation_tol: float = 1e-12):
+def mode_sum_survival(rho: float, n, start: str = "boundary"):
     """Sine-mode survival sums for boundary or bulk starts, at one n or an array of n.
 
     boundary: 1/2 + (2/pi) sum_m exp[-pi^2 (2m+1)^2 n / (2 rho^2)]/(2m+1)
@@ -52,7 +55,7 @@ def mode_sum_survival(rho: float, n, start: str = "boundary", truncation_tol: fl
     Both are sum_m s_m exp(-pi^2 k^2 n / (2 rho^2))/k with k = 2m+1 or
     2m+2.  Each n keeps the modes up to its own cap, about
     rho sqrt(2 ln(1/tol)/n)/pi for the boundary series and half that for
-    the bulk one, and among them the terms not below `truncation_tol`; the
+    the bulk one, and among them the terms not below `TRUNCATION_TOL`; the
     bulk series alternates with decreasing terms, so the truncation error
     is below the first omitted term.  An array of n is summed mode by mode
     over the n whose cap reaches that mode, in O(len(n) + modes) memory and
@@ -67,7 +70,7 @@ def mode_sum_survival(rho: float, n, start: str = "boundary", truncation_tol: fl
     if start not in ("boundary", "bulk"):
         raise ValueError(f"start must be 'boundary' or 'bulk', got {start!r}")
     boundary = start == "boundary"
-    log_tol = max(math.log(1.0 / truncation_tol), 1.0)
+    log_tol = math.log(1.0 / TRUNCATION_TOL)
     # sorted by n, the caps descend: the n that mode m reaches are a prefix
     order = np.argsort(n, axis=None)
     flat = n.ravel()[order].astype(float)
@@ -79,7 +82,7 @@ def mode_sum_survival(rho: float, n, start: str = "boundary", truncation_tol: fl
         active = int(np.searchsorted(-caps, -m, side="right"))
         k = 2 * m + 1 if boundary else 2 * m + 2
         terms = np.exp(-0.5 * math.pi**2 * k**2 * x[:active]) / k
-        terms[terms < truncation_tol] = 0.0
+        terms[terms < TRUNCATION_TOL] = 0.0
         if boundary or m % 2 == 0:
             sums[:active] += terms
         else:

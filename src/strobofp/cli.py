@@ -151,13 +151,12 @@ def _check_output_paths(cfg: RunConfig) -> None:
             )
 
 
-def _csv_text(command: str, columns, rows, extra_comment: str | None = None) -> str:
-    """Rows of Python ints and floats under the versioned header; each value
-    is written by repr, the shortest text that round-trips exactly."""
-    head = [f"# strobofp csv v{CSV_SCHEMA_VERSION} command={command}"]
-    if extra_comment:
-        head.append(f"# {extra_comment}")
-    head.append(",".join(columns))
+def _csv_text(command: str, columns, rows, extra_comment: str) -> str:
+    """Rows of Python ints and floats under the versioned header and one
+    comment line; each value is written by repr, the shortest text that
+    round-trips exactly."""
+    head = [f"# strobofp csv v{CSV_SCHEMA_VERSION} command={command}", f"# {extra_comment}",
+            ",".join(columns)]
     return "\n".join([*head, *(",".join(map(repr, row)) for row in rows)]) + "\n"
 
 
@@ -242,18 +241,15 @@ def cmd_fit(cfg: RunConfig) -> int:
     result = fit(_sweep(cfg, rhos, mu, per_op))
 
     _write_text(cfg.out, result.to_json(indent=2, sort_keys=True) + "\n")
-    targets = REFERENCE_FITS[which]
+    # the reference constants hold for deterministic frames alone
+    targets = REFERENCE_FITS[which] if mu.kind == "deterministic" else {}
     lines = [f"fit {which} over rho in [{result.window[0]:g}, {result.window[1]:g}], "
              f"{result.n_points} points, rms residual {result.rms_residual:.3e}"]
-    merged = dict(result.coefficients)
-    merged.update(result.derived)
-    for name, value in merged.items():
+    for name, value in {**result.coefficients, **result.derived}.items():
+        line = f"  {name} = {value:+.6f}"
         if name in targets:
-            dev = value - targets[name]
-            lines.append(f"  {name} = {value:+.6f}   target {targets[name]:+.6f}   "
-                         f"deviation {dev:+.2e}")
-        else:
-            lines.append(f"  {name} = {value:+.6f}")
+            line += f"   target {targets[name]:+.6f}   deviation {value - targets[name]:+.2e}"
+        lines.append(line)
     print("\n".join(lines))
     return 0
 
@@ -356,16 +352,6 @@ def cmd_figures(cfg: RunConfig) -> int:
     return 0
 
 
-_HANDLERS = {
-    "meantau": cmd_meantau,
-    "survival": cmd_survival,
-    "spectrum": cmd_spectrum,
-    "fit": cmd_fit,
-    "mc": cmd_mc,
-    "figures": cmd_figures,
-}
-
-
 # Every option, by flag; each subcommand registers some and its handler reads those.
 _FLAGS = {
     "--rho": dict(type=float, help="single confinement ratio"),
@@ -389,37 +375,34 @@ _FLAGS = {
 }
 
 
-# name: help, rho flags (exactly one if --rho is among them), other flags
+# name: handler, help, rho flags (exactly one if --rho is among them), other flags
 _SUBCOMMANDS = {
-    "meantau": ("mean frame counts and spectral gap over a sweep", ("--rho", "--rho-range"),
+    "meantau": (cmd_meantau, "mean frame counts and spectral gap over a sweep",
+                ("--rho", "--rho-range"),
                 ("--y0", "--dist", "--n-grid", "--eta", "--out", "--format")),
-    "survival": ("survival sequence S_0..S_n", ("--rho",),
+    "survival": (cmd_survival, "survival sequence S_0..S_n", ("--rho",),
                  ("--y0", "--dist", "--n-grid", "--eta", "--out", "--n-max", "--modesum")),
-    "spectrum": ("leading eigenvalue and overlap over a sweep", ("--rho", "--rho-range"),
-                 ("--y0", "--dist", "--n-grid", "--eta", "--out")),
-    "fit": ("regress a sweep and compare to reference constants", ("--rho-range",),
+    "spectrum": (cmd_spectrum, "leading eigenvalue and overlap over a sweep",
+                 ("--rho", "--rho-range"), ("--y0", "--dist", "--n-grid", "--eta", "--out")),
+    "fit": (cmd_fit, "regress a sweep and compare to reference constants", ("--rho-range",),
             ("--dist", "--n-grid", "--eta", "--out", "--which")),
-    "mc": ("Monte Carlo validation against the resolvent", ("--rho",),
+    "mc": (cmd_mc, "Monte Carlo validation against the resolvent", ("--rho",),
            ("--y0", "--dist", "--n-grid", "--eta", "--out", "--trials", "--seed",
             "--hist-out")),
-    "figures": ("emit fig2/fig3/fig4 data and gnuplot scripts", ("--rho-range",),
+    "figures": (cmd_figures, "emit fig2/fig3/fig4 data and gnuplot scripts", ("--rho-range",),
                 ("--n-grid", "--eta", "--out")),
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of `command` alone (`main`): both
-    parse and print the same, and the top-level usage names all six."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, for the argv that `_plain_args` does not read."""
     parser = argparse.ArgumentParser(
         prog="strobofp",
         description="Survival statistics of Brownian motion under frame-based "
                     "(kill-on-check) monitoring.",
     )
-    metavar = "{" + ",".join(_HANDLERS) + "}" if command else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (help, rho_flags, flags) in _SUBCOMMANDS.items():
-        if command not in (None, name):
-            continue
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help, rho_flags, flags) in _SUBCOMMANDS.items():
         # an option left unset stays out of the namespace: its RunConfig default applies
         p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
         if rho_flags == ("--rho",):
@@ -441,7 +424,7 @@ def _plain_args(argv) -> dict | None:
     lies in its choices, and the subcommand's --rho/--rho-range rule holds."""
     if not argv or argv[0] not in _SUBCOMMANDS:
         return None
-    _, rho_flags, flags = _SUBCOMMANDS[argv[0]]
+    _, _, rho_flags, flags = _SUBCOMMANDS[argv[0]]
     args = {"command": argv[0]}
     rest = iter(argv[1:])
     for flag in rest:
@@ -472,22 +455,18 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _plain_args(argv)
     if args is None:
-        parser = build_parser(argv[0] if argv and argv[0] in _HANDLERS else None)
         try:
-            args = vars(parser.parse_args(argv))
+            args = vars(build_parser().parse_args(argv))
         except SystemExit as exc:
             return int(exc.code) if exc.code else 0
     try:
         cfg = RunConfig(**args)
         _check_output_paths(cfg)
-        return _HANDLERS[cfg.command](cfg)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        return _SUBCOMMANDS[cfg.command][0](cfg)
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

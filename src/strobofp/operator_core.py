@@ -151,12 +151,18 @@ class FrameDistribution:
             if sep:
                 raise ValueError(f"{name} takes no argument, got {text!r}")
             return cls(name)
-        if name == "jitter":
-            return cls.uniform_jitter(float(arg))
-        if name == "twopoint":
-            u1, u2, p = (float(x) for x in arg.split(","))
-            return cls.two_point(u1, u2, p)
-        raise ValueError(f"unknown distribution {text!r}")
+        forms = {"twopoint": ("twopoint:u1,u2,p", 3), "jitter": ("jitter:eps", 1)}
+        if name not in forms:
+            raise ValueError(f"unknown distribution {text!r}, expected deterministic | "
+                             "twopoint:u1,u2,p | jitter:eps | exponential")
+        form, count = forms[name]
+        try:
+            values = [float(x) for x in arg.split(",")]
+        except ValueError:
+            values = []
+        if len(values) != count:
+            raise ValueError(f"distribution {text!r} is not of the form {form}")
+        return cls.uniform_jitter(*values) if name == "jitter" else cls.two_point(*values)
 
     def describe(self) -> str:
         if self.kind == "two-point":

@@ -154,12 +154,11 @@ class SurvivalSeries:
 
 @dataclass(frozen=True)
 class ExitStats:
-    """Mean frame counts and, when computed, the leading spectral data."""
+    """Mean frame counts and, from `exit_stats`, the leading eigenvalue and gap."""
 
     M: float
     mean_tau: float
     lambda0: float | None = None
-    a0_est: float | None = None
     gap: float | None = None
 
 
@@ -674,11 +673,7 @@ def mean_frames(op: StroboOperator, y0: float) -> ExitStats:
     kernel profile and one dot product.  u is even, so the dot product is
     that of the even half of h with u (`_dot`).
     """
-    return _mean_from_profile(op, initial_vector(op, y0))
-
-
-def _mean_from_profile(op: StroboOperator, h: np.ndarray) -> ExitStats:
-    """`mean_frames` for the start whose kernel profile is h."""
+    h = initial_vector(op, y0)
     M = float(_dot(_even_half(h), _weight_resolvent(op), _multiplicity(op.n)))
     return ExitStats(M=M, mean_tau=1.0 + M)
 
@@ -756,13 +751,8 @@ def spectral_pair(op: StroboOperator, y0: float | None = None):
         vec = -vec
     if y0 is None:
         return lam, vec, None
-    return lam, vec, _amplitude(op, lam, vec, initial_vector(op, y0))
-
-
-def _amplitude(op: StroboOperator, lam: float, vec: np.ndarray, h: np.ndarray) -> float:
-    """a0_est of the unit leading mode vec for the start whose kernel profile is h."""
-    # ||vec|| == 1, so the mode expansion of S_n gives this overlap amplitude.
-    return float((op.weights @ vec) * (vec @ h) / lam)
+    # ||vec|| == 1, so the mode expansion of S_n gives this overlap amplitude
+    return lam, vec, float((op.weights @ vec) * (vec @ initial_vector(op, y0)) / lam)
 
 
 def neumann_partial_sum(op: StroboOperator, y0: float, terms: int) -> float:
@@ -771,13 +761,9 @@ def neumann_partial_sum(op: StroboOperator, y0: float, terms: int) -> float:
 
 
 def exit_stats(op: StroboOperator, y0: float) -> ExitStats:
-    """Resolvent mean combined with the spectral pair in one record, from
-    one start profile."""
-    h = initial_vector(op, y0)
-    base = _mean_from_profile(op, h)
-    lam, vec, _ = spectral_pair(op)
-    a0 = _amplitude(op, lam, vec, h)
-    return ExitStats(
-        M=base.M, mean_tau=base.mean_tau, lambda0=lam, a0_est=a0, gap=1.0 - lam
-    )
+    """`mean_frames` at y0 with the leading eigenvalue lambda0 of
+    `spectral_pair` and the gap 1 - lambda0, in one record."""
+    base = mean_frames(op, y0)
+    lam = spectral_pair(op)[0]
+    return ExitStats(M=base.M, mean_tau=base.mean_tau, lambda0=lam, gap=1.0 - lam)
 

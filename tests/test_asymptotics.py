@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from strobofp import asymptotics
 from strobofp import (
     BOUNDARY_CONST,
     BOUNDARY_SLOPE,
@@ -82,9 +83,11 @@ class TestModeSums:
         assert np.all(np.diff(s) < 0.0)
         assert all(0.5 < x < 1.5 for x in s)
 
-    def test_boundary_truncation_stable(self):
-        a = mode_sum_survival(20.0, 40, "boundary", truncation_tol=1e-12)
-        b = mode_sum_survival(20.0, 40, "boundary", truncation_tol=1e-6)
+    def test_boundary_truncation_stable(self, monkeypatch):
+        a = mode_sum_survival(20.0, 40, "boundary")
+        monkeypatch.setattr(asymptotics, "TRUNCATION_TOL", 1e-6)
+        b = mode_sum_survival(20.0, 40, "boundary")
+        assert a != b
         assert a == pytest.approx(b, abs=1e-5)
 
     def test_bulk_alternating_bound(self):

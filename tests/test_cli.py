@@ -132,22 +132,32 @@ def test_each_subcommand_registers_exactly_its_flag_set():
     assert sum(map(len, registered.values())) == 42
 
 
-def full_parser_run(argv, capsys):
-    """(exit code, stdout, stderr) of `build_parser()` with every subparser on argv."""
-    try:
-        cli.build_parser().parse_args(argv)
-    except SystemExit as exc:
-        code = int(exc.code) if exc.code else 0
-    out = capsys.readouterr()
-    return code, out.out, out.err
+# For each argv that argparse rejects: the parser that reports it, and a part
+# of its message that every supported Python prints alike.
+ARGPARSE_ERRORS = {
+    "": ("strobofp", "the following arguments are required: command"),
+    "bogus": ("strobofp", "argument command: invalid choice: 'bogus'"),
+    "meantau --rho 50 --bogus": ("strobofp", "unrecognized arguments: --bogus"),
+    "meantau --rho abc": ("strobofp meantau", "argument --rho: invalid float value: 'abc'"),
+    "fit --which nope": ("strobofp fit", "argument --which: invalid choice: 'nope'"),
+    "survival": ("strobofp survival", "the following arguments are required: --rho"),
+    "spectrum --rho 5 --rho-range 1:2:1": (
+        "strobofp spectrum", "argument --rho-range: not allowed with argument --rho"),
+    "mc --rho 2 --out": ("strobofp mc", "argument --out: expected one argument"),
+    "survival --rho 5 --modesum yes": ("strobofp", "unrecognized arguments: yes"),
+    "meantau -- --rho 5": ("strobofp meantau",
+                           "one of the arguments --rho --rho-range is required"),
+}
 
 
 class TestOneSubparser:
+    """Argparse's answer to each argv that `_plain_args` leaves to it."""
+
     # help, no command, an unknown command, an unknown flag (which the
     # top-level parser reports) and bad values, which the subparser reports
     @pytest.mark.parametrize("argv", [
         ["--help"],
-        *([name, "--help"] for name in cli._HANDLERS),
+        *([name, "--help"] for name in FLAG_SETS),
         [],
         ["bogus"],
         ["meantau", "--rho", "50", "--bogus"],
@@ -159,20 +169,22 @@ class TestOneSubparser:
         ["survival", "--rho", "5", "--modesum", "yes"],
         ["meantau", "--", "--rho", "5"],
     ])
-    def test_same_output_as_the_full_parser(self, argv, monkeypatch, capsys):
-        built = []
-        build_parser = cli.build_parser
-
-        def recorded(command=None):
-            built.append(command)
-            return build_parser(command)
-
-        monkeypatch.setattr(cli, "build_parser", recorded)
+    def test_same_output_as_the_full_parser(self, argv, capsys):
+        # help exits 0 on stdout, an error 2 with the reporting parser's usage
+        # and its message on stderr
         code = main(argv)
         out = capsys.readouterr()
-        assert built == [argv[0] if argv and argv[0] in cli._HANDLERS else None]
-        assert (code, out.out, out.err) == full_parser_run(argv, capsys)
-        assert code == (0 if "--help" in argv else 2)
+        if "--help" in argv:
+            prog = " ".join(["strobofp", *argv[:-1]])
+            assert (code, out.err) == (0, "")
+            assert out.out.startswith(f"usage: {prog} [-h]")
+            listed = FLAG_SETS[argv[0]] if argv[0] in FLAG_SETS else FLAG_SETS.keys()
+            assert all(name in out.out for name in listed)
+        else:
+            prog, message = ARGPARSE_ERRORS[" ".join(argv)]
+            assert (code, out.out) == (2, "")
+            assert out.err.startswith(f"usage: {prog} [-h]")
+            assert out.err.splitlines()[-1].startswith(f"{prog}: error: {message}")
 
     def test_top_level_usage_names_every_subcommand(self, capsys):
         assert main(["mc", "--rho", "2", "extra"]) == 2
@@ -196,7 +208,7 @@ def benchmark_argvs():
 def readme_argvs():
     lines = (REPO / "README.md").read_text().splitlines()
     return [line.split()[1:] for line in lines
-            if line.startswith("strobofp ") and line.split()[1] in cli._HANDLERS]
+            if line.startswith("strobofp ") and line.split()[1] in cli._SUBCOMMANDS]
 
 
 # a value each flag takes
@@ -242,7 +254,9 @@ class TestPlainArgv:
     def test_other_accepted_forms_go_through_argparse(self, argv, monkeypatch):
         assert cli._plain_args(argv) is None
         seen = []
-        monkeypatch.setitem(cli._HANDLERS, "meantau", lambda cfg: seen.append(cfg) or 0)
+        _, *table_row = cli._SUBCOMMANDS["meantau"]
+        monkeypatch.setitem(cli._SUBCOMMANDS, "meantau",
+                            (lambda cfg: seen.append(cfg) or 0, *table_row))
         assert main(argv) == 0
         assert seen == [RunConfig(**vars(cli.build_parser().parse_args(argv)))]
 
@@ -514,6 +528,14 @@ class TestFit:
         captured = capsys.readouterr().out
         assert "target" in captured and "deviation" in captured
 
+    def test_other_laws_print_no_deterministic_targets(self, tmp_path, capsys):
+        # REFERENCE_FITS holds for deterministic frames alone
+        assert main(["fit", "--which", "bulk", "--dist", "exponential", "--rho-range",
+                     "20:70:10", "--out", str(tmp_path / "fit.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[1:]] == ["a", "b", "c", "beta", "C"]
+        assert not any("target" in line or "deviation" in line for line in lines)
+
     def test_gap_fit_runs(self, tmp_path):
         out = tmp_path / "gap.json"
         assert main(["fit", "--which", "gap", "--rho-range", "20:50:10",
@@ -679,6 +701,15 @@ class TestExitCodes:
     def test_argument_on_bare_law_is_usage_error(self, dist, capsys):
         assert main(["meantau", "--rho", "5", "--dist", dist]) == 2
         assert "takes no argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dist, form", [
+        ("twopoint:1,2", "twopoint:u1,u2,p"), ("twopoint:1,x,0.5", "twopoint:u1,u2,p"),
+        ("jitter:", "jitter:eps"), ("jitter:0.1,0.2", "jitter:eps"),
+    ])
+    def test_malformed_law_values_name_the_token_and_form(self, dist, form, capsys):
+        assert main(["meantau", "--rho", "5", "--dist", dist]) == 2
+        err = capsys.readouterr().err
+        assert err == f"usage error: distribution {dist!r} is not of the form {form}\n"
 
     @pytest.mark.parametrize("argv", [
         ["meantau", "--rho", "5", "--out", "{missing}/x.csv"],

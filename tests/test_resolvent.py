@@ -1076,17 +1076,15 @@ class TestExitStats:
         assert stats.mean_tau == 1.0 + stats.M
         assert stats.gap == pytest.approx(1.0 - stats.lambda0)
         assert 0.0 < stats.lambda0 < 1.0
-        assert stats.a0_est > 0.0
 
     def test_one_start_profile(self, monkeypatch):
-        # exit_stats builds h(y0) once for M and a0_est; the eigenpair alone builds none
+        # exit_stats builds h(y0) once, for M; the eigenpair alone builds none
         op = op_for(20.0)
-        M, (lam, _, a0) = mean_frames(op, 0.3).M, spectral_pair(op, y0=0.3)
+        M, lam = mean_frames(op, 0.3).M, spectral_pair(op)[0]
         calls = count_start_profiles(monkeypatch)
         stats = exit_stats(op, 0.3)
         assert calls == [0.3]
         assert stats.M == M and stats.lambda0 == lam
-        assert stats.a0_est == pytest.approx(a0, rel=1e-14, abs=0.0)
         assert spectral_pair(op)[2] is None
         assert calls == [0.3]
 
