@@ -46,6 +46,7 @@ from .resolvent import (
     SurvivalSeries,
     exit_stats,
     initial_vector,
+    leading_eigenvalue,
     mean_frames,
     neumann_partial_sum,
     spectral_pair,
@@ -88,6 +89,7 @@ __all__ = [
     "fit_bulk",
     "fit_gap",
     "initial_vector",
+    "leading_eigenvalue",
     "loglog_window_points",
     "mean_frames",
     "mode_sum_survival",

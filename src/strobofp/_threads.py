@@ -9,11 +9,18 @@ import os
 
 def worker_count(n_items: int) -> int:
     """Workers for `n_items` jobs: STROBOFP_THREADS, else one per CPU this
-    process may run on; never more than there are items."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    requested = (os.environ.get("STROBOFP_THREADS")
-                 or (len(affinity(0)) if affinity else os.cpu_count() or 1))
-    return max(1, min(int(requested), n_items))
+    process may run on; never more than there are items.  A STROBOFP_THREADS
+    that is not an integer raises ValueError naming it."""
+    text = os.environ.get("STROBOFP_THREADS")
+    if text:
+        try:
+            requested = int(text)
+        except ValueError:
+            raise ValueError(f"STROBOFP_THREADS must be an integer, got {text!r}") from None
+    else:
+        affinity = getattr(os, "sched_getaffinity", None)
+        requested = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return max(1, min(requested, n_items))
 
 
 def parallel_map(fn, items):

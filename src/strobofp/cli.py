@@ -29,7 +29,13 @@ from .operator_core import (
     ProblemSpec,
     build_averaged_operator,
 )
-from .resolvent import exit_stats, mean_frames, spectral_pair, survival_sequence
+from .resolvent import (
+    exit_stats,
+    leading_eigenvalue,
+    mean_frames,
+    spectral_pair,
+    survival_sequence,
+)
 
 CSV_SCHEMA_VERSION = 1
 
@@ -236,7 +242,7 @@ def cmd_fit(cfg: RunConfig) -> int:
     fit, per_op = {
         "boundary": (fit_boundary, lambda op: (mean_frames(op, 0.0).M,)),
         "bulk": (fit_bulk, lambda op: (mean_frames(op, 0.5).M,)),
-        "gap": (fit_gap, lambda op: (1.0 - spectral_pair(op)[0],)),
+        "gap": (fit_gap, lambda op: (1.0 - leading_eigenvalue(op),)),
     }[which]
     result = fit(_sweep(cfg, rhos, mu, per_op))
 

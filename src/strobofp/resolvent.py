@@ -6,10 +6,17 @@ obtained from a symmetric positive-definite solve rather than by summing
 the series.  K is symmetric, so M(y0) = h(y0) . u with u = (I - K)^{-1} w:
 one cached solve per operator serves every start point.  Solves meet a
 normwise backward-error contract (`_resolvent_solve`).
-`neumann_partial_sum` provides the series route as a consistency check, and
-`spectral_pair` the geometric decay rate, stopped by
-||K v - lambda0 v||_2 <= max(EIGEN_TOL, 2 eps sqrt(m)) lambda0 on a half of m
-entries.
+`neumann_partial_sum` provides the series route as a consistency check.
+The geometric decay rate lambda0 comes from one Davidson loop with two
+stops.  `spectral_pair`, whose callers take the eigenvector, stops on the
+residual: ||K v - lambda0 v||_2 <= max(EIGEN_TOL, 2 eps sqrt(m)) lambda0 on a
+half of m entries, confirmed by a fresh product.  `leading_eigenvalue`, for
+callers that print lambda0 alone, also stops on the value: the Kato-Temple
+bound |theta - lambda0| <= r^2/delta (Kato, J. Phys. Soc. Japan 4, 1949;
+Temple, Proc. R. Soc. A 119, 1928) falls to (eps/2) theta two steps
+before the residual meets its bound, with delta = GAP_SAFETY
+min(theta_1 - theta_2, 8 (1 - theta_1)) estimated from the Ritz values,
+and skips the confirming product away from the rounding floor.
 
 `survival_sequence` makes one product per frame only up to a switch point
 n0, first ceil(rho), and only where n_max > n0 + EIGEN_MAX_ITER.  There
@@ -114,9 +121,15 @@ from .operator_core import StroboOperator, averaged_kernel, laplace_band
 RESIDUAL_TOL = 8.0 * np.finfo(float).eps
 # Contractual bound on ||K v - lambda v||_2 / lambda for the unit eigenvector
 # returned by spectral_pair up to its rounding floor (`spectral_pair`), and
-# the step cap of its Davidson and of each PCG solve.
+# the step cap of its Davidson and of each PCG solve.  `leading_eigenvalue`
+# stops on this residual too, or earlier on its value stop.
 EIGEN_TOL = 1e-13
 EIGEN_MAX_ITER = 100
+# The value stop of `leading_eigenvalue`: the safety factor on its gap
+# estimate (`_gap_estimate`), and the margin over the rounding floor
+# 2 eps sqrt(m) theta from which it takes the residual unconfirmed.
+GAP_SAFETY = 0.75
+CONFIRM_MARGIN = 4.0
 # Largest symbol-ratio bound on cond(P^{-1}(I - K)) for which the Laplace
 # preconditioner is used; beyond it the sine transform saves more steps than
 # its dearer apply costs (measured: Laplace wins or ties up to 1.30, the sine
@@ -685,6 +698,81 @@ def _eigen_residual(vec: np.ndarray, image: np.ndarray, mult: np.ndarray) -> tup
     return lam, image, _norm(image, mult)
 
 
+def _gap_estimate(theta: np.ndarray) -> float:
+    """delta = GAP_SAFETY min(theta_1 - theta_2, 8 (1 - theta_1)) from the Ritz values.
+
+    A stand-in for the distance from lambda0 to the next even eigenvalue,
+    which the Kato-Temple bound needs from below.  By interlacing theta_2 <=
+    lambda_2, so the Ritz difference alone overestimates it until theta_2
+    has converged (at rho = 1e5 it reads 3.9e-5 at step 3 against a gap of
+    3.9e-9).  8 (1 - theta_1) is the diffusive-limit distance to the k = 3
+    even mode, 1 - lambda_k ~ k^2 pi^2/(2 rho^2); the symbols are concave in
+    the squared frequency, so it too lies above the gap: by 0.2-0.4% at
+    rho = 100 and 5-9% at 20 on the standard laws, threefold on
+    twopoint:0.001,1,0.99 at 20, where the Ritz difference is the smaller.
+    At the stop dense checks find the minimum at most 1.01 times the gap,
+    which GAP_SAFETY covers.
+    """
+    top = float(theta[-1])
+    return GAP_SAFETY * min(top - float(theta[-2]), 8.0 * (1.0 - top))
+
+
+def _davidson(op: StroboOperator, value_only: bool) -> tuple:
+    """(lambda0, first half of its unit eigenvector): the loop of `spectral_pair`.
+
+    With `value_only` each step from the second also takes the value stop of
+    `leading_eigenvalue`: its bound on the residual replaces the residual
+    stop's where it is the larger, and the residual of the accumulated image
+    is confirmed by a fresh product only where that bound lies within
+    CONFIRM_MARGIN of the rounding floor 2 eps sqrt(m) theta.
+    """
+    eps = np.finfo(float).eps
+    mult = _multiplicity(op.n)
+    m = mult.size
+    cap = min(EIGEN_MAX_ITER + 1, m)
+    floor = 2.0 * eps * math.sqrt(m)
+    tol = max(EIGEN_TOL, floor)
+    # row j: the basis vector v_j and its image K v_j
+    pairs = np.empty((cap, 2, m))
+    basis = pairs[:, 0]
+    ritz = np.zeros((cap, cap))
+    z = np.sin(np.pi * op.grid[:m])
+    for k in range(1, cap + 1):
+        _extend(basis, k - 1, z, mult)
+        pairs[k - 1, 1] = op.even_matvec(basis[k - 1])
+        ritz[k - 1, :k] = _dot(basis[:k], pairs[k - 1, 1], mult)
+        theta, coefs = np.linalg.eigh(ritz[:k, :k])
+        vec, image = (coefs[:, -1] @ pairs[:k].reshape(k, 2 * m)).reshape(2, m)
+        lam, res, residual = _eigen_residual(vec, image, mult)
+        rel = tol
+        if value_only and k > 1:
+            delta = _gap_estimate(theta)
+            if delta > 0.0 and lam > 0.0:
+                rel = max(tol, math.sqrt(0.5 * eps * delta / lam))
+        if residual <= rel * lam:
+            if value_only and rel >= CONFIRM_MARGIN * floor:
+                break
+            # the image holds rounding from every column: confirm
+            lam, res, residual = _eigen_residual(vec, op.even_matvec(vec), mult)
+            if residual <= rel * lam:
+                break
+        # the preconditioned unit residual: at tiny rho K times a vector of
+        # the residual's size underflows
+        z = _precondition(op, res / residual)
+    else:
+        raise ConvergenceError(
+            f"Davidson spectral_pair at rho={op.rho}: eigen residual "
+            f"{residual:.3e} exceeds the bound {rel * lam:.3e} after {k - 1} steps"
+        )
+    if not 0.0 < lam < 1.0:
+        raise SolverError(
+            f"Davidson spectral_pair at rho={op.rho}: leading eigenvalue {lam} outside "
+            f"(0, 1) after {k - 1} steps, eigen residual {residual:.3e} against the "
+            f"bound {rel * lam:.3e}"
+        )
+    return lam, vec
+
+
 def spectral_pair(op: StroboOperator, y0: float | None = None):
     """Leading eigenvalue, eigenvector and overlap amplitude of K.
 
@@ -705,47 +793,14 @@ def spectral_pair(op: StroboOperator, y0: float | None = None):
     an m-term dot product, whose rounding leaves a residual of order
     eps sqrt(m) lambda0 (at rho = 1e5, m = 900,000: 1.3-4.9e-13 from the
     sixth step on, against tol = 4.2e-13).  tol exceeds EIGEN_TOL only
-    beyond m = 50,700, about rho = 5,600.  A basis
+    beyond m = 50,700, about rho = 5,600.  A caller that needs lambda0
+    alone takes `leading_eigenvalue`, which stops earlier.  A basis
     of EIGEN_MAX_ITER + 1 vectors or of the order of the half without that
     raises ConvergenceError.  `a0_est` is normalized so that
     S_n ~ a0_est * lambda0^n for large n with the start point `y0`; without
     a `y0` it is None and no start profile is built.
     """
-    mult = _multiplicity(op.n)
-    m = mult.size
-    cap = min(EIGEN_MAX_ITER + 1, m)
-    tol = max(EIGEN_TOL, 2.0 * np.finfo(float).eps * math.sqrt(m))
-    # row j: the basis vector v_j and its image K v_j
-    pairs = np.empty((cap, 2, m))
-    basis = pairs[:, 0]
-    ritz = np.zeros((cap, cap))
-    z = np.sin(np.pi * op.grid[:m])
-    for k in range(1, cap + 1):
-        _extend(basis, k - 1, z, mult)
-        pairs[k - 1, 1] = op.even_matvec(basis[k - 1])
-        ritz[k - 1, :k] = _dot(basis[:k], pairs[k - 1, 1], mult)
-        coef = np.linalg.eigh(ritz[:k, :k])[1][:, -1]
-        vec, image = (coef @ pairs[:k].reshape(k, 2 * m)).reshape(2, m)
-        lam, res, residual = _eigen_residual(vec, image, mult)
-        if residual <= tol * lam:
-            # the image holds rounding from every column: confirm
-            lam, res, residual = _eigen_residual(vec, op.even_matvec(vec), mult)
-            if residual <= tol * lam:
-                break
-        # the preconditioned unit residual: at tiny rho K times a vector of
-        # the residual's size underflows
-        z = _precondition(op, res / residual)
-    else:
-        raise ConvergenceError(
-            f"Davidson spectral_pair at rho={op.rho}: eigen residual "
-            f"{residual:.3e} exceeds the bound {tol * lam:.3e} after {k - 1} steps"
-        )
-    if not 0.0 < lam < 1.0:
-        raise SolverError(
-            f"Davidson spectral_pair at rho={op.rho}: leading eigenvalue {lam} outside "
-            f"(0, 1) after {k - 1} steps, eigen residual {residual:.3e} against the "
-            f"bound {tol * lam:.3e}"
-        )
+    lam, vec = _davidson(op, value_only=False)
     vec = _unfold(vec, op.n)
     if vec.sum() < 0.0:
         vec = -vec
@@ -755,6 +810,29 @@ def spectral_pair(op: StroboOperator, y0: float | None = None):
     return lam, vec, float((op.weights @ vec) * (vec @ initial_vector(op, y0)) / lam)
 
 
+def leading_eigenvalue(op: StroboOperator) -> float:
+    """lambda0 alone: the Davidson of `spectral_pair`, stopped on the value.
+
+    For the top Ritz value theta, its Ritz vector's residual r and any
+    delta below the distance from lambda0 to the next even eigenvalue,
+    |theta - lambda0| <= r^2/delta (Kato-Temple; Parlett, The Symmetric
+    Eigenvalue Problem, ch. 10), so the loop stops once
+    r <= sqrt((eps/2) theta delta), delta from `_gap_estimate`, or on the
+    residual stop of `spectral_pair` where that is met first.  Where the
+    bound on r is at least CONFIRM_MARGIN times the rounding floor
+    2 eps sqrt(m) theta, the residual of the accumulated image is taken
+    unconfirmed: its rounding, about that floor, adds at most a quarter of
+    the bound, and the truncation error of lambda0 stays below 0.8 eps theta.  Nearer the floor
+    (from about rho = 50,000) a fresh product confirms it, as in
+    `spectral_pair`.  The rounding of the m-term Rayleigh quotient itself,
+    up to about 2 eps sqrt(m) lambda0, is common to both stops.  Deterministic
+    frames take 5 to 6 products for rho = 2 to 3000 against the 7 to 9 of
+    `spectral_pair`, and 5 with the confirming one at rho = 1e5 against 7;
+    the two-point laws beyond the symbol bound 5 to 9 against 7 to 13.
+    """
+    return _davidson(op, value_only=True)[0]
+
+
 def neumann_partial_sum(op: StroboOperator, y0: float, terms: int) -> float:
     """Partial series sum_{n=1}^{terms} S_n; increases monotonically to M."""
     return float(survival_sequence(op, y0, terms).values[1:].sum())
@@ -762,8 +840,8 @@ def neumann_partial_sum(op: StroboOperator, y0: float, terms: int) -> float:
 
 def exit_stats(op: StroboOperator, y0: float) -> ExitStats:
     """`mean_frames` at y0 with the leading eigenvalue lambda0 of
-    `spectral_pair` and the gap 1 - lambda0, in one record."""
+    `leading_eigenvalue` and the gap 1 - lambda0, in one record."""
     base = mean_frames(op, y0)
-    lam = spectral_pair(op)[0]
+    lam = leading_eigenvalue(op)
     return ExitStats(M=base.M, mean_tau=base.mean_tau, lambda0=lam, gap=1.0 - lam)
 

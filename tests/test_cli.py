@@ -283,12 +283,14 @@ class TestPlainArgv:
 class TestProductBudget:
     # even_matvec calls per command: no speed may be bought with extra steps
     @pytest.mark.parametrize("argv, products", [
-        (["meantau", "--rho-range", "20:200:10"], 310),
-        (["fit", "--which", "gap"], 94),
+        (["meantau", "--rho-range", "20:200:10"], 252),
+        (["fit", "--which", "gap"], 60),
         (["survival", "--rho", "100", "--n-max", "2000"], 140),
         (["fit", "--which", "boundary"], 152),
         (["figures"], 152),
         (["fit", "--which", "bulk", "--dist", "exponential"], 38),
+        # the residual stop, as spectrum prints the eigenvector's a0_est
+        (["spectrum", "--rho-range", "20:120:10", "--y0", "0.5"], 94),
     ])
     def test_products_per_command(self, argv, products, tmp_path, monkeypatch):
         calls = count_even_products(monkeypatch)

@@ -148,6 +148,17 @@ class TestParallelMap:
         monkeypatch.setenv("STROBOFP_THREADS", "3")
         assert _threads.worker_count(8) == 3
 
+    @pytest.mark.parametrize("value", ["abc", "1.5"])
+    def test_a_bad_count_names_its_variable(self, value, monkeypatch, capsys):
+        from strobofp.cli import main
+
+        monkeypatch.setenv("STROBOFP_THREADS", value)
+        message = f"STROBOFP_THREADS must be an integer, got '{value}'"
+        with pytest.raises(ValueError, match=message):
+            _threads.worker_count(8)
+        assert main(["mc", "--rho", "2", "--trials", "1000"]) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
 
 class TestStatistics:
     def test_wide_kernel_exits_first_frame(self):

@@ -16,6 +16,7 @@ from strobofp import (
     build_operator,
     exit_stats,
     initial_vector,
+    leading_eigenvalue,
     mean_frames,
     neumann_partial_sum,
     spectral_pair,
@@ -41,6 +42,58 @@ from strobofp.resolvent import (
 
 def op_for(rho, **kwargs):
     return build_operator(ProblemSpec(rho=rho, **kwargs))
+
+
+# the laws of the value stop's contract: the four of LAWS, a wider two-point
+# law within the symbol bound and one on the sine-transform route
+VALUE_LAWS = ["deterministic", "exponential", "jitter:0.5", "twopoint:0.5,1.5,0.5",
+              "twopoint:0.2,1,0.5", "twopoint:0.001,1,0.99"]
+
+
+@pytest.fixture(scope="module")
+def floor_op():
+    """The deterministic operator at rho = 1e5: N = 1.8e6, m = 900,000."""
+    return op_for(1e5)
+
+
+def assert_gap_expansion(rho, lam):
+    # the closed-form expansion overshoots the true gap by ~2.7/rho relative
+    expansion = math.pi**2 / (2.0 * rho**2) + GAP_BETA / rho**3
+    assert abs(expansion - (1.0 - lam)) / (1.0 - lam) <= 10.0 / rho
+
+
+def record_value_stop(monkeypatch):
+    """Lists of the relative eigen residual of each Davidson residual check, and
+    of the value stop's delta and its bound on that residual,
+    sqrt((eps/2) delta/theta), at each step from the second."""
+    residuals, deltas, reaches = [], [], []
+    eigen_residual, gap_estimate = resolvent._eigen_residual, resolvent._gap_estimate
+
+    def recorded_residual(vec, image, mult):
+        lam, res, residual = eigen_residual(vec, image, mult)
+        residuals.append(residual / lam)
+        return lam, res, residual
+
+    def recorded_gap(theta):
+        delta = gap_estimate(theta)
+        deltas.append(delta)
+        reaches.append(math.sqrt(0.5 * np.finfo(float).eps * delta / float(theta[-1])))
+        return delta
+
+    monkeypatch.setattr(resolvent, "_eigen_residual", recorded_residual)
+    monkeypatch.setattr(resolvent, "_gap_estimate", recorded_gap)
+    return residuals, deltas, reaches
+
+
+def even_block(dense):
+    """The mirror-even block Q^T K Q of a dense K, Q the orthonormal even basis
+    (e_i + e_{N-1-i})/sqrt 2, with e_i alone for the middle node of odd N."""
+    n = dense.shape[0]
+    q = np.zeros((n, (n + 1) // 2))
+    q[np.arange(q.shape[1]), np.arange(q.shape[1])] = 1.0
+    q[n - 1 - np.arange(q.shape[1]), np.arange(q.shape[1])] = 1.0
+    q /= np.linalg.norm(q, axis=0)
+    return q.T @ dense @ q
 
 
 class TestInitialVector:
@@ -487,16 +540,59 @@ class TestSpectralPair:
         assert len(calls) <= 12
         assert np.linalg.norm(op.matvec(vec) - lam * vec) <= EIGEN_TOL * lam
 
-    def test_stops_at_the_rounding_floor(self, monkeypatch):
+    def test_stops_at_the_rounding_floor(self, floor_op, monkeypatch):
         # m = 900,000: from the sixth step on the residual stays at 1.3-4.9e-13
         # relative, the rounding of the m-term dot product behind lambda0,
         # above EIGEN_TOL; the bound 2 eps sqrt(m) = 4.2e-13 is met after 7
         # products
         monkeypatch.setattr(resolvent, "EIGEN_MAX_ITER", 15)
-        rho = 1e5
-        lam, _, _ = spectral_pair(op_for(rho))
-        expansion = math.pi**2 / (2.0 * rho**2) + GAP_BETA / rho**3
-        assert abs(expansion - (1.0 - lam)) / (1.0 - lam) <= 10.0 / rho
+        lam, _, _ = spectral_pair(floor_op)
+        assert_gap_expansion(floor_op.rho, lam)
+
+    def test_value_stop_at_the_rounding_floor(self, floor_op, monkeypatch):
+        # the value stop's bound on the residual, sqrt((eps/2) theta delta) =
+        # 5.7e-13 relative, lies above the floor 4.2e-13 and above the
+        # residual's wander beneath it: the stop takes the fourth step's
+        # 5.3e-13, which the residual stop rejects, after the confirming product
+        monkeypatch.setattr(resolvent, "EIGEN_MAX_ITER", 15)
+        reference = spectral_pair(floor_op)[0]
+        residuals, _, reaches = record_value_stop(monkeypatch)
+        calls = count_even_products(monkeypatch)
+        lam = leading_eigenvalue(floor_op)
+        m = (floor_op.n + 1) // 2
+        floor = 2.0 * np.finfo(float).eps * math.sqrt(m)
+        assert floor < reaches[-1] < resolvent.CONFIRM_MARGIN * floor
+        assert floor < residuals[-1] <= reaches[-1]
+        assert len(calls) == len(reaches) + 2 <= 6
+        assert_gap_expansion(floor_op.rho, lam)
+        assert abs(lam - reference) <= floor * reference
+
+    @pytest.mark.parametrize("dist", VALUE_LAWS)
+    @pytest.mark.parametrize("rho", [0.01, 0.3, 2.0, 5.0, 20.0, 100.0, 500.0, 1000.0, 3000.0])
+    def test_value_stop_matches_the_residual_stop(self, rho, dist, monkeypatch):
+        # the value stop's truncation error is below 0.8 eps lambda0, under the
+        # rounding of the m-term Rayleigh quotient that both stops share, up to
+        # about 2 eps sqrt(m) lambda0 (10 ulp apart is common)
+        op = law_op(rho, dist)
+        calls = count_even_products(monkeypatch)
+        reference = spectral_pair(op)[0]
+        residual_products = len(calls)
+        calls.clear()
+        lam = leading_eigenvalue(op)
+        assert len(calls) < residual_products
+        eps, m = np.finfo(float).eps, (op.n + 1) // 2
+        assert abs(lam - reference) <= max(0.8 * eps, 2.0 * eps * math.sqrt(m)) * reference
+
+    @pytest.mark.parametrize("dist", VALUE_LAWS)
+    @pytest.mark.parametrize("rho", [0.01, 0.3, 2.0, 5.0, 20.0, 100.0])
+    def test_gap_estimate_below_the_dense_gap(self, rho, dist, monkeypatch):
+        # N <= 1800: the delta of the stop against lambda0 - lambda_2 of the
+        # even block of the dense matrix
+        op = law_op(rho, dist)
+        _, deltas, _ = record_value_stop(monkeypatch)
+        leading_eigenvalue(op)
+        even = np.linalg.eigvalsh(even_block(op.toarray()))
+        assert 0.0 < deltas[-1] <= even[-1] - even[-2]
 
     def test_large_rho_bulk_amplitude(self):
         # N = 7200 is beyond a dense solve; the bulk mode's overlap amplitude
@@ -1078,9 +1174,10 @@ class TestExitStats:
         assert 0.0 < stats.lambda0 < 1.0
 
     def test_one_start_profile(self, monkeypatch):
-        # exit_stats builds h(y0) once, for M; the eigenpair alone builds none
+        # exit_stats builds h(y0) once, for M; the eigenpair alone builds none,
+        # and lambda0 is that of the value stop
         op = op_for(20.0)
-        M, lam = mean_frames(op, 0.3).M, spectral_pair(op)[0]
+        M, lam = mean_frames(op, 0.3).M, leading_eigenvalue(op)
         calls = count_start_profiles(monkeypatch)
         stats = exit_stats(op, 0.3)
         assert calls == [0.3]
