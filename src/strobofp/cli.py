@@ -21,7 +21,7 @@ import numpy as np
 
 from . import asymptotics
 from .errors import ConvergenceError, FitError, ResolutionError, SolverError
-from .fitting import REFERENCE_FITS, check_window, fit_boundary, fit_bulk, fit_gap
+from .fitting import MODELS, REFERENCE_FITS, check_window, fit_boundary, fit_bulk, fit_gap
 from .montecarlo import self_averaging_check, write_histogram_csv
 from .operator_core import (
     DEFAULT_CUTOFF_ETA,
@@ -236,8 +236,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 def cmd_fit(cfg: RunConfig) -> int:
     mu = FrameDistribution.parse(cfg.dist)
     which = cfg.which
-    rng = cfg.rho_range or ((20.0, 120.0, 10.0) if which == "gap" else (20.0, 200.0, 10.0))
-    rhos = _range_values(rng).tolist()
+    rhos = _range_values(cfg.rho_range or MODELS[which].sweep).tolist()
     check_window(which, rhos)
     fit, per_op = {
         "boundary": (fit_boundary, lambda op: (mean_frames(op, 0.0).M,)),
@@ -315,19 +314,16 @@ def _figure2(out_dir: Path) -> None:
 def _figure_sweep(out_dir: Path, name: str, data) -> None:
     if name == "fig3":
         fit = fit_boundary(data)
-        coef = fit.coefficients
-        model = lambda r: coef["A"] * r + coef["B"] + coef["C"] / r
         asym = lambda r: r / math.sqrt(2.0) + (asymptotics.BOUNDARY_CONST - 1.0)
         labels = ("M_data", "M_fit", "M_asymptote")
         title = "boundary start (y0=0)"
     else:
         fit = fit_bulk(data)
-        coef = fit.coefficients
-        model = lambda r: coef["a"] * r * r + coef["b"] * r + coef["c"]
         asym = lambda r: 0.25 * r * r
         labels = ("M_data", "M_fit", "M_quarter_rho_sq")
         title = "bulk start (y0=1/2)"
-    rows = [(r, m, model(r), asym(r)) for r, m in data]
+    coef, curve = tuple(fit.coefficients.values()), MODELS[fit.model].curve
+    rows = [(r, m, curve(coef, r), asym(r)) for r, m in data]
     (out_dir / f"{name}.csv").write_text(
         _csv_text(f"figures/{name}", ("rho",) + labels, rows,
                   f"{title}; fit {fit.to_json()}"),
@@ -344,7 +340,8 @@ def _figure_sweep(out_dir: Path, name: str, data) -> None:
 
 
 def cmd_figures(cfg: RunConfig) -> int:
-    rhos = _range_values(cfg.rho_range or (20.0, 200.0, 10.0)).tolist()
+    # fig3 and fig4 share one sweep, the boundary and bulk models' default
+    rhos = _range_values(cfg.rho_range or MODELS["boundary"].sweep).tolist()
     check_window("boundary", rhos)
     check_window("bulk", rhos)
     out_dir = Path(cfg.out if cfg.out != "-" else ".")
@@ -374,7 +371,7 @@ _FLAGS = {
     "--n-max": dict(type=int),
     "--modesum": dict(action="store_true",
                       help="add the sine-mode reference column (y0 in {0, 0.5, 1})"),
-    "--which": dict(choices=("boundary", "bulk", "gap")),
+    "--which": dict(choices=tuple(MODELS)),
     "--trials": dict(type=int),
     "--seed": dict(type=int),
     "--hist-out": dict(help="write the tau histogram as CSV"),

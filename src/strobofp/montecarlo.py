@@ -23,7 +23,7 @@ but a k-trial run is not a prefix of a longer one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
@@ -82,14 +82,8 @@ class MCResult:
     overflow: int = 0
 
     def summary_dict(self) -> dict:
-        return {
-            "mean_tau": self.mean_tau,
-            "std_error": self.std_error,
-            "n_trials": self.n_trials,
-            "seed": self.seed,
-            "n_cap": self.n_cap,
-            "overflow": self.overflow,
-        }
+        """Every field but the histogram."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "histogram"}
 
 
 def simulate_tau(

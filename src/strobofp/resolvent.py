@@ -724,8 +724,10 @@ def _davidson(op: StroboOperator, value_only: bool) -> tuple:
     `leading_eigenvalue`: its bound on the residual replaces the residual
     stop's where it is the larger, and the residual of the accumulated image
     is confirmed by a fresh product only where that bound lies within
-    CONFIRM_MARGIN of the rounding floor 2 eps sqrt(m) theta.
+    CONFIRM_MARGIN of the rounding floor 2 eps sqrt(m) theta.  A failure
+    names the entry point that ran.
     """
+    caller = "leading_eigenvalue" if value_only else "spectral_pair"
     eps = np.finfo(float).eps
     mult = _multiplicity(op.n)
     m = mult.size
@@ -761,12 +763,12 @@ def _davidson(op: StroboOperator, value_only: bool) -> tuple:
         z = _precondition(op, res / residual)
     else:
         raise ConvergenceError(
-            f"Davidson spectral_pair at rho={op.rho}: eigen residual "
+            f"Davidson {caller} at rho={op.rho}: eigen residual "
             f"{residual:.3e} exceeds the bound {rel * lam:.3e} after {k - 1} steps"
         )
     if not 0.0 < lam < 1.0:
         raise SolverError(
-            f"Davidson spectral_pair at rho={op.rho}: leading eigenvalue {lam} outside "
+            f"Davidson {caller} at rho={op.rho}: leading eigenvalue {lam} outside "
             f"(0, 1) after {k - 1} steps, eigen residual {residual:.3e} against the "
             f"bound {rel * lam:.3e}"
         )

@@ -25,6 +25,7 @@ from strobofp import (
 )
 from strobofp import cli, montecarlo
 from strobofp.cli import RunConfig, main, parse_rho_range, read_csv, UsageError
+from strobofp.fitting import MODELS
 from strobofp.operator_core import StroboOperator
 from test_resolvent import count_even_products, count_start_profiles
 
@@ -671,6 +672,39 @@ class TestFigures:
         assert main(argv + ["--out", str(d1)]) == 0
         assert main(argv + ["--out", str(d2)]) == 0
         assert (d1 / "fig3.csv").read_bytes() == (d2 / "fig3.csv").read_bytes()
+
+    @pytest.mark.parametrize("which, name", [("boundary", "fig3"), ("bulk", "fig4")])
+    def test_fit_column_is_the_model_curve_at_the_fit(self, which, name, tmp_path, capsys):
+        # repr round-trips, so the columns and the coefficients compare exactly
+        assert main(["figures", "--rho-range", "20:80:10", "--out", str(tmp_path)]) == 0
+        fit = tmp_path / f"{which}.json"
+        assert main(["fit", "--which", which, "--rho-range", "20:80:10",
+                     "--out", str(fit)]) == 0
+        model = MODELS[which]
+        coef = [json.loads(fit.read_text())["coefficients"][n] for n in model.names]
+        _, columns, rows = read_csv((tmp_path / f"{name}.csv").read_text())
+        assert columns[2] == "M_fit"
+        assert [row[2] for row in rows] == [model.curve(coef, row[0]) for row in rows]
+
+    @pytest.mark.parametrize("argv, which", [
+        (["fit", "--which", "boundary"], "boundary"),
+        (["fit", "--which", "bulk"], "bulk"),
+        (["fit", "--which", "gap"], "gap"),
+        (["figures"], "boundary"),
+        (["figures"], "bulk"),
+    ])
+    def test_default_sweeps_are_the_models(self, argv, which, tmp_path, monkeypatch):
+        class Swept(Exception):
+            pass
+
+        def sweep(cfg, rhos, mu, per_op):
+            raise Swept(rhos)
+
+        monkeypatch.setattr(cli, "_sweep", sweep)
+        with pytest.raises(Swept) as swept:
+            main(argv + ["--out", str(tmp_path / "out")])
+        lo, hi, step = MODELS[which].sweep
+        assert swept.value.args[0] == np.arange(lo, hi + step / 2, step).tolist()
 
 
 class TestSerialSweeps:

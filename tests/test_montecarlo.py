@@ -7,7 +7,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
 
 import strobofp.montecarlo as mc_mod
 from strobofp import _threads
@@ -21,6 +20,7 @@ from strobofp import (
     spectral_pair,
     write_histogram_csv,
 )
+from normal_cdf import ndtr
 
 
 class TestReproducibility:

@@ -5,7 +5,6 @@ import re
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
 
 from strobofp import (
     FrameDistribution,
@@ -17,6 +16,7 @@ from strobofp import (
     mean_frames,
 )
 from strobofp.operator_core import MIN_GRID, _band_width, averaged_kernel, laplace_band
+from normal_cdf import ndtr
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
 
 from strobofp import (
     GAP_BETA,
@@ -38,6 +37,7 @@ from strobofp.resolvent import (
     _resolvent_solve,
     _weight_resolvent,
 )
+from normal_cdf import ndtr
 
 
 def op_for(rho, **kwargs):
@@ -1106,12 +1106,13 @@ class TestFailureMessages:
                 rf"backward-error bound {_NUMBER} after \d+ steps and one restart")):
             mean_frames(op_for(100.0), 0.5)
 
-    def test_davidson_step_cap(self, monkeypatch):
+    @pytest.mark.parametrize("solver", ["spectral_pair", "leading_eigenvalue"])
+    def test_davidson_step_cap(self, solver, monkeypatch):
         monkeypatch.setattr(resolvent, "EIGEN_MAX_ITER", 2)
         with pytest.raises(ConvergenceError, match=(
-                rf"Davidson spectral_pair at rho=100\.0: eigen residual {_NUMBER} exceeds "
-                rf"the bound {_NUMBER} after 2 steps")):
-            spectral_pair(op_for(100.0))
+                rf"Davidson {solver} at rho=100\.0: eigen residual {_NUMBER} "
+                rf"exceeds the bound {_NUMBER} after 2 steps")):
+            getattr(resolvent, solver)(op_for(100.0))
 
     def test_sine_preconditioner_not_positive_definite(self):
         # beyond the symbol-ratio bound, and row sums up to 1.0026 from the
@@ -1122,12 +1123,13 @@ class TestFailureMessages:
                 rf"{_NUMBER} <= 0 at k=\d+")):
             mean_frames(assembled_op(20.0, "twopoint:1e-6,1,0.999"), 0.5)
 
-    def test_davidson_eigenvalue_outside_unit_interval(self):
+    @pytest.mark.parametrize("solver", ["spectral_pair", "leading_eigenvalue"])
+    def test_davidson_eigenvalue_outside_unit_interval(self, solver):
         with pytest.raises(SolverError, match=(
-                rf"Davidson spectral_pair at rho=1\.0: leading eigenvalue {_NUMBER} outside "
-                rf"\(0, 1\) after \d+ steps, eigen residual {_NUMBER} against the "
+                rf"Davidson {solver} at rho=1\.0: leading eigenvalue {_NUMBER} "
+                rf"outside \(0, 1\) after \d+ steps, eigen residual {_NUMBER} against the "
                 rf"bound {_NUMBER}")):
-            spectral_pair(supercritical_op())
+            getattr(resolvent, solver)(supercritical_op())
 
 
 class TestNeumannSeries:
