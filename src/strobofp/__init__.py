@@ -14,6 +14,7 @@ from .asymptotics import (
     boundary_law,
     bulk_law,
     effective_exponent,
+    exponential_mean_tau,
     loglog_window_points,
     mode_sum_survival,
 )
@@ -85,6 +86,7 @@ __all__ = [
     "default_grid_size",
     "effective_exponent",
     "exit_stats",
+    "exponential_mean_tau",
     "fit_boundary",
     "fit_bulk",
     "fit_gap",

@@ -1,8 +1,10 @@
 """Closed-form reference laws for the frame-counted exit statistics.
 
-Boundary and bulk large-rho laws for E[tau], sine-mode survival sums, and
-the finite-window effective exponent.  These are reference formulas: the banded
-resolvent pipeline is the numerical ground truth they are compared against.
+Boundary and bulk large-rho laws for E[tau], the exact E[tau] of
+exponential frame intervals, sine-mode survival sums, and the finite-window
+effective exponent.  These are reference formulas: the banded
+resolvent pipeline is the numerical ground truth they are compared against,
+except `exponential_mean_tau`, which is exact and checks the pipeline.
 """
 
 from __future__ import annotations
@@ -44,6 +46,19 @@ def boundary_law(rho: float) -> float:
 def bulk_law(rho: float) -> float:
     """E[tau] for a centered start: rho^2/4 + 0.583014 rho + 0.573592."""
     return BULK_A * rho**2 + BULK_B * rho + BULK_C
+
+
+def exponential_mean_tau(rho, y0):
+    """Exact E[tau] for exponential frame intervals: 1 + rho/sqrt(2) + rho^2 y0 (1 - y0).
+
+    Exponential intervals make each step Laplace with rate sqrt(2) in wall
+    units X = rho y, so the overshoot past either wall is Exp(sqrt 2),
+    memoryless, with mean 1/sqrt(2) and second moment 1.  Wald's identities
+    for the unit-variance walk from X0 = rho y0, E[X_tau] = X0 and
+    E[(X_tau - X0)^2] = E[tau], then give the law for every rho > 0 and y0
+    in [0, 1], not only asymptotically.  Takes scalars or arrays.
+    """
+    return 1.0 + rho / math.sqrt(2.0) + rho**2 * y0 * (1.0 - y0)
 
 
 def mode_sum_survival(rho: float, n, start: str = "boundary"):

@@ -11,14 +11,20 @@ SeedSequence(seed); SFC64 is NumPy's fastest bit generator for these draws.
 The spawn key is mixed in after the seed's entropy is padded to the pool,
 so no two (seed, c) share a stream, which SeedSequence([seed, c]) does not
 promise: [2**32, 0] and [0, 1] concatenate to the same 32-bit words.  On
-each frame the chunk draws standard_normal(n_alive), then, for random frame
-intervals, mu.sample_intervals(gen, n_alive), both in trial order; a trial
-leaves the positions array on the frame it exits.  A chunk keeps only those positions
-and how many trials exit on each frame; chunks run through
-`_threads.parallel_map`, the one worker pool, and are summed as they
-arrive, so memory is O(CHUNK + largest tau) per worker whatever n_trials
-is.  Results are bit-identical for any worker count or scheduling order,
-but a k-trial run is not a prefix of a longer one.
+each frame the chunk fills its steps with mu.sample_steps(gen, steps), all
+draws in trial order: deterministic frames draw n_alive normals; two-point
+and jitter frames draw n_alive normals, then n_alive intervals, and multiply
+by sqrt(v); exponential frames draw n_alive Exp(1) values E1, then n_alive
+more E2, and step (E1 - E2)/sqrt 2, the Laplace law of sqrt(v) xi.  A frame
+costs 13-21 ns per live trial for deterministic and exponential frames and
+18-30 ns for jitter and two-point frames (one thread, 2 vCPUs, NumPy 2.4),
+most of it the draws.  A trial leaves the positions array on the frame it
+exits.  A chunk keeps only those positions and how many trials exit on
+each frame; chunks run through `_threads.parallel_map`, the one worker
+pool, and are summed as they arrive, so memory is O(CHUNK + largest tau)
+per worker whatever n_trials is.  Results are bit-identical for any worker
+count or scheduling order, but a k-trial run is not a prefix of a longer
+one.
 """
 
 from __future__ import annotations
@@ -36,8 +42,8 @@ from .resolvent import mean_frames
 # changes every seeded result.
 CHUNK = 65_536
 # Most frames a run may simulate, counted as n_trials * (1 + rho^2), the
-# scale of _hard_cap: three to six minutes at the 20-34 ns per trial-frame
-# of the benchmark's mc commands (one thread, 2 vCPUs).
+# scale of _hard_cap: two to five minutes at the 13-30 ns per trial-frame
+# of the four frame laws (one thread, 2 vCPUs).
 FRAME_BUDGET = 1e10
 
 
@@ -109,7 +115,6 @@ def simulate_tau(
         mu = FrameDistribution.deterministic()
     n_cap = _hard_cap(rho)
     n_chunks = -(-n_trials // CHUNK)
-    deterministic = mu.kind == "deterministic"
 
     def run_chunk(c: int) -> tuple[list[int], int]:
         """Exit counts of chunk c per frame, its trials moved together a
@@ -120,10 +125,7 @@ def simulate_tau(
         steps, inside, below = np.empty(k), np.empty(k, dtype=bool), np.empty(k, dtype=bool)
         exits = []
         for _ in range(n_cap):
-            gen.standard_normal(out=steps)
-            if not deterministic:
-                v = mu.sample_intervals(gen, k)
-                steps *= np.sqrt(v, out=v)
+            mu.sample_steps(gen, steps)
             x += steps
             np.greater(x, 0.0, out=inside)
             inside &= np.less(x, rho, out=below)

@@ -231,6 +231,27 @@ class FrameDistribution:
             return 1.0 - eps + 2.0 * eps * gen.random(size)
         return gen.standard_exponential(size)
 
+    def sample_steps(self, gen: np.random.Generator, out: np.ndarray) -> None:
+        """Fill `out` with one frame's displacements sqrt(v) xi, in place.
+
+        Deterministic frames draw the normals xi alone.  Two-point and jitter
+        frames draw the normals, then `sample_intervals`, and multiply by
+        sqrt(v).  Exponential frames draw E1 into `out`, then E2, and take
+        (E1 - E2)/sqrt 2: sqrt(v) xi with v ~ Exp(1) is Laplace(0, 1/sqrt 2)
+        (Andrews & Mallows, J. R. Stat. Soc. B 36, 1974), and so is that
+        difference; two exponential draws cost less than a normal and an
+        exponential draw with a square root and a product.
+        """
+        if self.kind == "exponential":
+            gen.standard_exponential(out=out)
+            out -= gen.standard_exponential(out.size)
+            out /= _SQRT_2
+            return
+        gen.standard_normal(out=out)
+        if self.kind != "deterministic":
+            v = self.sample_intervals(gen, out.size)
+            out *= np.sqrt(v, out=v)
+
 
 # -- kernel evaluation --------------------------------------------------------
 

@@ -12,12 +12,17 @@ from strobofp import (
     BOUNDARY_SLOPE,
     BULK_A,
     BULK_B,
+    FrameDistribution,
     GAP_BETA,
     InsufficientDataError,
+    ProblemSpec,
     boundary_law,
+    build_averaged_operator,
     bulk_law,
     effective_exponent,
+    exponential_mean_tau,
     loglog_window_points,
+    mean_frames,
     mode_sum_survival,
 )
 
@@ -55,6 +60,29 @@ class TestBulkLaw:
 
     def test_leading_term(self):
         assert bulk_law(1e6) / 1e12 == pytest.approx(0.25, rel=1e-5)
+
+
+class TestExponentialMeanTau:
+    def test_values(self):
+        slope = 1.0 / math.sqrt(2.0)
+        assert exponential_mean_tau(10.0, 0.5) == pytest.approx(26.0 + 10.0 * slope, rel=1e-15)
+        assert exponential_mean_tau(30.0, 0.0) == exponential_mean_tau(30.0, 1.0)
+        assert exponential_mean_tau(30.0, 0.0) == pytest.approx(1.0 + 30.0 * slope, rel=1e-15)
+
+    @pytest.mark.parametrize("rho", [2.0, 20.0, 100.0])
+    @pytest.mark.parametrize("y0", [0.0, 0.5])
+    def test_grid_error_is_second_order(self, rho, y0):
+        # the band holds exact cell means of the Laplace kernel, so the
+        # midpoint grid's O(h^2) error is what is left: it falls by four
+        # per halving of h from the default grid
+        mu = FrameDistribution.exponential()
+        n = ProblemSpec(rho=rho).n_grid
+        errors = []
+        for k in (1, 2, 4):
+            op = build_averaged_operator(ProblemSpec(rho, y0, n_grid=k * n), mu)
+            errors.append(mean_frames(op, y0).mean_tau - exponential_mean_tau(rho, y0))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.9 <= coarse / fine <= 4.1
 
 
 def _mode_sum_per_n(rho, n, start, tol=1e-12):

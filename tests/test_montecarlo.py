@@ -14,6 +14,7 @@ from strobofp import (
     FrameDistribution,
     ProblemSpec,
     build_operator,
+    exponential_mean_tau,
     mean_frames,
     self_averaging_check,
     simulate_tau,
@@ -51,18 +52,20 @@ class TestReproducibility:
 
     # Exact results at the stream layout of the module docstring (SFC64 on
     # child c of SeedSequence(seed) for chunk c, CHUNK trials per chunk,
-    # positions in wall units, normals then intervals per frame over the
-    # surviving trials in order): any change to that layout alters every
-    # seeded result, and these values with it.
+    # positions in wall units, each frame's draws over the surviving trials
+    # in order): deterministic frames draw normals; two-point and jitter
+    # frames draw normals, then intervals; exponential frames draw E1, then
+    # E2, and step (E1 - E2)/sqrt 2.  Any change to that layout alters every
+    # seeded result of the law it touches, and these values with it.
     @pytest.mark.parametrize("kwargs, histogram, mean_tau", [
         (dict(rho=2.0, y0=0.5, n_trials=mc_mod.CHUNK + 1000, seed=11),
          [21227, 17260, 10714, 6581, 4210, 2479, 1536, 961, 615, 365, 242, 132, 79, 58,
           23, 24, 12, 7, 5, 1, 3, 2],
          2.782373451965853),
         (dict(rho=3.0, y0=0.5, n_trials=2000, seed=5, mu=FrameDistribution.exponential()),
-         [236, 299, 298, 221, 197, 150, 135, 82, 75, 52, 53, 54, 29, 24, 16, 15, 15, 7, 9,
-          6, 4, 7, 1, 3, 4, 2, 2, 1, 0, 1, 0, 0, 0, 1, 1],
-         5.5275),
+         [245, 318, 278, 213, 188, 160, 131, 110, 77, 56, 43, 43, 36, 24, 21, 13, 11, 9, 2,
+          6, 4, 2, 3, 0, 3, 0, 1, 2, 0, 0, 0, 1],
+         5.3635),
         (dict(rho=3.0, y0=0.3, n_trials=2000, seed=9,
               mu=FrameDistribution.two_point(0.5, 1.5, 0.5)),
          [394, 367, 291, 225, 161, 141, 96, 79, 61, 44, 26, 23, 15, 20, 13, 10, 8, 8, 3, 4,
@@ -188,6 +191,13 @@ class TestStatistics:
         z = (result.mean_tau - reference) / result.std_error
         assert abs(z) < 3.0
         assert result.mean_tau >= 1.0
+
+    @pytest.mark.parametrize("rho, y0, seed", [(10.0, 0.5, 41), (30.0, 0.0, 42), (3.0, 0.2, 43)])
+    def test_exponential_frames_match_the_exact_mean(self, rho, y0, seed):
+        result = simulate_tau(rho, y0, 20_000, seed=seed, mu=FrameDistribution.exponential())
+        z = (result.mean_tau - exponential_mean_tau(rho, y0)) / result.std_error
+        assert abs(z) < 4.0
+        assert result.overflow == 0
 
     def test_subnormal_rho_exits_on_the_first_frame(self):
         # positions in wall units: no division by rho, so no overflow warning

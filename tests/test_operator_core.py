@@ -220,6 +220,22 @@ class TestFrameDistribution:
         assert v.mean() == pytest.approx(1.0, abs=0.01)
         assert v.var() == pytest.approx(mu.variance, abs=0.02)
 
+    @pytest.mark.parametrize("mu", [
+        FrameDistribution.deterministic(),
+        FrameDistribution.two_point(0.5, 1.5, 0.5),
+        FrameDistribution.uniform_jitter(0.5),
+        FrameDistribution.exponential(),
+    ])
+    def test_step_moments(self, mu):
+        # steps sqrt(U) xi: mean 0, variance E[U] = 1 and fourth moment
+        # 3 E[U^2] = 3 (1 + Var U), each within five of its standard errors
+        gen = np.random.default_rng(1234)
+        x = np.empty(200_000)
+        mu.sample_steps(gen, x)
+        for power, expected in ((1, 0.0), (2, 1.0), (4, 3.0 * (1.0 + mu.variance))):
+            moment = x**power
+            assert abs(moment.mean() - expected) < 5.0 * moment.std() / math.sqrt(x.size)
+
 
 class TestAveragedOperator:
     def test_deterministic_reproduces_build_operator_bitwise(self):
