@@ -21,6 +21,7 @@ from strobofp import (
     build_averaged_operator,
     build_operator,
     bulk_law,
+    exponential_mean_tau,
     mean_frames,
 )
 from strobofp import cli, montecarlo
@@ -282,16 +283,21 @@ class TestPlainArgv:
 
 
 class TestProductBudget:
-    # even_matvec calls per command: no speed may be bought with extra steps
+    # even_matvec calls per command: no speed may be bought with extra steps.
+    # Solves from the third sweep point on start from the two before it
     @pytest.mark.parametrize("argv, products", [
-        (["meantau", "--rho-range", "20:200:10"], 252),
+        (["meantau", "--rho-range", "20:200:10"], 135),
         (["fit", "--which", "gap"], 60),
         (["survival", "--rho", "100", "--n-max", "2000"], 140),
-        (["fit", "--which", "boundary"], 152),
-        (["figures"], 152),
-        (["fit", "--which", "bulk", "--dist", "exponential"], 38),
+        (["fit", "--which", "boundary"], 35),
+        (["figures"], 35),
+        (["fit", "--which", "bulk", "--dist", "exponential"], 22),
         # the residual stop, as spectrum prints the eigenvector's a0_est
         (["spectrum", "--rho-range", "20:120:10", "--y0", "0.5"], 94),
+        # sweeps that take the zero start: 18 rho is no integer, and a row
+        # sum of 1 + 5.4e-6
+        (["meantau", "--rho-range", "20.3:200:9.7"], 265),
+        (["meantau", "--rho-range", "20:200:10", "--dist", "twopoint:0.0001,1,0.95"], 276),
     ])
     def test_products_per_command(self, argv, products, tmp_path, monkeypatch):
         calls = count_even_products(monkeypatch)
@@ -571,6 +577,32 @@ class TestMC:
         assert payload["mode"] == "self-averaging"
         assert payload["distribution"] == "exponential"
 
+    def test_exponential_z_score_against_the_exact_mean(self, tmp_path):
+        # the grid's mean, kept as resolvent_mean_tau, lies 1.4e-4 relative
+        # below the exact one at rho = 10
+        out = tmp_path / "mc.json"
+        assert main(["mc", "--rho", "10", "--dist", "exponential", "--trials",
+                     "4000", "--seed", "3", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        exact = exponential_mean_tau(10.0, 0.5)
+        op = build_averaged_operator(ProblemSpec(rho=10.0), FrameDistribution.exponential())
+        assert payload["exact_mean_tau"] == exact
+        assert payload["resolvent_mean_tau"] == mean_frames(op, 0.5).mean_tau
+        assert exact - payload["resolvent_mean_tau"] == pytest.approx(1.4e-4 * exact, rel=0.05)
+        mc = payload["mc"]
+        assert payload["z_score"] == (mc["mean_tau"] - exact) / mc["std_error"]
+
+    @pytest.mark.parametrize("dist", ["deterministic", "jitter:0.5", "twopoint:0.5,1.5,0.5"])
+    def test_other_laws_z_score_against_the_grid(self, dist, tmp_path):
+        out = tmp_path / "mc.json"
+        assert main(["mc", "--rho", "5", "--dist", dist, "--trials", "4000", "--seed", "3",
+                     "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert "exact_mean_tau" not in payload
+        mc = payload["mc"]
+        assert payload["z_score"] == ((mc["mean_tau"] - payload["resolvent_mean_tau"])
+                                      / mc["std_error"])
+
     def test_random_law_reference_uses_grid_flags(self, tmp_path):
         out = tmp_path / "mc.json"
         assert main(["mc", "--rho", "5", "--dist", "exponential", "--n-grid", "60",
@@ -697,7 +729,7 @@ class TestFigures:
         class Swept(Exception):
             pass
 
-        def sweep(cfg, rhos, mu, per_op):
+        def sweep(cfg, rhos, mu, per_op, **kwargs):
             raise Swept(rhos)
 
         monkeypatch.setattr(cli, "_sweep", sweep)

@@ -35,7 +35,7 @@ from strobofp.resolvent import (
     RESIDUAL_TOL,
     _preconditioner,
     _resolvent_solve,
-    _weight_resolvent,
+    weight_resolvent,
 )
 from normal_cdf import ndtr
 
@@ -802,7 +802,7 @@ class TestMirrorFold:
     def test_deterministic_pcg_products(self, rho, monkeypatch):
         # M's steps and the true residual: 11 to 13 products with P alone
         products = count_even_products(monkeypatch)
-        _weight_resolvent(op_for(rho))
+        weight_resolvent(op_for(rho))
         assert len(products) <= 8
 
     def test_closed_form_at_vanishing_rho(self):
@@ -848,7 +848,7 @@ class TestMirrorFold:
         assert route is None and term is None
         assert [a.shape for a in sine] == [(m,), (op.n,), (m,)]
         # the steps and the true residual
-        _weight_resolvent(op)
+        weight_resolvent(op)
         assert len(products) == {20.0: 7, 100.0: 8}[rho]
 
     # even and odd N, and N = 2 * 617 and 5 * 13 * 19 with large prime factors
@@ -924,7 +924,7 @@ class TestMirrorFold:
             op = law_op(rho, "exponential", eta=eta)
             assert _preconditioner(op)[1] is not None
             products.clear()
-            _weight_resolvent(op)
+            weight_resolvent(op)
             assert len(products) == count
 
     def test_route_decided_once_per_operator(self, monkeypatch):
@@ -1038,7 +1038,7 @@ class TestWeightResolvent:
         monkeypatch.setattr(resolvent, "_precondition", preconditioned)
         monkeypatch.setattr(StroboOperator, "even_matvec", drifted)
         op = op_for(100.0)
-        _weight_resolvent(op)
+        weight_resolvent(op)
         assert len(checks) == 2
         assert_backward_error(op)
 
@@ -1047,14 +1047,103 @@ def assert_backward_error(op):
     """The cached u and the even part of the centred h meet RESIDUAL_TOL."""
     h = initial_vector(op, 0.5)
     h = 0.5 * (h + h[::-1])
+    m = (op.n + 1) // 2
+    for rhs, half in ((op.weights, weight_resolvent(op)), (h, _resolvent_solve(op, h[:m]))):
+        assert_meets_contract(op, rhs, half)
+
+
+def assert_meets_contract(op, rhs, half):
+    """The even x whose first entries are `half` solves (I - K) x = rhs within
+    RESIDUAL_TOL, formed on the full grid."""
+    x = unfold(half, op.n)
     # ||I - K||_inf from the row sums: K >= 0 and its diagonal is below 1
     norm = np.max(1.0 - 2.0 * op.band[0] + op.matvec(np.ones(op.n)))
-    m = (op.n + 1) // 2
-    for rhs, x in ((op.weights, unfold(_weight_resolvent(op), op.n)),
-                   (h, unfold(_resolvent_solve(op, h[:m]), op.n))):
-        residual = np.max(np.abs(rhs - (x - op.matvec(x))))
-        scale = norm * np.max(np.abs(x)) + np.max(np.abs(rhs))
-        assert residual <= RESIDUAL_TOL * scale
+    residual = np.max(np.abs(rhs - (x - op.matvec(x))))
+    assert residual <= RESIDUAL_TOL * (norm * np.max(np.abs(x)) + np.max(np.abs(rhs)))
+
+
+SWEEP_RHOS = np.arange(20.0, 201.0, 10.0).tolist()
+
+
+def sweep_solves(rhos, dist):
+    """[(operator, u, started)] over a sweep: each u solved from the two pairs
+    before it, as `cli._sweep` hands them on; started if they gave a start."""
+    points = []
+    for rho in rhos:
+        op = law_op(rho, dist)
+        pairs = [(prev, u) for prev, u, _ in points[-2:]]
+        started = resolvent._sweep_start(op, pairs) is not None
+        points.append((op, weight_resolvent(op, pairs), started))
+    return points
+
+
+def zero_start_u(op):
+    """u = (I - K)^{-1} w solved from 0 on a fresh copy of `op`, past its cache."""
+    fresh = StroboOperator(rho=op.rho, n=op.n, band=op.band.copy(), law=op.law)
+    return weight_resolvent(fresh)
+
+
+@pytest.fixture(scope="module")
+def law_sweeps():
+    """sweep_solves over rho = 20:200:10, ascending and descending, by (dist, order)."""
+    return {(dist, order): sweep_solves(SWEEP_RHOS[::order], dist)
+            for dist in LAWS for order in (1, -1)}
+
+
+class TestSweepStart:
+    # on the default grid 18 rho is an integer at every point, so one band
+    # serves the sweep: the start is taken from the third point on, but
+    # where the exponential band is cut at N - 1 (rho = 20, bandwidth 359
+    # against 459 from rho = 30 on)
+    @pytest.mark.parametrize("order", [1, -1])
+    @pytest.mark.parametrize("dist", LAWS)
+    def test_started_where_the_band_is_shared(self, dist, order, law_sweeps):
+        points = law_sweeps[dist, order]
+        shared = [len({op.bandwidth for op, _, _ in points[k - 2 : k + 1]}) == 1
+                  for k in range(2, len(points))]
+        assert [started for _, _, started in points[2:]] == shared
+        assert sum(shared) >= len(points) - 3
+
+    @pytest.mark.parametrize("order", [1, -1])
+    @pytest.mark.parametrize("dist", LAWS)
+    def test_started_solves_meet_the_contract(self, dist, order, law_sweeps):
+        for op, u, _ in law_sweeps[dist, order]:
+            assert_meets_contract(op, op.weights, u)
+
+    @pytest.mark.parametrize("order", [1, -1])
+    @pytest.mark.parametrize("dist", LAWS)
+    def test_started_solves_match_the_zero_start(self, dist, order, law_sweeps):
+        for op, u, _ in law_sweeps[dist, order][2:]:
+            zero = zero_start_u(op)
+            assert np.max(np.abs(u - zero)) <= 1e-11 * np.max(np.abs(zero))
+
+    @pytest.mark.parametrize("dist", LAWS)
+    def test_first_two_points_are_the_lone_solve(self, dist, law_sweeps):
+        for op, u, started in law_sweeps[dist, 1][:2]:
+            assert not started
+            assert np.array_equal(u, zero_start_u(op))
+
+    @pytest.mark.parametrize("rhos, dist", [
+        # row sum 1 + 5.4e-6: aliasing bends v_N away from the parabola
+        (SWEEP_RHOS, "twopoint:0.0001,1,0.95"),
+        # 18 rho is no integer: rho/n changes from point to point
+        ((20.3 + 9.7 * np.arange(19)).tolist(), "deterministic"),
+    ])
+    def test_fallback_sweeps_take_the_zero_start(self, rhos, dist):
+        for op, u, started in sweep_solves(rhos, dist):
+            assert not started
+            assert np.array_equal(u, zero_start_u(op))
+
+    def test_no_start_without_two_matching_pairs(self):
+        a, b, c = (op_for(rho) for rho in (20.0, 30.0, 40.0))
+        pairs = [(op, weight_resolvent(op)) for op in (a, b)]
+        assert resolvent._sweep_start(c, pairs) is not None
+        assert resolvent._sweep_start(c, pairs[1:]) is None
+        # the two before it at one N
+        assert resolvent._sweep_start(c, [pairs[1], pairs[1]]) is None
+        # another law, another rho/n
+        for other in (law_op(40.0, "jitter:0.5"), op_for(40.0, n_grid=700)):
+            assert resolvent._sweep_start(other, pairs) is None
 
 
 def supercritical_op():
