@@ -103,10 +103,16 @@ def _range_values(rng: tuple) -> np.ndarray:
     return lo + step * np.arange(math.floor(span + 0.5) + 1)
 
 
-def _resolve_rhos(cfg: RunConfig) -> list:
+def _rho_points(cfg: RunConfig, models=()) -> list:
+    """--rho, else the --rho-range points, else the first of `models`'
+    default sweep; refused unless it lies in each model's window."""
     if cfg.rho is not None:
-        return [cfg.rho]
-    return _range_values(cfg.rho_range).tolist()
+        rhos = [cfg.rho]
+    else:
+        rhos = _range_values(cfg.rho_range or MODELS[models[0]].sweep).tolist()
+    for model in models:
+        check_window(model, rhos)
+    return rhos
 
 
 def _spec(cfg: RunConfig, rho: float) -> ProblemSpec:
@@ -122,15 +128,8 @@ def _sweep(cfg: RunConfig, rhos, mu: FrameDistribution, per_op, resolvent: bool 
 
     With `resolvent`, for a per_op that reads M, u = (I - K)^{-1} w is
     solved first at each point and the last two (operator, u) pairs are
-    handed to the next solve (`resolvent.weight_resolvent`).  From the
-    third point on it starts from them where all three operators share
-    law, bandwidth and rho/n, the two differ in N and the band's row sum
-    is 1 to rounding: on the default grid, every sweep whose 18 rho are
-    integers.  `meantau --rho-range 20:200:10` then makes 135 products
-    instead of 252, `fit --which boundary` and `figures` 35 instead of 152.
-    Rows from the third on may differ from a lone --rho run in the last
-    digits, within the same backward-error contract; the first two rows
-    are the lone run's.
+    handed to the next solve, which may start from them
+    (`resolvent.weight_resolvent`).
     """
     rows, previous = [], ()
     for rho in rhos:
@@ -204,7 +203,7 @@ def read_csv(text: str):
 
 def cmd_meantau(cfg: RunConfig) -> int:
     mu = FrameDistribution.parse(cfg.dist)
-    rhos = _resolve_rhos(cfg)
+    rhos = _rho_points(cfg)
 
     def stats_row(op):
         stats = exit_stats(op, cfg.y0)
@@ -241,7 +240,7 @@ def cmd_survival(cfg: RunConfig) -> int:
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     mu = FrameDistribution.parse(cfg.dist)
-    rhos = _resolve_rhos(cfg)
+    rhos = _rho_points(cfg)
 
     def spectrum_row(op):
         lam, _, a0 = spectral_pair(op, y0=cfg.y0)
@@ -256,8 +255,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 def cmd_fit(cfg: RunConfig) -> int:
     mu = FrameDistribution.parse(cfg.dist)
     which = cfg.which
-    rhos = _range_values(cfg.rho_range or MODELS[which].sweep).tolist()
-    check_window(which, rhos)
+    rhos = _rho_points(cfg, (which,))
     fit, per_op = {
         "boundary": (fit_boundary, lambda op: (mean_frames(op, 0.0).M,)),
         "bulk": (fit_bulk, lambda op: (mean_frames(op, 0.5).M,)),
@@ -305,6 +303,13 @@ def cmd_mc(cfg: RunConfig) -> int:
 _GNUPLOT_HEADER = "set datafile separator ','\nset key left top\nset grid\n"
 
 
+def _write_figure(out_dir: Path, name: str, columns, rows, comment: str, plot: str) -> None:
+    """`name`.csv, the rows under `comment`, and `name`.gp, the shared header then `plot`."""
+    (out_dir / f"{name}.csv").write_text(
+        _csv_text(f"figures/{name}", columns, rows, comment), newline="\n")
+    (out_dir / f"{name}.gp").write_text(_GNUPLOT_HEADER + plot, newline="\n")
+
+
 def _figure2(out_dir: Path) -> None:
     rhos = asymptotics.loglog_window_points(10.0, 100.0, 40).tolist()
     rows = [(r, asymptotics.bulk_law(r), 0.25 * r * r) for r in rhos]
@@ -315,65 +320,50 @@ def _figure2(out_dir: Path) -> None:
         )
         for window in ((10, 30), (30, 100))
     )
-    comment = (f"alpha_eff[10,30]={alpha_low:.4f} alpha_eff[30,100]={alpha_high:.4f} "
-               f"reference slope 2")
-    (out_dir / "fig2.csv").write_text(
-        _csv_text("figures/fig2", ("rho", "etau_bulk_law", "quarter_rho_sq"),
-                  rows, comment),
-        newline="\n",
+    _write_figure(
+        out_dir, "fig2", ("rho", "etau_bulk_law", "quarter_rho_sq"), rows,
+        f"alpha_eff[10,30]={alpha_low:.4f} alpha_eff[30,100]={alpha_high:.4f} "
+        f"reference slope 2",
+        "set logscale xy\nset xlabel 'rho'\nset ylabel 'E[tau]'\n"
+        f"set label 1 'alpha_eff = {alpha_low:.2f} on [10,30]' at graph 0.05, 0.9\n"
+        f"set label 2 'alpha_eff = {alpha_high:.2f} on [30,100]' at graph 0.05, 0.82\n"
+        "plot 'fig2.csv' using 1:2 with lines title 'bulk law', \\\n"
+        "     'fig2.csv' using 1:3 with lines dashtype 2 title 'rho^2/4'\n",
     )
-    script = (
-        _GNUPLOT_HEADER
-        + "set logscale xy\nset xlabel 'rho'\nset ylabel 'E[tau]'\n"
-        + f"set label 1 'alpha_eff = {alpha_low:.2f} on [10,30]' at graph 0.05, 0.9\n"
-        + f"set label 2 'alpha_eff = {alpha_high:.2f} on [30,100]' at graph 0.05, 0.82\n"
-        + "plot 'fig2.csv' using 1:2 with lines title 'bulk law', \\\n"
-        + "     'fig2.csv' using 1:3 with lines dashtype 2 title 'rho^2/4'\n"
-    )
-    (out_dir / "fig2.gp").write_text(script, newline="\n")
 
 
-def _figure_sweep(out_dir: Path, name: str, data) -> None:
-    if name == "fig3":
-        fit = fit_boundary(data)
-        asym = lambda r: r / math.sqrt(2.0) + (asymptotics.BOUNDARY_CONST - 1.0)
-        labels = ("M_data", "M_fit", "M_asymptote")
-        title = "boundary start (y0=0)"
-    else:
-        fit = fit_bulk(data)
-        asym = lambda r: 0.25 * r * r
-        labels = ("M_data", "M_fit", "M_quarter_rho_sq")
-        title = "bulk start (y0=1/2)"
-    coef, curve = tuple(fit.coefficients.values()), MODELS[fit.model].curve
-    rows = [(r, m, curve(coef, r), asym(r)) for r, m in data]
-    (out_dir / f"{name}.csv").write_text(
-        _csv_text(f"figures/{name}", ("rho",) + labels, rows,
-                  f"{title}; fit {fit.to_json()}"),
-        newline="\n",
-    )
-    script = (
-        _GNUPLOT_HEADER
-        + f"set xlabel 'rho'\nset ylabel 'M'\nset title '{title}'\n"
-        + f"plot '{name}.csv' using 1:2 with points pointtype 7 title 'data', \\\n"
-        + f"     '{name}.csv' using 1:3 with lines title 'fit', \\\n"
-        + f"     '{name}.csv' using 1:4 with lines dashtype 2 title 'asymptote'\n"
-    )
-    (out_dir / f"{name}.gp").write_text(script, newline="\n")
+# name, model fitted, start y0 of its sweep column, asymptote, its column, title
+_FIGURE_SWEEPS = (
+    ("fig3", "boundary", 0.0, lambda r: r / math.sqrt(2.0) + (asymptotics.BOUNDARY_CONST - 1.0),
+     "M_asymptote", "boundary start (y0=0)"),
+    ("fig4", "bulk", 0.5, lambda r: 0.25 * r * r, "M_quarter_rho_sq", "bulk start (y0=1/2)"),
+)
 
 
 def cmd_figures(cfg: RunConfig) -> int:
-    # fig3 and fig4 share one sweep, the boundary and bulk models' default
-    rhos = _range_values(cfg.rho_range or MODELS["boundary"].sweep).tolist()
-    check_window("boundary", rhos)
-    check_window("bulk", rhos)
+    # fig3 and fig4 share one sweep, their models' default
+    rhos = _rho_points(cfg, [model for _, model, *_ in _FIGURE_SWEEPS])
     out_dir = Path(cfg.out if cfg.out != "-" else ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = _sweep(cfg, rhos, FrameDistribution.deterministic(),
-                  lambda op: (mean_frames(op, 0.0).M, mean_frames(op, 0.5).M),
+                  lambda op: [mean_frames(op, y0).M for _, _, y0, *_ in _FIGURE_SWEEPS],
                   resolvent=True)
     _figure2(out_dir)
-    _figure_sweep(out_dir, "fig3", [(rho, m_edge) for rho, m_edge, _ in rows])
-    _figure_sweep(out_dir, "fig4", [(rho, m_bulk) for rho, _, m_bulk in rows])
+    fits = {"boundary": fit_boundary, "bulk": fit_bulk}
+    for column, (name, model, _, asymptote, asymptote_column, title) in enumerate(
+            _FIGURE_SWEEPS, 1):
+        data = [(row[0], row[column]) for row in rows]
+        fit = fits[model](data)
+        coef, curve = tuple(fit.coefficients.values()), MODELS[model].curve
+        _write_figure(
+            out_dir, name, ("rho", "M_data", "M_fit", asymptote_column),
+            [(r, m, curve(coef, r), asymptote(r)) for r, m in data],
+            f"{title}; fit {fit.to_json()}",
+            f"set xlabel 'rho'\nset ylabel 'M'\nset title '{title}'\n"
+            f"plot '{name}.csv' using 1:2 with points pointtype 7 title 'data', \\\n"
+            f"     '{name}.csv' using 1:3 with lines title 'fit', \\\n"
+            f"     '{name}.csv' using 1:4 with lines dashtype 2 title 'asymptote'\n",
+        )
     print(f"wrote fig2/fig3/fig4 csv+gp under {out_dir}")
     return 0
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from strobofp import (
+    BOUNDARY_CONST,
     FrameDistribution,
     ProblemSpec,
     SolverError,
@@ -698,12 +699,30 @@ class TestFigures:
         assert "alpha_eff[10,30]=1.86" in fig2
         assert "alpha_eff[30,100]=1.95" in fig2
 
-    def test_fig3_deterministic(self, tmp_path):
-        d1, d2 = tmp_path / "one", tmp_path / "two"
-        argv = ["figures", "--rho-range", "20:80:10"]
-        assert main(argv + ["--out", str(d1)]) == 0
-        assert main(argv + ["--out", str(d2)]) == 0
-        assert (d1 / "fig3.csv").read_bytes() == (d2 / "fig3.csv").read_bytes()
+    @pytest.fixture(scope="class")
+    def figure_reruns(self, tmp_path_factory):
+        """Two directories, each written by the same `figures` command."""
+        runs = tmp_path_factory.mktemp("one"), tmp_path_factory.mktemp("two")
+        for out in runs:
+            assert main(["figures", "--rho-range", "20:80:10", "--out", str(out)]) == 0
+        return runs
+
+    @pytest.mark.parametrize("name", [f"fig{k}.{ext}" for k in (2, 3, 4) for ext in ("csv", "gp")])
+    def test_reruns_are_byte_identical(self, name, figure_reruns):
+        d1, d2 = figure_reruns
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    @pytest.mark.parametrize("name, column, law", [
+        ("fig2", "etau_bulk_law", bulk_law),
+        ("fig2", "quarter_rho_sq", lambda r: 0.25 * r * r),
+        ("fig3", "M_asymptote", lambda r: r / math.sqrt(2.0) + (BOUNDARY_CONST - 1.0)),
+        ("fig4", "M_quarter_rho_sq", lambda r: 0.25 * r * r),
+    ], ids=lambda value: value if isinstance(value, str) else "law")
+    def test_reference_columns_are_their_laws(self, name, column, law, figure_reruns):
+        # repr round-trips, so the column and the law compare exactly
+        _, columns, rows = read_csv((figure_reruns[0] / f"{name}.csv").read_text())
+        values = [row[columns.index(column)] for row in rows]
+        assert values == [law(row[0]) for row in rows]
 
     @pytest.mark.parametrize("which, name", [("boundary", "fig3"), ("bulk", "fig4")])
     def test_fit_column_is_the_model_curve_at_the_fit(self, which, name, tmp_path, capsys):
