@@ -1,10 +1,11 @@
 """Command-line driver: sweeps, validation runs, and figure data files.
 
 Subcommands: meantau, survival, spectrum, fit, mc, figures.  Tabular output
-is CSV with a versioned header comment, structured output is JSON, figures
-are CSV plus gnuplot scripts.  Every command is deterministic given its
-configuration (Monte Carlo given its seed); exit codes are 0 on success,
-2 on usage errors, 3 on numerical failure.
+is CSV with a versioned header comment, except the `mc --hist-out`
+histogram: plain `tau,count` rows with no comment line.  Structured output
+is JSON, figures are CSV plus gnuplot scripts.  Every command is
+deterministic given its configuration (Monte Carlo given its seed); exit
+codes are 0 on success, 2 on usage errors, 3 on numerical failure.
 """
 
 from __future__ import annotations

@@ -119,12 +119,11 @@ def _fit(model: str, data) -> FitResult:
                 )
     residual = y - design @ coef
     rms = float(np.sqrt(np.mean(residual**2)))
-    if n > p:
-        sigma2 = float(residual @ residual) / (n - p)
-        cov = sigma2 * np.linalg.inv(design.T @ design)
-        errs = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    else:
-        errs = np.full(p, np.nan)
+    # n > p: check_window admits no fewer than n_min points, and every n_min
+    # exceeds its model's coefficient count
+    sigma2 = float(residual @ residual) / (n - p)
+    cov = sigma2 * np.linalg.inv(design.T @ design)
+    errs = np.sqrt(np.maximum(np.diag(cov), 0.0))
     return FitResult(
         model=model,
         coefficients={k: float(v) for k, v in zip(names, coef)},

@@ -309,8 +309,11 @@ class StroboOperator:
     (i - 1/2)/n with the uniform quadrature weights 1/n; `band` already
     includes that weight, and `law` is the frame-interval law whose
     `averaged_kernel` it holds.  The grid and the weights follow from n, so
-    both are mirror-even by construction.  The instance is immutable and
-    safe to share across threads.
+    both are mirror-even by construction, and so is the fold of the
+    solvers: a mirror-even x is carried as its first m = ceil(N/2) entries,
+    each occurring `multiplicity` times in x (2 on each mirrored pair, 1 on
+    the middle node of odd N), and `fold` and `unfold` map between the
+    two.  The instance is immutable and safe to share across threads.
     """
 
     rho: float
@@ -319,18 +322,25 @@ class StroboOperator:
     law: FrameDistribution
     grid: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
+    multiplicity: np.ndarray = field(init=False, repr=False)
     _sym_band: np.ndarray = field(init=False, repr=False)
+    _mirror: slice = field(init=False, repr=False)  # x[m:] = half[_mirror]
 
     def __post_init__(self):
+        m = (self.n + 1) // 2
+        multiplicity = np.full(m, 2.0)
+        multiplicity[-1] -= self.n % 2  # the middle node of odd N occurs once
         arrays = {
             "grid": (np.arange(1, self.n + 1) - 0.5) / self.n,
             "weights": np.full(self.n, 1.0 / self.n),
+            "multiplicity": multiplicity,
             "_sym_band": np.concatenate([self.band[:0:-1], self.band]),
         }
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
         for arr in (self.band, *arrays.values()):
             arr.setflags(write=False)
+        object.__setattr__(self, "_mirror", slice(self.n - m - 1, None, -1))
 
     @property
     def bandwidth(self) -> int:
@@ -347,20 +357,28 @@ class StroboOperator:
         K commutes with the reflection (J x)_i = x_{N-1-i}, so K x is even
         too and its first half is its whole content.  Rows i < m read x only
         up to index m - 1 + bandwidth: the half, then at most `bandwidth`
-        entries of its mirror image x[m:] = half[N-m-1::-1], zero beyond the
+        entries of its mirror image x[m:] (`unfold`), zero beyond the
         grid.  One 'valid' convolution takes about 45% of the multiply-adds
         of `matvec`.
         """
-        bw, n = self.bandwidth, self.n
-        m = (n + 1) // 2
+        bw, m = self.bandwidth, self.multiplicity.size
         half = np.asarray(half, dtype=float)
         if half.shape != (m,):
             raise ValueError(f"expected the {m} entries of an even half, got shape {half.shape}")
         padded = np.zeros(m + 2 * bw)
         padded[bw : bw + m] = half
-        tail = half[n - m - 1 :: -1][:bw]
+        tail = half[self._mirror][:bw]
         padded[bw + m : bw + m + tail.size] = tail
         return np.convolve(padded, self._sym_band, "valid")
+
+    def fold(self, vec: np.ndarray) -> np.ndarray:
+        """First m = ceil(N/2) entries of the even part (vec + J vec)/2 of a full vector."""
+        m = self.multiplicity.size
+        return 0.5 * (vec[:m] + vec[::-1][:m])
+
+    def unfold(self, half: np.ndarray) -> np.ndarray:
+        """The full mirror-even vector whose first m = ceil(N/2) entries are `half`."""
+        return np.concatenate([half, half[self._mirror]])
 
     def toarray(self) -> np.ndarray:
         """Dense matrix; for tests and small problems only."""

@@ -48,12 +48,13 @@ The interval is symmetric and the grid and weights of a `StroboOperator`
 follow from N alone, so the Toeplitz matrix K commutes with the reflection
 (J x)_i = x_{N-1-i} and the weights w are mirror-even: u and the leading
 eigenvector are even, and S_n = w . K^{n-1} h depends only on the even
-part of h.  An even vector is carried as its first m = ceil(N/2) entries,
-and K folds into `StroboOperator.even_matvec` (Cantoni & Butler, Linear
-Algebra Appl. 13, 1976), which makes every product of the survival
-recursion and its Lanczos tail, of PCG, of its residual check and of the
-eigensolver.  Sums, inner products and norms over the full grid weight
-each mirrored pair 2 and the middle node of odd N 1 (`_multiplicity`,
+part of h.  An even vector is carried as its first m = ceil(N/2) entries
+in the operator's fold (`StroboOperator.fold`, `unfold`), and K folds into
+`StroboOperator.even_matvec` (Cantoni & Butler, Linear Algebra Appl. 13,
+1976), which makes every product of the survival recursion and its
+Lanczos tail, of PCG, of its residual check and of the eigensolver.
+Sums, inner products and norms over the full grid weight each mirrored
+pair 2 and the middle node of odd N 1 (`StroboOperator.multiplicity`,
 `_dot`); max norms are those of the half.
 
 The eigensolver and the survival tail grow an orthonormal basis V on the
@@ -199,30 +200,6 @@ def initial_vector(op: StroboOperator, y0: float) -> np.ndarray:
     return averaged_kernel(op.grid - y0, op.rho, op.law, 1.0 / op.n)
 
 
-def _multiplicity(n: int) -> np.ndarray:
-    """How often each entry of the even half x[:ceil(n/2)] occurs in the full x.
-
-    2 for every mirrored pair, 1 for the middle node of odd n: sums, dot
-    products and norms of even vectors over the full grid are sums over the
-    half with these weights.
-    """
-    mult = np.full((n + 1) // 2, 2.0)
-    if n % 2:
-        mult[-1] = 1.0
-    return mult
-
-
-def _even_half(vec: np.ndarray) -> np.ndarray:
-    """First ceil(N/2) entries of the even part (vec + J vec)/2."""
-    m = (vec.size + 1) // 2
-    return 0.5 * (vec[:m] + vec[::-1][:m])
-
-
-def _unfold(half: np.ndarray, n: int) -> np.ndarray:
-    """The full mirror-even vector of length n whose first entries are `half`."""
-    return np.concatenate([half, half[n - half.size - 1 :: -1]])
-
-
 def _dot(a: np.ndarray, b: np.ndarray, mult: np.ndarray):
     """Full-grid inner products of the even vector of half b with that of half a (or each row)."""
     return 2.0 * (a @ b) if mult[-1] == 2.0 else a @ (mult * b)
@@ -271,11 +248,11 @@ def survival_sequence(op: StroboOperator, y0: float, n_max: int) -> SurvivalSeri
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    mult = _multiplicity(op.n)
+    mult = op.multiplicity
     weights = op.weights[: mult.size] * mult
     values = np.empty(n_max + 1)
     values[0] = 1.0
-    vec = _even_half(initial_vector(op, y0))
+    vec = op.fold(initial_vector(op, y0))
     n0 = math.ceil(op.rho)
     for n in range(1, n_max + 1):
         values[n] = weights @ vec
@@ -292,12 +269,13 @@ def survival_sequence(op: StroboOperator, y0: float, n_max: int) -> SurvivalSeri
 def _extend(basis: np.ndarray, k: int, z: np.ndarray, mult: np.ndarray) -> tuple:
     """Store z, made orthonormal to basis[:k], as basis[k]; (its size, basis[:k] . z).
 
-    Classical Gram-Schmidt in the inner product of `_multiplicity`, with a
-    second pass only where the first leaves less than 0.7 of the norm of z
-    (the DGKS test: Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976;
-    twice is enough: Parlett, The Symmetric Eigenvalue Problem).  The
-    coefficients are the first pass's and the size is that left after the
-    last; where the size is 0, z lies in the span and basis[k] is set to 0.
+    Classical Gram-Schmidt in the inner product of the operator's fold
+    (`StroboOperator.multiplicity`), with a second pass only where the first
+    leaves less than 0.7 of the norm of z (the DGKS test: Daniel, Gragg,
+    Kaufman & Stewart, Math. Comp. 30, 1976; twice is enough: Parlett, The
+    Symmetric Eigenvalue Problem).  The coefficients are the first pass's
+    and the size is that left after the last; where the size is 0, z lies
+    in the span and basis[k] is set to 0.
     """
     before = _norm(z, mult)
     coef = _dot(basis[:k], z, mult)
@@ -344,7 +322,7 @@ def _lanczos_tail(op: StroboOperator, x: np.ndarray, weights: np.ndarray,
     leading eigenvalue >= 1 and raises SolverError.  Memory: the k Lanczos
     vectors and the tail.
     """
-    mult = _multiplicity(op.n)
+    mult = op.multiplicity
     cap = min(EIGEN_MAX_ITER, x.size)
     basis = np.empty((cap + 1, x.size))
     ritz = np.zeros((cap, cap))
@@ -470,7 +448,7 @@ def _sine_transform(op: StroboOperator) -> tuple:
     and twiddle_l = e^{-i pi k/(2N)}.  A lambda_k <= 0, where the band's
     symbol reaches 1, raises SolverError.
     """
-    n, m = op.n, (op.n + 1) // 2
+    n, m = op.n, op.multiplicity.size
     lam = 1.0 - (2.0 * np.fft.rfft(op.band, 2 * n).real[1::2] - op.band[0])
     if not np.all(lam > 0.0):
         k = int(np.argmin(lam))
@@ -591,13 +569,13 @@ def _precondition(op: StroboOperator, half: np.ndarray) -> np.ndarray:
     m = half.size
     if route is None:
         lam, shift, twiddle = sine
-        coef = (twiddle * np.fft.fft(shift * _unfold(half, op.n))[:m]).imag / lam
-        if op.n % 2:
+        coef = (twiddle * np.fft.fft(shift * op.unfold(half))[:m]).imag / lam
+        if op.multiplicity[-1] == 1.0:
             coef[-1] *= 0.5
         return -2.0 * (shift[:m].conj() * np.fft.ifft(coef * twiddle.conj(), op.n)[:m]).imag
     alpha, t, s2 = route
     tails = np.add.accumulate(half[::-1])[::-1]
-    if op.n % 2:
+    if op.multiplicity[-1] == 1.0:
         tails -= 0.5 * half[-1]
     z = s2 * np.add.accumulate(tails)
     z += half + t * tails[0]
@@ -605,7 +583,7 @@ def _precondition(op: StroboOperator, half: np.ndarray) -> np.ndarray:
     if term is None:
         return z
     diagonal, off, r, up, down = term
-    causal = _unfold(half, op.n)
+    causal = op.unfold(half)
     for start in range(0, op.n, up.size):
         block = causal[start : start + up.size]
         block *= up[: block.size]
@@ -638,7 +616,7 @@ def _resolvent_solve(op: StroboOperator, rhs: np.ndarray,
     second miss raises SolverError.  Non-positive curvature p.(I - K)p <= 0
     raises SolverError, EIGEN_MAX_ITER steps in all ConvergenceError.
     """
-    mult = _multiplicity(op.n)
+    mult = op.multiplicity
     norm = 1.0 - op.band[0] + 2.0 * op.band[1:].sum()
     rhs_max = np.abs(rhs).max()
     if start is None:
@@ -719,7 +697,7 @@ def _sweep_start(op: StroboOperator, previous) -> np.ndarray | None:
     rounding = 2.0 * np.finfo(float).eps * math.sqrt(op.bandwidth)
     if not same or op_p.n == op_q.n or abs(row_sum - 1.0) > rounding:
         return None
-    n, m = op.n, (op.n + 1) // 2
+    n, m = op.n, op.multiplicity.size
     shared = min(m, u_p.size, u_q.size)
     v_p, v_q = op_p.n * u_p[:shared], op_q.n * u_q[:shared]
     start = np.empty(m)
@@ -744,7 +722,7 @@ def weight_resolvent(op: StroboOperator, previous=()) -> np.ndarray:
     """
     u = _weight_resolvent_cache.get(op)
     if u is None:
-        u = _resolvent_solve(op, op.weights[: (op.n + 1) // 2], _sweep_start(op, previous))
+        u = _resolvent_solve(op, op.weights[: op.multiplicity.size], _sweep_start(op, previous))
         u.setflags(write=False)
         _weight_resolvent_cache[op] = u
     return u
@@ -759,7 +737,7 @@ def mean_frames(op: StroboOperator, y0: float) -> ExitStats:
     that of the even half of h with u (`_dot`).
     """
     h = initial_vector(op, y0)
-    M = float(_dot(_even_half(h), weight_resolvent(op), _multiplicity(op.n)))
+    M = float(_dot(op.fold(h), weight_resolvent(op), op.multiplicity))
     return ExitStats(M=M, mean_tau=1.0 + M)
 
 
@@ -801,7 +779,7 @@ def _davidson(op: StroboOperator, value_only: bool) -> tuple:
     """
     caller = "leading_eigenvalue" if value_only else "spectral_pair"
     eps = np.finfo(float).eps
-    mult = _multiplicity(op.n)
+    mult = op.multiplicity
     m = mult.size
     cap = min(EIGEN_MAX_ITER + 1, m)
     floor = 2.0 * eps * math.sqrt(m)
@@ -875,7 +853,7 @@ def spectral_pair(op: StroboOperator, y0: float | None = None):
     a `y0` it is None and no start profile is built.
     """
     lam, vec = _davidson(op, value_only=False)
-    vec = _unfold(vec, op.n)
+    vec = op.unfold(vec)
     if vec.sum() < 0.0:
         vec = -vec
     if y0 is None:

@@ -12,6 +12,7 @@ from strobofp import (
     fit_bulk,
     fit_gap,
 )
+from strobofp.fitting import MODELS
 
 RHOS = np.arange(20.0, 201.0, 10.0)
 
@@ -77,6 +78,12 @@ class TestDiagnostics:
         data = [(15.0, 10.0)] * 6
         with pytest.raises(FitError):
             fit_boundary(data)
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_window_leaves_residual_degrees_of_freedom(self, model):
+        # every fit the window admits has more points than coefficients, so
+        # the residual covariance, and every standard error, is defined
+        assert MODELS[model].n_min > len(MODELS[model].names)
 
     def test_too_few_points(self):
         with pytest.raises(InsufficientDataError):

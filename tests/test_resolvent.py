@@ -305,7 +305,7 @@ class TestDegenerateBranches:
             raise AssertionError("_norm entered np.errstate")
 
         monkeypatch.setattr(np, "errstate", fail)
-        mult = resolvent._multiplicity(n)
+        mult = op_for(1.0, n_grid=n).multiplicity
         assert resolvent._norm(np.zeros(mult.size), mult) == 0.0
         v = np.random.default_rng(3).standard_normal(mult.size)
         for scale, power in ((1e-160, 2.0**532), (1e160, 2.0**-532), (1e-170, 2.0**565),
@@ -321,8 +321,8 @@ class TestGramSchmidt:
     @pytest.mark.parametrize("n", [80, 81])
     @pytest.mark.parametrize("outside, passes", [(1e-9, 2), (1.0, 1)])
     def test_extend_leaves_an_orthonormal_basis(self, n, outside, passes, monkeypatch):
-        # k random rows orthonormal in the inner product of _multiplicity
-        k, mult = 6, resolvent._multiplicity(n)
+        # k random rows orthonormal in the inner product of the operator's fold
+        k, mult = 6, op_for(1.0, n_grid=n).multiplicity
         rng = np.random.default_rng(n)
         basis = np.full((k + 1, mult.size), np.nan)
         basis[:k] = np.linalg.qr(rng.standard_normal((mult.size, k)))[0].T / np.sqrt(mult)
@@ -345,7 +345,7 @@ class TestGramSchmidt:
     def test_extend_inside_the_span(self):
         # N = 7, multiplicities 2, 2, 2, 1: the rows and z are exact in
         # binary, so the projection cancels z exactly
-        mult = resolvent._multiplicity(7)
+        mult = op_for(1.0, n_grid=7).multiplicity
         basis = np.full((3, 4), np.nan)
         basis[:2] = [[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
         size, coef = resolvent._extend(basis, 2, np.array([1.0, 1.0, 0.0, 3.0]), mult)
@@ -702,6 +702,11 @@ class TestMirrorFold:
         half = np.random.default_rng(11).standard_normal(m)
         full = op.matvec(unfold(half, op.n))
         assert np.max(np.abs(op.even_matvec(half) - full[:m])) <= 2e-15 * np.max(np.abs(half))
+        # the operator's own fold agrees with the reference unfold and inverts it
+        assert np.array_equal(op.unfold(half), unfold(half, op.n))
+        assert np.array_equal(op.fold(op.unfold(half)), half)
+        assert op.multiplicity.sum() == op.n
+        assert not op.multiplicity.flags.writeable
 
     def test_even_matvec_rejects_a_wrong_length(self):
         op = op_for(5.0)
