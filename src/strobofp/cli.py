@@ -125,19 +125,28 @@ def _operator(cfg: RunConfig, rho: float, mu: FrameDistribution):
 
 
 def _sweep(cfg: RunConfig, rhos, mu: FrameDistribution, per_op, resolvent: bool = False):
-    """Rows (rho, *per_op(operator)), one rho after another (`_threads` says why).
+    """Rows (rho, *per_op(operator, previous)), one rho after another (`_threads` says why).
 
+    `previous` is the operator of the point before (None at the first),
+    which `spectral_pair`, `leading_eigenvalue` and `exit_stats` take as
+    their eigenvector start: from the second point on each Davidson starts
+    from the eigenvector before it, stretched to this N, where the two
+    share law and bandwidth (`resolvent._eigen_start`).  The first point's
+    row is therefore a lone run's, byte for byte.  Products:
+    `meantau --rho-range 20:200:10` 85 (135 from the half-sine),
+    `fit --which gap` 34 (60), `spectrum --rho-range 20:120:10` 72 (94).
     With `resolvent`, for a per_op that reads M, u = (I - K)^{-1} w is
     solved first at each point and the last two (operator, u) pairs are
     handed to the next solve, which may start from them
     (`resolvent.weight_resolvent`).
     """
-    rows, previous = [], ()
+    rows, pairs, last = [], (), None
     for rho in rhos:
         op = _operator(cfg, rho, mu)
         if resolvent:
-            previous = (*previous[-1:], (op, weight_resolvent(op, previous)))
-        rows.append((rho, *per_op(op)))
+            pairs = (*pairs[-1:], (op, weight_resolvent(op, pairs)))
+        rows.append((rho, *per_op(op, last)))
+        last = op
     return rows
 
 
@@ -206,8 +215,8 @@ def cmd_meantau(cfg: RunConfig) -> int:
     mu = FrameDistribution.parse(cfg.dist)
     rhos = _rho_points(cfg)
 
-    def stats_row(op):
-        stats = exit_stats(op, cfg.y0)
+    def stats_row(op, previous):
+        stats = exit_stats(op, cfg.y0, previous)
         return (cfg.y0, stats.M, stats.mean_tau, stats.lambda0, stats.gap)
 
     rows = _sweep(cfg, rhos, mu, stats_row, resolvent=True)
@@ -243,8 +252,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     mu = FrameDistribution.parse(cfg.dist)
     rhos = _rho_points(cfg)
 
-    def spectrum_row(op):
-        lam, _, a0 = spectral_pair(op, y0=cfg.y0)
+    def spectrum_row(op, previous):
+        lam, _, a0 = spectral_pair(op, y0=cfg.y0, previous=previous)
         return (lam, 1.0 - lam, a0)
 
     rows = _sweep(cfg, rhos, mu, spectrum_row)
@@ -258,9 +267,9 @@ def cmd_fit(cfg: RunConfig) -> int:
     which = cfg.which
     rhos = _rho_points(cfg, (which,))
     fit, per_op = {
-        "boundary": (fit_boundary, lambda op: (mean_frames(op, 0.0).M,)),
-        "bulk": (fit_bulk, lambda op: (mean_frames(op, 0.5).M,)),
-        "gap": (fit_gap, lambda op: (1.0 - leading_eigenvalue(op),)),
+        "boundary": (fit_boundary, lambda op, _: (mean_frames(op, 0.0).M,)),
+        "bulk": (fit_bulk, lambda op, _: (mean_frames(op, 0.5).M,)),
+        "gap": (fit_gap, lambda op, previous: (1.0 - leading_eigenvalue(op, previous),)),
     }[which]
     result = fit(_sweep(cfg, rhos, mu, per_op, resolvent=which != "gap"))
 
@@ -347,7 +356,7 @@ def cmd_figures(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out if cfg.out != "-" else ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = _sweep(cfg, rhos, FrameDistribution.deterministic(),
-                  lambda op: [mean_frames(op, y0).M for _, _, y0, *_ in _FIGURE_SWEEPS],
+                  lambda op, _: [mean_frames(op, y0).M for _, _, y0, *_ in _FIGURE_SWEEPS],
                   resolvent=True)
     _figure2(out_dir)
     fits = {"boundary": fit_boundary, "bulk": fit_bulk}

@@ -28,7 +28,13 @@ bound |theta - lambda0| <= r^2/delta (Kato, J. Phys. Soc. Japan 4, 1949;
 Temple, Proc. R. Soc. A 119, 1928) falls to (eps/2) theta two steps
 before the residual meets its bound, with delta = GAP_SAFETY
 min(theta_1 - theta_2, 8 (1 - theta_1)) estimated from the Ritz values,
-and skips the confirming product away from the rounding floor.
+and skips the confirming product away from the rounding floor.  Along a
+sweep each Davidson from the second point starts from the eigenvector of
+the point before it, stretched by the ratio of the two sections' shifted
+sines (`_eigen_start`), where the two share law and bandwidth; the
+extrapolation length of the sines is read off the band's own symbol
+(`_extrapolation_steps`).  Both stops are unchanged, and every other
+Davidson starts from the half-sine.
 
 `survival_sequence` makes one product per frame only up to a switch point
 n0, first ceil(rho), and only where n_max > n0 + EIGEN_MAX_ITER.  There
@@ -143,6 +149,11 @@ EIGEN_MAX_ITER = 100
 # 2 eps sqrt(m) theta from which it takes the residual unconfirmed.
 GAP_SAFETY = 0.75
 CONFIRM_MARGIN = 4.0
+# The most Newton steps on the band's symbol that give a sweep's Davidson
+# start its extrapolation length (`_extrapolation_steps`), and the step,
+# relative to theta, at which they have converged.
+EIGEN_START_NEWTON = 8
+EIGEN_START_NEWTON_TOL = 1e-4
 # Largest symbol-ratio bound on cond(P^{-1}(I - K)) for which the Laplace
 # preconditioner is used; beyond it the sine transform saves more steps than
 # its dearer apply costs (measured: Laplace wins or ties up to 1.30, the sine
@@ -164,9 +175,11 @@ _SQUARES_MIN = np.finfo(float).tiny / np.finfo(float).eps
 # Largest exponent a * h * length of one rescaled cumulative sum of G.
 _RESCALE_EXP = 600.0
 
-# Per operator: the record of `_preconditioner`, and u = (I - K)^{-1} w.
+# Per operator: the record of `_preconditioner`, u = (I - K)^{-1} w, and
+# (lambda0, first half of its eigenvector) from its last Davidson.
 _preconditioner_cache = weakref.WeakKeyDictionary()
 _weight_resolvent_cache = weakref.WeakKeyDictionary()
+_eigen_cache = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -760,22 +773,109 @@ def _gap_estimate(theta: np.ndarray) -> float:
     the squared frequency, so it too lies above the gap: by 0.2-0.4% at
     rho = 100 and 5-9% at 20 on the standard laws, threefold on
     twopoint:0.001,1,0.99 at 20, where the Ritz difference is the smaller.
-    At the stop dense checks find the minimum at most 1.01 times the gap,
-    which GAP_SAFETY covers.
+    At the stop dense checks find the minimum at most 1.03 times the gap
+    from the half-sine start (twopoint:0.5,1.5,0.5 at rho = 30), and 1.06
+    from a sweep's eigenvector start on the standard laws (sweeps by 1 or
+    10 up or down over rho = 20 to 100), where theta_2 is less converged
+    when the stop comes; on twopoint:0.001,1,0.99, whose band is shared
+    from rho = 82, 8 (1 - theta_1) is then the minimum at 1.16 to 1.20
+    times the gap.  GAP_SAFETY covers up to 1.33, so delta stays at most
+    0.90 of the gap.
     """
     top = float(theta[-1])
     return GAP_SAFETY * min(top - float(theta[-2]), 8.0 * (1.0 - top))
 
 
-def _davidson(op: StroboOperator, value_only: bool) -> tuple:
+def _extrapolation_steps(op: StroboOperator, lam: float) -> float | None:
+    """The extrapolation length z, in grid steps, at which the band's symbol gives lam.
+
+    The leading mode of a finite section of a Toeplitz band is, away
+    from a wall layer, the sine sin(pi (x + z)/(N + 2z)) at x = j + 1/2,
+    its length extended at each end by the Milne extrapolation length
+    (Spitzer, Duke Math. J. 24, 1957; Majumdar, Comtet & Ziff, J. Stat.
+    Phys. 122, 2006), and lam is the symbol band_0 + 2 sum_d band_d
+    cos(d theta) at theta = pi/(N + 2z).  Newton steps from theta = pi/N,
+    at most EIGEN_START_NEWTON, solve 1 - symbol = 1 - lam, with 1 - symbol taken as
+    1 - row sum + 4 sum_d band_d sin^2(d theta/2) to keep its digits: the
+    symbol falls and is concave in theta, so the steps fall monotonically
+    to the root, and once a step moves theta by at most
+    EIGEN_START_NEWTON_TOL of itself theta is within about the square of
+    that, z within about 1e-8 N grid steps (2 to 3 steps at rho = 20 to
+    200).  z = (pi/theta - N)/2, read off
+    the band with no constant of the law: 10.49 for deterministic frames
+    (18 zeta = 10.487) and 12.72 for exponential ones (18/sqrt 2 = 12.728)
+    on the default grid.  None unless a step within the cap does so and
+    0 < z < N.
+    """
+    tail = op.band[1:]
+    offsets = np.arange(1, op.band.size)
+    moments = 4.0 * offsets * tail
+    deficit = 1.0 - op.band[0] - 2.0 * tail.sum() - (1.0 - lam)
+    theta = math.pi / op.n
+    for _ in range(EIGEN_START_NEWTON):
+        half = 0.5 * theta * offsets
+        sine = np.sin(half)
+        # d/dtheta of 4 band_d sin^2(d theta/2) = 4 d band_d sin cos of d theta/2
+        slope = moments @ (sine * np.cos(half))
+        if not slope > 0.0:
+            return None
+        step = (deficit + 4.0 * (tail @ (sine * sine))) / slope
+        theta -= step
+        if not theta > 0.0:
+            return None
+        if abs(step) <= EIGEN_START_NEWTON_TOL * theta:
+            z = 0.5 * (math.pi / theta - op.n)
+            return z if 0.0 < z < op.n else None
+    return None
+
+
+def _eigen_start(op: StroboOperator, previous: StroboOperator | None) -> np.ndarray | None:
+    """First half of a Davidson start from the eigenvector of the sweep's previous
+    operator, or None where that gives none.
+
+    On the default grid the operators of a sweep are finite sections of
+    one Toeplitz band, whose leading mode is the shifted sine of
+    `_extrapolation_steps` times a wall layer that does not depend on N.
+    So the previous half v_p, of N_p and lambda0_p, is stretched node by
+    node: start_j = v_p[j] sin(pi (x + z)/(N + 2z))/sin(pi (x + z)/(N_p + 2z)),
+    x = j + 1/2, with z read off the previous operator's band at
+    lambda0_p; past the previous half the last ratio v_p/sine carries on.
+    None unless `previous` has the law and bandwidth of `op` and a
+    Davidson pair of its own (`_eigen_cache`), and z is found.
+    """
+    if previous is None or previous.law != op.law or previous.bandwidth != op.bandwidth:
+        return None
+    pair = _eigen_cache.get(previous)
+    z = None if pair is None else _extrapolation_steps(previous, pair[0])
+    if z is None:
+        return None
+    half = pair[1]
+    m, shared = op.multiplicity.size, min(op.multiplicity.size, half.size)
+    x = np.arange(m) + (0.5 + z)
+    amplitude = np.empty(m)
+    amplitude[:shared] = half[:shared] / np.sin(np.pi / (previous.n + 2.0 * z) * x[:shared])
+    amplitude[shared:] = amplitude[shared - 1]
+    return amplitude * np.sin(np.pi / (op.n + 2.0 * z) * x)
+
+
+def _davidson(op: StroboOperator, value_only: bool, previous=None) -> tuple:
     """(lambda0, first half of its unit eigenvector): the loop of `spectral_pair`.
 
     With `value_only` each step from the second also takes the value stop of
     `leading_eigenvalue`: its bound on the residual replaces the residual
     stop's where it is the larger, and the residual of the accumulated image
     is confirmed by a fresh product only where that bound lies within
-    CONFIRM_MARGIN of the rounding floor 2 eps sqrt(m) theta.  A failure
-    names the entry point that ran.
+    CONFIRM_MARGIN of the rounding floor 2 eps sqrt(m) theta.  The loop
+    starts from the stretched eigenvector of `previous`, the operator of the
+    sweep point before, where `_eigen_start` gives one, and otherwise from
+    the half-sine sin(pi y_i), bit for bit as without `previous`; either
+    way the pair is kept for the next point (`_eigen_cache`).  Over rho =
+    20:200:10 the start halves the products of the value stop: 100 to 50
+    for deterministic frames, 95 to 52 exponential, 114 to 46 jitter:0.5,
+    114 to 45 twopoint:0.5,1.5,0.5 and 124 to 81 twopoint:0.0001,1,0.95.
+    Per command: `meantau --rho-range 20:200:10` 135 to 85 products,
+    `fit --which gap` 60 to 34, `spectrum --rho-range 20:120:10` 94 to 72.
+    A failure names the entry point that ran.
     """
     caller = "leading_eigenvalue" if value_only else "spectral_pair"
     eps = np.finfo(float).eps
@@ -788,7 +888,9 @@ def _davidson(op: StroboOperator, value_only: bool) -> tuple:
     pairs = np.empty((cap, 2, m))
     basis = pairs[:, 0]
     ritz = np.zeros((cap, cap))
-    z = np.sin(np.pi * op.grid[:m])
+    z = _eigen_start(op, previous)
+    if z is None:
+        z = np.sin(np.pi * op.grid[:m])
     for k in range(1, cap + 1):
         _extend(basis, k - 1, z, mult)
         pairs[k - 1, 1] = op.even_matvec(basis[k - 1])
@@ -822,14 +924,25 @@ def _davidson(op: StroboOperator, value_only: bool) -> tuple:
             f"(0, 1) after {k - 1} steps, eigen residual {residual:.3e} against the "
             f"bound {rel * lam:.3e}"
         )
+    # a copy, so that the cache does not hold the image beside it
+    vec = vec.copy()
+    vec.setflags(write=False)
+    _eigen_cache[op] = lam, vec
     return lam, vec
 
 
-def spectral_pair(op: StroboOperator, y0: float | None = None):
+def spectral_pair(op: StroboOperator, y0: float | None = None,
+                  previous: StroboOperator | None = None):
     """Leading eigenvalue, eigenvector and overlap amplitude of K.
 
     Preconditioned Davidson (Davidson, J. Comput. Phys. 17, 1975) from the
-    half-sine profile (the wide-kernel limit mode).  The basis V grows by
+    half-sine profile (the wide-kernel limit mode), or, with `previous`, the
+    operator of a sweep's point before this one, from that point's
+    eigenvector stretched to this N where the two share law and bandwidth
+    and the band's symbol gives the extrapolation length (`_eigen_start`):
+    in a sweep by 10 from rho = 30 on, 5 to 7 products for deterministic
+    frames against 7 to 9.  Otherwise it starts from the half-sine, bit for
+    bit as a lone run; the stop is the same either way.  The basis V grows by
     one vector a step, M r/||r|| for the residual r of the top Ritz pair of
     V^T K V, with the M of `_precondition`, the one PCG applies (where M is
     (I - K)^{-1}, the span holds the inverse-iteration step), made
@@ -852,7 +965,7 @@ def spectral_pair(op: StroboOperator, y0: float | None = None):
     S_n ~ a0_est * lambda0^n for large n with the start point `y0`; without
     a `y0` it is None and no start profile is built.
     """
-    lam, vec = _davidson(op, value_only=False)
+    lam, vec = _davidson(op, value_only=False, previous=previous)
     vec = op.unfold(vec)
     if vec.sum() < 0.0:
         vec = -vec
@@ -862,7 +975,7 @@ def spectral_pair(op: StroboOperator, y0: float | None = None):
     return lam, vec, float((op.weights @ vec) * (vec @ initial_vector(op, y0)) / lam)
 
 
-def leading_eigenvalue(op: StroboOperator) -> float:
+def leading_eigenvalue(op: StroboOperator, previous: StroboOperator | None = None) -> float:
     """lambda0 alone: the Davidson of `spectral_pair`, stopped on the value.
 
     For the top Ritz value theta, its Ritz vector's residual r and any
@@ -881,8 +994,12 @@ def leading_eigenvalue(op: StroboOperator) -> float:
     frames take 5 to 6 products for rho = 2 to 3000 against the 7 to 9 of
     `spectral_pair`, and 5 with the confirming one at rho = 1e5 against 7;
     the two-point laws beyond the symbol bound 5 to 9 against 7 to 13.
+    `previous`, the operator of a sweep's point before this one, gives the
+    start of `spectral_pair`: in a sweep by 10 from rho = 30 on, 2 to 4
+    products for deterministic frames, 2 from rho = 100.  The stop is the
+    same, so a started lambda0 may differ from a lone run's only within it.
     """
-    return _davidson(op, value_only=True)[0]
+    return _davidson(op, value_only=True, previous=previous)[0]
 
 
 def neumann_partial_sum(op: StroboOperator, y0: float, terms: int) -> float:
@@ -890,10 +1007,12 @@ def neumann_partial_sum(op: StroboOperator, y0: float, terms: int) -> float:
     return float(survival_sequence(op, y0, terms).values[1:].sum())
 
 
-def exit_stats(op: StroboOperator, y0: float) -> ExitStats:
+def exit_stats(op: StroboOperator, y0: float,
+               previous: StroboOperator | None = None) -> ExitStats:
     """`mean_frames` at y0 with the leading eigenvalue lambda0 of
-    `leading_eigenvalue` and the gap 1 - lambda0, in one record."""
+    `leading_eigenvalue` (started from `previous`'s eigenvector where it
+    gives a start) and the gap 1 - lambda0, in one record."""
     base = mean_frames(op, y0)
-    lam = leading_eigenvalue(op)
+    lam = leading_eigenvalue(op, previous)
     return ExitStats(M=base.M, mean_tau=base.mean_tau, lambda0=lam, gap=1.0 - lam)
 

@@ -29,6 +29,7 @@ from strobofp import cli, montecarlo
 from strobofp.cli import RunConfig, main, parse_rho_range, read_csv, UsageError
 from strobofp.fitting import MODELS
 from strobofp.operator_core import StroboOperator
+from strobofp.resolvent import EIGEN_TOL
 from test_resolvent import count_even_products, count_start_profiles
 
 
@@ -285,25 +286,78 @@ class TestPlainArgv:
 
 class TestProductBudget:
     # even_matvec calls per command: no speed may be bought with extra steps.
-    # Solves from the third sweep point on start from the two before it
+    # Solves from the third sweep point on start from the two before it, and
+    # each Davidson from the second from the eigenvector before it
     @pytest.mark.parametrize("argv, products", [
-        (["meantau", "--rho-range", "20:200:10"], 135),
-        (["fit", "--which", "gap"], 60),
+        (["meantau", "--rho-range", "20:200:10"], 85),
+        (["fit", "--which", "gap"], 34),
         (["survival", "--rho", "100", "--n-max", "2000"], 140),
         (["fit", "--which", "boundary"], 35),
         (["figures"], 35),
         (["fit", "--which", "bulk", "--dist", "exponential"], 22),
         # the residual stop, as spectrum prints the eigenvector's a0_est
-        (["spectrum", "--rho-range", "20:120:10", "--y0", "0.5"], 94),
-        # sweeps that take the zero start: 18 rho is no integer, and a row
-        # sum of 1 + 5.4e-6
-        (["meantau", "--rho-range", "20.3:200:9.7"], 265),
-        (["meantau", "--rho-range", "20:200:10", "--dist", "twopoint:0.0001,1,0.95"], 276),
+        (["spectrum", "--rho-range", "20:120:10", "--y0", "0.5"], 72),
+        # sweeps whose solves take the zero start: 18 rho is no integer, and
+        # a row sum of 1 + 5.4e-6; their Davidson still takes the eigenvector's
+        (["meantau", "--rho-range", "20.3:200:9.7"], 228),
+        (["meantau", "--rho-range", "20:200:10", "--dist", "twopoint:0.0001,1,0.95"], 233),
+        # the eigenvector start's extrapolation length off the deterministic law
+        (["meantau", "--rho-range", "20:200:10", "--dist", "exponential"], 74),
+        (["meantau", "--rho-range", "20:200:10", "--dist", "jitter:0.5"], 83),
     ])
     def test_products_per_command(self, argv, products, tmp_path, monkeypatch):
         calls = count_even_products(monkeypatch)
         assert main(argv + ["--out", str(tmp_path / "out")]) == 0
         assert len(calls) == products
+
+
+class TestSweepEigenStart:
+    @staticmethod
+    def first_row(tmp_path, argv):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        return out.read_text().splitlines()[3]
+
+    @pytest.mark.parametrize("argv", [
+        ["meantau", "--y0", "0.3"],
+        ["meantau", "--dist", "exponential"],
+        ["spectrum", "--y0", "0.5"],
+        ["spectrum", "--dist", "jitter:0.5"],
+    ])
+    def test_first_row_is_the_lone_run(self, argv, tmp_path):
+        sweep = self.first_row(tmp_path, argv + ["--rho-range", "20:60:10"])
+        assert sweep == self.first_row(tmp_path, argv + ["--rho", "20"])
+
+    def test_first_gap_of_the_fit_is_the_lone_run(self, tmp_path, monkeypatch):
+        swept = []
+
+        def recorded(data):
+            swept.extend(data)
+            return fit_gap(data)
+
+        fit_gap = cli.fit_gap
+        monkeypatch.setattr(cli, "fit_gap", recorded)
+        assert main(["fit", "--which", "gap", "--out", str(tmp_path / "g.json")]) == 0
+        lone = self.first_row(tmp_path, ["meantau", "--rho", "20"])
+        assert swept[0] == (20.0, float(lone.split(",")[-1]))
+
+    def test_spectrum_rows_meet_the_residual_stop(self, tmp_path, monkeypatch):
+        pairs = []
+
+        def recorded(op, y0=None, previous=None):
+            lam, vec, a0 = spectral_pair(op, y0, previous)
+            pairs.append((op, lam, vec))
+            return lam, vec, a0
+
+        spectral_pair = cli.spectral_pair
+        monkeypatch.setattr(cli, "spectral_pair", recorded)
+        assert main(["spectrum", "--rho-range", "20:120:10", "--y0", "0.5",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        assert len(pairs) == 11
+        eps = np.finfo(float).eps
+        for op, lam, vec in pairs:
+            tol = max(EIGEN_TOL, 2.0 * eps * math.sqrt((op.n + 1) // 2))
+            assert np.linalg.norm(op.matvec(vec) - lam * vec) <= tol * lam
 
 
 class TestStartProfiles:

@@ -1151,6 +1151,136 @@ class TestSweepStart:
             assert resolvent._sweep_start(other, pairs) is None
 
 
+EIGEN_SWEEP_RHOS = np.arange(20.0, 81.0, 10.0).tolist()
+# the laws of the eigenvector start's dense check: both preconditioner
+# routes of the Laplace bound, with and without the correction term
+EIGEN_START_LAWS = ["deterministic", "exponential", "jitter:0.5", "twopoint:0.2,1,0.5"]
+
+
+def dense_even_spectrum(op):
+    """Ascending eigenvalues of the even block of the dense K (N <= 1440 here)."""
+    return np.linalg.eigvalsh(even_block(op.toarray()))
+
+
+def eigen_sweep(dist, solve):
+    """[(operator, result, started)] over EIGEN_SWEEP_RHOS: each point solved by
+    `solve(op, previous)` with the operator before it, as `cli._sweep` hands
+    it on; started if that gave the eigenvector start."""
+    points, previous = [], None
+    for rho in EIGEN_SWEEP_RHOS:
+        op = law_op(rho, dist)
+        started = resolvent._eigen_start(op, previous) is not None
+        points.append((op, solve(op, previous), started))
+        previous = op
+    return points
+
+
+class TestEigenStart:
+    # the start is taken from the second point on, but where the exponential
+    # band is cut at N - 1 (rho = 20, bandwidth 359 against 459 from 30 on)
+    @pytest.mark.parametrize("dist", EIGEN_START_LAWS)
+    def test_warm_started_value_matches_dense(self, dist, monkeypatch):
+        # the value stop's own error is below 0.8 eps lambda0; the rounding of
+        # the m-term Rayleigh quotient, up to 2 eps sqrt(m) lambda0 = 1.2e-14
+        # at m = 720, is 1.6e-11 of the gap at rho = 80: the tolerance is
+        # 2e-11 of the gap.  At each stop the delta of the Kato-Temple bound
+        # lies below the distance to the next even eigenvalue
+        _, deltas, _ = record_value_stop(monkeypatch)
+        stops = []
+
+        def solve(op, previous):
+            deltas.clear()
+            lam = leading_eigenvalue(op, previous)
+            stops.append(deltas[-1])
+            return lam
+
+        points = eigen_sweep(dist, solve)
+        assert sum(started for _, _, started in points) >= len(points) - 2
+        for (op, lam, _), delta in zip(points, stops):
+            even = dense_even_spectrum(op)
+            assert abs(lam - even[-1]) <= 2e-11 * (1.0 - even[-1])
+            assert 0.0 < delta <= even[-1] - even[-2]
+
+    def test_started_gap_estimate_on_a_wide_law(self, monkeypatch):
+        # twopoint:0.001,1,0.99 shares its band (bandwidth 1459) from rho = 82
+        # on.  From the eigenvector start theta_2 is far from converged at
+        # the stop, and delta rests on 8 (1 - theta_1), 1.16-1.20 times the
+        # gap there: delta is 0.87-0.90 of the gap, against 0.75 from the
+        # half-sine
+        _, deltas, _ = record_value_stop(monkeypatch)
+        previous = law_op(85.0, "twopoint:0.001,1,0.99")
+        leading_eigenvalue(previous)
+        for rho in (88.0, 91.0):
+            op = law_op(rho, "twopoint:0.001,1,0.99")
+            assert resolvent._eigen_start(op, previous) is not None
+            deltas.clear()
+            leading_eigenvalue(op, previous)
+            even = dense_even_spectrum(op)
+            assert 0.0 < deltas[-1] <= even[-1] - even[-2]
+            previous = op
+
+    @pytest.mark.parametrize("dist", EIGEN_START_LAWS)
+    def test_warm_started_pair_matches_dense(self, dist):
+        points = eigen_sweep(dist, lambda op, previous: spectral_pair(op, None, previous))
+        assert sum(started for _, _, started in points) >= len(points) - 2
+        for op, (lam, vec, _), _ in points:
+            even = dense_even_spectrum(op)
+            assert abs(lam - even[-1]) <= 2e-11 * (1.0 - even[-1])
+            assert np.linalg.norm(op.matvec(vec) - lam * vec) <= EIGEN_TOL * lam
+
+    @pytest.mark.parametrize("dist, z", [("deterministic", 10.49), ("exponential", 12.73)])
+    def test_extrapolation_length_from_the_symbol(self, dist, z):
+        # 18 zeta grid steps on the default grid: zeta = -zeta(1/2)/sqrt(2 pi)
+        # = 0.5825972 for deterministic frames, 1/sqrt 2 for exponential ones
+        op = law_op(200.0, dist)
+        assert resolvent._extrapolation_steps(op, leading_eigenvalue(op)) == pytest.approx(
+            z, abs=0.01)
+
+    @staticmethod
+    def assert_half_sine_start(op, previous):
+        # bit for bit the lone run, on a fresh copy of `op`
+        lone = StroboOperator(rho=op.rho, n=op.n, band=op.band.copy(), law=op.law)
+        assert leading_eigenvalue(op, previous) == leading_eigenvalue(lone)
+        lam, vec, a0 = spectral_pair(op, 0.5, previous)
+        lone_lam, lone_vec, lone_a0 = spectral_pair(lone, 0.5)
+        assert (lam, a0) == (lone_lam, lone_a0)
+        assert np.array_equal(vec, lone_vec)
+
+    def test_start_taken_on_a_shared_band(self):
+        previous, op = op_for(30.0), op_for(40.0)
+        leading_eigenvalue(previous)
+        assert resolvent._eigen_start(op, previous) is not None
+
+    @pytest.mark.parametrize("other", [
+        lambda: law_op(30.0, "jitter:0.5"),  # another law
+        lambda: op_for(30.0, cutoff_eta=6.0),  # another bandwidth
+    ])
+    def test_other_law_or_bandwidth_takes_the_half_sine(self, other):
+        previous, op = other(), op_for(40.0)
+        leading_eigenvalue(previous)
+        assert resolvent._eigen_start(op, previous) is None
+        self.assert_half_sine_start(op, previous)
+
+    def test_previous_without_a_pair_takes_the_half_sine(self):
+        previous, op = op_for(30.0), op_for(40.0)
+        assert resolvent._eigen_start(op, previous) is None
+        self.assert_half_sine_start(op, previous)
+
+    @pytest.mark.parametrize("newton_steps, gap_factor", [
+        (1, 1.0),  # one step still moves theta by more than the tolerance
+        (resolvent.EIGEN_START_NEWTON, 4.0),  # converges to theta ~ 2 pi/N, z < 0
+        (resolvent.EIGEN_START_NEWTON, 45.0),  # the first step passes theta = 0
+    ])
+    def test_failed_newton_takes_the_half_sine(self, newton_steps, gap_factor, monkeypatch):
+        previous, op = op_for(30.0), op_for(40.0)
+        lam = 1.0 - gap_factor * (1.0 - leading_eigenvalue(previous))
+        resolvent._eigen_cache[previous] = lam, resolvent._eigen_cache[previous][1]
+        monkeypatch.setattr(resolvent, "EIGEN_START_NEWTON", newton_steps)
+        assert resolvent._extrapolation_steps(previous, lam) is None
+        assert resolvent._eigen_start(op, previous) is None
+        self.assert_half_sine_start(op, previous)
+
+
 def supercritical_op():
     """A hand-built band with row sums 1.2: I - K is indefinite."""
     bw = 8
