@@ -10,7 +10,6 @@ codes are 0 on success, 2 on usage errors, 3 on numerical failure.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -52,9 +51,9 @@ _NUMERICAL_ERRORS = (
 )
 
 
-class UsageError(argparse.ArgumentTypeError):
+class UsageError(ValueError):
     """Invalid flag value or combination; argparse reports one raised by a
-    `type` converter, `main` any other."""
+    `type` converter (see `build_parser`), `main` any other."""
 
 
 @dataclass
@@ -420,8 +419,29 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, for the argv that `_plain_args` does not read."""
+def build_parser():
+    """The parser of every subcommand, for the argv that `_plain_args` does not read.
+
+    argparse, and the gettext it loads, are imported here alone, so a plain
+    argv never loads them.  Each `type` converter is wrapped so that its
+    UsageError reaches argparse as ArgumentTypeError, whose message argparse
+    prints as it stands; any other ValueError argparse reports as an invalid
+    value of the converter's name, which the wrapper keeps.
+    """
+    import argparse
+
+    def checked(convert):
+        def converter(text):
+            try:
+                return convert(text)
+            except UsageError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+
+        converter.__name__ = convert.__name__
+        return converter
+
+    flag_specs = {flag: {**spec, "type": checked(spec["type"])} if "type" in spec else spec
+                  for flag, spec in _FLAGS.items()}
     parser = argparse.ArgumentParser(
         prog="strobofp",
         description="Survival statistics of Brownian motion under frame-based "
@@ -432,13 +452,13 @@ def build_parser() -> argparse.ArgumentParser:
         # an option left unset stays out of the namespace: its RunConfig default applies
         p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
         if rho_flags == ("--rho",):
-            p.add_argument("--rho", required=True, **_FLAGS["--rho"])
+            p.add_argument("--rho", required=True, **flag_specs["--rho"])
         else:
             group = p.add_mutually_exclusive_group(required="--rho" in rho_flags)
             for flag in rho_flags:
-                group.add_argument(flag, **_FLAGS[flag])
+                group.add_argument(flag, **flag_specs[flag])
         for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
+            p.add_argument(flag, **flag_specs[flag])
     return parser
 
 
@@ -468,7 +488,7 @@ def _plain_args(argv) -> dict | None:
             return None
         try:
             args[dest] = spec.get("type", str)(text)
-        except (TypeError, ValueError, argparse.ArgumentTypeError):
+        except (TypeError, ValueError):  # UsageError among them
             return None
         if "choices" in spec and args[dest] not in spec["choices"]:
             return None
@@ -492,7 +512,7 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # UsageError among them
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,11 +14,13 @@ promise: [2**32, 0] and [0, 1] concatenate to the same 32-bit words.  On
 each frame the chunk fills its steps with mu.sample_steps(gen, steps), all
 draws in trial order: deterministic frames draw n_alive normals; two-point
 and jitter frames draw n_alive normals, then n_alive intervals, and multiply
-by sqrt(v); exponential frames draw n_alive Exp(1) values E1, then n_alive
-more E2, and step (E1 - E2)/sqrt 2, the Laplace law of sqrt(v) xi.  A frame
-costs 13-21 ns per live trial for deterministic and exponential frames and
-18-30 ns for jitter and two-point frames (one thread, 2 vCPUs, NumPy 2.4),
-most of it the draws.  A trial leaves the positions array on the frame it
+by sqrt(v); exponential frames draw n_alive uniforms and map each through
+the inverse CDF of the Laplace law of sqrt(v) xi.  A frame of a full chunk
+costs about 6 ns per live trial for exponential frames, 11-12 ns for
+deterministic, 15-16 ns for jitter and 19-21 ns for two-point frames, most
+of it the draws; a whole run, with its exits and short late frames,
+averages 8-21, 14-27, 19-42 and 26-51 ns per trial-frame (one thread,
+2 vCPUs, NumPy 2.4).  A trial leaves the positions array on the frame it
 exits.  A chunk keeps only those positions and how many trials exit on
 each frame; chunks run through `_threads.parallel_map`, the one worker
 pool, and are summed as they arrive, so memory is O(CHUNK + largest tau)
@@ -43,8 +45,8 @@ from .resolvent import mean_frames
 # changes every seeded result.
 CHUNK = 65_536
 # Most frames a run may simulate, counted as n_trials * (1 + rho^2), the
-# scale of _hard_cap: two to five minutes at the 13-30 ns per trial-frame
-# of the four frame laws (one thread, 2 vCPUs).
+# scale of _hard_cap: one and a half to nine minutes at the 8-51 ns per
+# trial-frame of the four frame laws (one thread, 2 vCPUs).
 FRAME_BUDGET = 1e10
 
 

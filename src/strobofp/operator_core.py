@@ -29,6 +29,7 @@ import numpy as np
 from .errors import ResolutionError
 
 _SQRT_2 = math.sqrt(2.0)
+_SQRT_HALF = math.sqrt(0.5)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Band cutoff: the kernel is dropped where it has fallen to e^{-eta^2/2} of its
@@ -236,16 +237,25 @@ class FrameDistribution:
 
         Deterministic frames draw the normals xi alone.  Two-point and jitter
         frames draw the normals, then `sample_intervals`, and multiply by
-        sqrt(v).  Exponential frames draw E1 into `out`, then E2, and take
-        (E1 - E2)/sqrt 2: sqrt(v) xi with v ~ Exp(1) is Laplace(0, 1/sqrt 2)
-        (Andrews & Mallows, J. R. Stat. Soc. B 36, 1974), and so is that
-        difference; two exponential draws cost less than a normal and an
-        exponential draw with a square root and a product.
+        sqrt(v).  Exponential frames draw one uniform U per step: sqrt(v) xi
+        with v ~ Exp(1) is Laplace(0, 1/sqrt 2) (Andrews & Mallows, J. R.
+        Stat. Soc. B 36, 1974), and its inverse CDF maps w = U - 1/2 to the
+        step -sign(w) ln(1 - 2|w|)/sqrt 2 (Devroye, Non-Uniform Random
+        Variate Generation, 1986, ch. IX).  U lies on the grid k 2^-53, so
+        w = U - 1/2 + 2^-54 is exact and its grid symmetric about 0, and
+        1 - 2|w| >= 2^-53 is exact too: its plain log loses nothing to
+        log1p, and every step is finite, within 26 of 0.
         """
         if self.kind == "exponential":
-            gen.standard_exponential(out=out)
-            out -= gen.standard_exponential(out.size)
-            out /= _SQRT_2
+            gen.random(out=out)
+            out -= 0.5 - 2.0**-54
+            # ln(1 - 2|w|)/sqrt 2 <= 0: the step takes its size and w's sign
+            mag = np.abs(out)
+            mag *= -2.0
+            mag += 1.0
+            np.log(mag, out=mag)
+            mag *= _SQRT_HALF
+            np.copysign(mag, out, out=out)
             return
         gen.standard_normal(out=out)
         if self.kind != "deterministic":

@@ -53,6 +53,11 @@ def test_cli_import_leaves_scipy_special_unloaded():
     assert loaded_after_cli_import("scipy.special", "scipy.sparse") == "[False, False]"
 
 
+def test_cli_import_leaves_argparse_unloaded():
+    # only an argv that `_plain_args` cannot read builds the parser
+    assert loaded_after_cli_import("argparse", "gettext") == "[False, False]"
+
+
 def test_cli_import_leaves_concurrent_futures_unloaded():
     # only a Monte Carlo run with more than one worker starts a pool
     assert loaded_after_cli_import("concurrent.futures") == "[False]"
@@ -143,6 +148,11 @@ ARGPARSE_ERRORS = {
     "bogus": ("strobofp", "argument command: invalid choice: 'bogus'"),
     "meantau --rho 50 --bogus": ("strobofp", "unrecognized arguments: --bogus"),
     "meantau --rho abc": ("strobofp meantau", "argument --rho: invalid float value: 'abc'"),
+    "meantau --rho-range 5:1:1": (
+        "strobofp meantau", "argument --rho-range: range must be finite with lo <= hi and "
+                            "step > 0, got '5:1:1'"),
+    "meantau --rho-range a:b:c": (
+        "strobofp meantau", "argument --rho-range: invalid parse_rho_range value: 'a:b:c'"),
     "fit --which nope": ("strobofp fit", "argument --which: invalid choice: 'nope'"),
     "survival": ("strobofp survival", "the following arguments are required: --rho"),
     "spectrum --rho 5 --rho-range 1:2:1": (
@@ -166,6 +176,8 @@ class TestOneSubparser:
         ["bogus"],
         ["meantau", "--rho", "50", "--bogus"],
         ["meantau", "--rho", "abc"],
+        ["meantau", "--rho-range", "5:1:1"],
+        ["meantau", "--rho-range", "a:b:c"],
         ["fit", "--which", "nope"],
         ["survival"],
         ["spectrum", "--rho", "5", "--rho-range", "1:2:1"],

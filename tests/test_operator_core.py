@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -235,6 +236,38 @@ class TestFrameDistribution:
         for power, expected in ((1, 0.0), (2, 1.0), (4, 3.0 * (1.0 + mu.variance))):
             moment = x**power
             assert abs(moment.mean() - expected) < 5.0 * moment.std() / math.sqrt(x.size)
+
+    def test_exponential_steps_take_one_uniform_each(self):
+        gen, ref = np.random.default_rng(7), np.random.default_rng(7)
+        FrameDistribution.exponential().sample_steps(gen, np.empty(1001))
+        ref.random(1001)
+        assert gen.bit_generator.state == ref.bit_generator.state
+
+    def test_exponential_steps_follow_the_laplace_cdf(self):
+        # Kolmogorov-Smirnov against Laplace(0, 1/sqrt 2); sqrt(n) D > 1.95
+        # has probability 0.001 under the law
+        gen = np.random.default_rng(1234)
+        x = np.empty(2**16)
+        FrameDistribution.exponential().sample_steps(gen, x)
+        x.sort()
+        cdf = 0.5 - np.sign(x) * np.expm1(-math.sqrt(2.0) * np.abs(x)) / 2.0
+        ecdf = np.arange(x.size + 1) / x.size
+        d = max(np.max(ecdf[1:] - cdf), np.max(cdf - ecdf[:-1]))
+        assert math.sqrt(x.size) * d < 1.95
+
+    @pytest.mark.parametrize("u, sign", [(0.0, -1.0), (1.0 - 2.0**-53, 1.0)])
+    def test_exponential_steps_finite_at_the_uniform_ends(self, u, sign):
+        # the smallest and largest uniforms give the two extreme steps,
+        # +-53 ln 2/sqrt 2, with no floating-point warning
+        class Constant:
+            def random(self, out):
+                out.fill(u)
+
+        x = np.empty(4)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            FrameDistribution.exponential().sample_steps(Constant(), x)
+        assert np.allclose(x, sign * 53.0 * math.log(2.0) / math.sqrt(2.0), rtol=1e-15, atol=0.0)
 
 
 class TestAveragedOperator:
